@@ -10,7 +10,7 @@ Verbs:
 
 All outputs land in a run directory derived from the config contents, with
 a manifest listing every artifact; identical configs produce identical
-files.  MSREG_THREADS (or MSLDDMM_THREADS) caps internal worker counts.
+files.  MSREG_THREADS (an integer >= 1) caps internal worker counts.
 """
 
 import argparse
@@ -48,10 +48,14 @@ EXIT_THRESHOLD = 4
 
 
 def _num_workers():
-    for var in ("MSREG_THREADS", "MSLDDMM_THREADS"):
-        if var in os.environ:
-            return max(1, int(os.environ[var]))
-    return 1
+    raw = os.environ.get("MSREG_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MSREG_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _run_dir(config):
@@ -179,7 +183,7 @@ def cmd_register(config, root, kernel_table_path=None):
             sort_keys=True,
         )
     files.append(controls_path)
-    trajectory = integrate_forward(kernel, system, result.controls)
+    trajectory = result.trajectory
     per_scale = {}
     for scale in system.base_scales:
         mask = system.point_scales == scale
@@ -193,6 +197,8 @@ def cmd_register(config, root, kernel_table_path=None):
         "converged": result.converged,
         "line_search_failed": result.line_search_failed,
         "endpoint_rmse": per_scale,
+        "forward_passes": result.forward_passes,
+        "gradient_passes": result.gradient_passes,
     }
     summary_path = root / "register_summary.json"
     with open(summary_path, "w") as fh:
@@ -250,8 +256,10 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
     )
     grid_pts, grid_shape, spacing = make_grid(bbox, config["grid"]["size"])
     folded_cells = {}
+    deformations = []
     for scale in export_scales:
         field = transport_grid(kernel, trajectory, system, scale, grid_pts, grid_shape, bbox)
+        deformations.append(field.mapped)
         log_jacobian(field, spacing)
         folded_cells[f"{scale:g}"] = int(field.folded.sum())
         path = root / f"deformation_{scale:g}.csv"
@@ -269,27 +277,31 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
             svg_path = root / f"shapes_{scale:g}.svg"
             _write_svg(svg_path, contours, bbox)
             files.append(svg_path)
-    residuals = residual_maps(kernel, trajectory, system, export_scales, grid_pts, grid_shape, bbox)
+    grid_transports = len(deformations)
+    # the first residual is the first deformation
+    residuals = residual_maps(
+        kernel, trajectory, system, export_scales, grid_pts, grid_shape, bbox,
+        first=deformations[0],
+    )
+    grid_transports += 2 * len(residuals) - 2
     for field in residuals:
         log_jacobian(field, spacing)
         path = root / f"residual_{field.scale:g}.csv"
         field.save_csv(path)
         files.append(path)
-    # reconstruction check: composing all residuals should reproduce the
-    # deformation at the last exported scale
-    composed = grid_pts
-    for scale in export_scales:
-        pulled = composed if scale == export_scales[0] else inverse_map(
-            kernel, trajectory, system, prev, composed
-        ).mapped
+    # reconstruction check: composing all residuals, starting from the
+    # first deformation, should reproduce the last deformation
+    composed = deformations[0]
+    for prev, scale in zip(export_scales[:-1], export_scales[1:]):
+        pulled = inverse_map(kernel, trajectory, system, prev, composed).mapped
         composed = transport_grid(kernel, trajectory, system, scale, pulled).mapped
-        prev = scale
-    direct = transport_grid(kernel, trajectory, system, export_scales[-1], grid_pts).mapped
-    recon_err = float(np.abs(composed - direct).max())
+        grid_transports += 2
+    recon_err = float(np.abs(composed - deformations[-1]).max())
     summary = {
         "reconstruction_sup_error": recon_err,
         "folded_cells": folded_cells,
         "grid": {"size": config["grid"]["size"], "bbox": list(bbox)},
+        "grid_transports": grid_transports,
     }
     path = root / "fields_summary.json"
     with open(path, "w") as fh:

@@ -62,20 +62,28 @@ class LandmarkSystem:
         return np.zeros((num_steps,) + self.points.shape)
 
 
-def _pair_blocks(kernel, scales_i, scales_j):
-    """Mixture slices for each unique (scale_i, scale_j) combination."""
-    blocks = []
-    for si in np.unique(scales_i):
-        for sj in np.unique(scales_j):
-            w, a = kernel.slice(si, sj)
-            blocks.append((scales_i == si, scales_j == sj, w, a))
-    return blocks
+# Elements of the (rows x cols x terms) exponential evaluated at once: big
+# enough to amortize numpy call overhead, small enough to stay in cache.
+CHUNK_ELEMENTS = 1 << 16
+
+
+def _scale_runs(scales):
+    """Maximal runs of equal scale as (start, stop, scale)."""
+    cuts = np.flatnonzero(scales[1:] != scales[:-1]) + 1
+    bounds = [0, *cuts.tolist(), scales.size] if scales.size else []
+    return [(a, b, scales[a]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
     """Scalar kernel matrix K[p, q] = kappa(scale_p, scale_q, |x_p - x_q|).
 
     With deriv=True, also returns dK/du where u is the squared distance.
+
+    Each block between two runs of equal scale is a contiguous view of the
+    matrix; it is evaluated in row chunks so that the mixture's
+    (rows x cols x terms) exponential stays near CHUNK_ELEMENTS elements,
+    a lazy kernel reduction in the manner of KeOps (Charlier et al., JMLR
+    2021).
     """
     if scales_j is None:
         scales_j, Xj = scales_i, Xi
@@ -83,12 +91,18 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
     u = np.einsum("pqd,pqd->pq", diff, diff)
     kmat = np.empty_like(u)
     dmat = np.empty_like(u) if deriv else None
-    for mi, mj, w, a in _pair_blocks(kernel, scales_i, scales_j):
-        ub = u[np.ix_(mi, mj)]
-        expo = np.exp(-np.multiply.outer(ub, a))
-        kmat[np.ix_(mi, mj)] = expo.dot(w)
-        if deriv:
-            dmat[np.ix_(mi, mj)] = -expo.dot(w * a)
+    runs_j = _scale_runs(scales_j)
+    for i0, i1, si in _scale_runs(scales_i):
+        for j0, j1, sj in runs_j:
+            w, a = kernel.slice(si, sj)
+            wa = w * a if deriv else None
+            step = max(1, CHUNK_ELEMENTS // ((j1 - j0) * a.size))
+            for r0 in range(i0, i1, step):
+                r1 = min(r0 + step, i1)
+                expo = np.exp(-np.multiply.outer(u[r0:r1, j0:j1], a))
+                kmat[r0:r1, j0:j1] = expo.dot(w)
+                if deriv:
+                    dmat[r0:r1, j0:j1] = -expo.dot(wa)
     if deriv:
         return kmat, dmat, diff
     return kmat
@@ -233,19 +247,27 @@ def inverse_map(kernel, trajectory, system, lam, grid_points, grid_shape=None, b
                             grid_shape=grid_shape, bbox=bbox)
 
 
-def residual_maps(kernel, trajectory, system, node_scales, grid_points, grid_shape=None, bbox=None):
+def residual_maps(kernel, trajectory, system, node_scales, grid_points, grid_shape=None,
+                  bbox=None, first=None):
     """Inter-scale residuals rho_k = psi_{r_k} o (psi_{r_{k-1}})^{-1} on a grid,
     with the identity below the first node; composing them reconstructs the
-    deformation at any node."""
+    deformation at any node.
+
+    `first`, if given, is the grid already transported at node_scales[0];
+    it is reused as the first residual.  n nodes take 2n - 1 transports, one
+    fewer with `first`.
+    """
     fields = []
     grid_points = np.asarray(grid_points, dtype=float)
     prev_scale = None
     for scale in node_scales:
         if prev_scale is None:
-            pulled = grid_points
+            mapped = first if first is not None else _transport(
+                kernel, trajectory, system, scale, grid_points
+            )
         else:
             pulled = _transport(kernel, trajectory, system, prev_scale, grid_points, reverse=True)
-        mapped = _transport(kernel, trajectory, system, scale, pulled)
+            mapped = _transport(kernel, trajectory, system, scale, pulled)
         fields.append(
             DeformationField(float(scale), grid_points, mapped, grid_shape=grid_shape, bbox=bbox)
         )
@@ -281,17 +303,7 @@ def log_jacobian(field, spacing):
     with nonpositive determinant (folding) are flagged and get NaN.
     Returns the field with log_jac and folded filled in.
     """
-    if field.grid_shape is None:
-        raise ValueError("log_jacobian needs a structured grid")
-    nx, ny = field.grid_shape
-    d = field.mapped.shape[1]
-    mapped = field.mapped.reshape(nx, ny, d)
-    jac = np.empty((nx, ny, d, d))
-    for comp in range(d):
-        gx, gy = np.gradient(mapped[:, :, comp], spacing[0], spacing[1], edge_order=2)
-        jac[:, :, comp, 0] = gx
-        jac[:, :, comp, 1] = gy
-    det = np.linalg.det(jac)
+    det = jacobian_determinant(field, spacing)
     folded = det <= 0
     log_jac = np.where(folded, np.nan, np.log(np.where(folded, 1.0, det)))
     field.log_jac = log_jac
@@ -302,7 +314,7 @@ def log_jacobian(field, spacing):
 def jacobian_determinant(field, spacing):
     """Raw determinant grid (no log), for folding diagnostics."""
     if field.grid_shape is None:
-        raise ValueError("needs a structured grid")
+        raise ValueError("the Jacobian needs a structured grid")
     nx, ny = field.grid_shape
     d = field.mapped.shape[1]
     mapped = field.mapped.reshape(nx, ny, d)

@@ -26,17 +26,27 @@ class Objective:
     def evaluate(self, controls, return_trajectory=False):
         """Returns (value, energy, match); deterministic for fixed inputs."""
         trajectory = integrate_forward(self.kernel, self.system, controls)
+        value, energy, match = self._score(trajectory)
+        if return_trajectory:
+            return value, energy, match, trajectory
+        return value, energy, match
+
+    def _score(self, trajectory):
         mismatch = trajectory.endpoints - self.system.targets
         match = self.system.weight * float(np.einsum("pd,pd->", mismatch, mismatch))
-        value = trajectory.energy + match
-        if return_trajectory:
-            return value, trajectory.energy, match, trajectory
-        return value, trajectory.energy, match
+        return trajectory.energy + match, trajectory.energy, match
 
-    def gradient(self, controls, with_value=False):
+    def gradient(self, controls, with_value=False, trajectory=None):
         """Exact gradient of the discretized objective with respect to every
-        control vector, by reverse sweep through the Euler steps."""
-        value, energy, match, trajectory = self.evaluate(controls, return_trajectory=True)
+        control vector, by reverse sweep through the Euler steps.
+
+        `trajectory`, if given, must be the forward pass of `controls`; it
+        replaces integrating them again.
+        """
+        if trajectory is None:
+            value, energy, match, trajectory = self.evaluate(controls, return_trajectory=True)
+        else:
+            value, energy, match = self._score(trajectory)
         system = self.system
         scales = system.point_scales
         num_steps = trajectory.num_steps
@@ -69,6 +79,9 @@ class OptimizeResult:
     history: list = field(default_factory=list)
     converged: bool = False
     line_search_failed: bool = False
+    trajectory: object = None  # forward pass of `controls`
+    forward_passes: int = 0
+    gradient_passes: int = 0
 
     def history_rows(self):
         return [
@@ -90,6 +103,8 @@ def optimize(
 
     Stops on relative objective decrease < tol or gradient sup-norm < tol.
     A failed line search returns the best iterate with a warning flag.
+    Each accepted line-search point's forward pass feeds its gradient, so
+    the run takes one forward pass plus one per line-search evaluation.
     """
     system = objective.system
     if init_controls is None:
@@ -98,11 +113,16 @@ def optimize(
         controls = np.array(init_controls, dtype=float, copy=True)
     shape = controls.shape
     x = controls.ravel()
-    grad, value, energy, match = objective.gradient(controls, with_value=True)
+    trajectory = integrate_forward(objective.kernel, system, controls)
+    grad, value, energy, match = objective.gradient(
+        controls, with_value=True, trajectory=trajectory
+    )
     g = grad.ravel()
     history = [(value, energy, match, 0.0)]
     s_mem, y_mem = [], []
-    result = OptimizeResult(controls, value, energy, match, history)
+    result = OptimizeResult(
+        controls, value, energy, match, history, forward_passes=1, gradient_passes=1
+    )
     if not np.isfinite(value):
         raise ValueError("initial objective value is not finite")
     for _ in range(max_iters):
@@ -118,9 +138,10 @@ def optimize(
         accepted = False
         for _ in range(max_halvings):
             x_new = x + step * direction
+            result.forward_passes += 1
             try:
-                value_new, energy_new, match_new = objective.evaluate(
-                    x_new.reshape(shape)
+                value_new, energy_new, match_new, traj_new = objective.evaluate(
+                    x_new.reshape(shape), return_trajectory=True
                 )
             except RuntimeError:
                 value_new = np.inf
@@ -131,10 +152,8 @@ def optimize(
         if not accepted:
             result.line_search_failed = True
             break
-        grad_new, value_new, energy_new, match_new = objective.gradient(
-            x_new.reshape(shape), with_value=True
-        )
-        g_new = grad_new.ravel()
+        g_new = objective.gradient(x_new.reshape(shape), trajectory=traj_new).ravel()
+        result.gradient_passes += 1
         if method == "lbfgs":
             s_vec = x_new - x
             y_vec = g_new - g
@@ -145,7 +164,7 @@ def optimize(
                     s_mem.pop(0)
                     y_mem.pop(0)
         rel_decrease = (value - value_new) / max(abs(value), 1e-300)
-        x, g = x_new, g_new
+        x, g, trajectory = x_new, g_new, traj_new
         value, energy, match = value_new, energy_new, match_new
         history.append((value, energy, match, step))
         if rel_decrease < tol:
@@ -153,6 +172,7 @@ def optimize(
             break
     result.controls = x.reshape(shape)
     result.value, result.energy, result.match = value, energy, match
+    result.trajectory = trajectory
     return result
 
 

@@ -122,7 +122,9 @@ class MixtureKernel:
 
     Subclasses provide ``slice(lam, mu) -> (weights, rates)`` with
     value(u) = sum_i weights[i] * exp(-rates[i] * u) at squared distance u.
-    Immutable after construction; safe for concurrent reads.
+    The returned arrays may be shared between calls; callers must not
+    modify them.  Immutable after construction apart from slice memos;
+    safe for concurrent reads.
     """
 
     def slice(self, lam, mu):
@@ -137,12 +139,6 @@ class MixtureKernel:
     def value_sq(weights, rates, u):
         u = np.asarray(u, dtype=float)
         return np.exp(-np.multiply.outer(u, rates)).dot(weights)
-
-    @staticmethod
-    def deriv_sq(weights, rates, u):
-        """d/du of the mixture at squared distance u."""
-        u = np.asarray(u, dtype=float)
-        return -np.exp(-np.multiply.outer(u, rates)).dot(weights * rates)
 
 
 class DiracPiecewiseKernel(MixtureKernel):
@@ -162,8 +158,15 @@ class DiracPiecewiseKernel(MixtureKernel):
         self.measure = measure
         self.family = family
         self._s0 = s0
+        self._slices = {}
 
     def slice(self, lam, mu):
+        key = (lam, mu)
+        if key not in self._slices:
+            self._slices[key] = self._mixture(lam, mu)
+        return self._slices[key]
+
+    def _mixture(self, lam, mu):
         family, measure = self.family, self.measure
         lam = family.ladder.clamp(lam)
         lam0 = family.ladder.clamp(mu)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from msreg import flow
 from msreg.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -83,6 +84,14 @@ class TestArgumentHandling:
         bad["base_scales"] = [0.123]
         path = write_config(tmp_path, bad)
         assert main(["--config", str(path), "check"]) == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
+    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("MSREG_THREADS", threads)
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "fit-kernel"]) == EXIT_CONFIG
+        assert "config error: MSREG_THREADS" in capsys.readouterr().err
 
 
 class TestFitKernel:
@@ -220,6 +229,30 @@ class TestExportFields:
         root2 = run_dir_of(capsys)
         svg = (root2 / "shapes_0.1.svg").read_text()
         assert svg.startswith("<svg") and "polygon" in svg
+
+
+    @pytest.mark.parametrize("export_scales", [[0.48], [0.1, 2.0], [0.1, 0.48, 2.0]])
+    def test_grid_transport_count(self, tmp_path, capsys, monkeypatch, export_scales):
+        config = dict(DIRAC_CONFIG, export_scales=export_scales)
+        path = write_config(tmp_path, config)
+        assert main(["--config", str(path), "register"]) == EXIT_OK
+        root = run_dir_of(capsys)
+        summary = json.loads((root / "register_summary.json").read_text())
+        assert summary["forward_passes"] > summary["gradient_passes"] > summary["iterations"]
+        grid_cells = config["grid"]["size"] ** 2
+        transported = []
+        transport = flow._transport
+
+        def counting_transport(kernel, trajectory, system, lam, points, reverse=False):
+            transported.append(len(points))
+            return transport(kernel, trajectory, system, lam, points, reverse)
+
+        monkeypatch.setattr(flow, "_transport", counting_transport)
+        assert main(["--config", str(path), "export-fields", "--svg"]) == EXIT_OK
+        grid_transports = transported.count(grid_cells)
+        assert grid_transports == 5 * len(export_scales) - 4
+        summary = json.loads((root / "fields_summary.json").read_text())
+        assert summary["grid_transports"] == grid_transports
 
 
 class TestCheck:

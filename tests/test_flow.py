@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msreg import flow
 from msreg.flow import (
     DeformationField,
     IntegrationError,
@@ -59,6 +60,14 @@ class TestLandmarkSystem:
         assert sys0.zero_controls(5).shape == (5, 8, 2)
 
 
+@pytest.fixture(params=["table", "dirac"])
+def mixture(request):
+    """A mixture kernel and the two ladder ends it knows."""
+    if request.param == "table":
+        return request.getfixturevalue("small_kernel"), (0.1, 1.0)
+    return KERNEL, (0.1, 2.0)
+
+
 class TestKernelMatrix:
     def test_matches_elementwise_evaluation(self):
         rng = np.random.default_rng(1)
@@ -69,6 +78,34 @@ class TestKernelMatrix:
                 r = np.linalg.norm(sys0.points[p] - sys0.points[q])
                 ref = float(KERNEL(sys0.point_scales[p], sys0.point_scales[q], r))
                 assert kmat[p, q] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("row_runs", [(2, 1, 2, 1), (1000, 300, 100, 100)])
+    def test_interleaved_scales_and_chunks_match_elementwise(self, mixture, row_runs):
+        kernel, (lo, hi) = mixture
+        rng = np.random.default_rng(sum(row_runs))
+        # runs of rows and of 6 columns alternate between the two scales
+        scales_i = np.array([hi, lo, hi, lo]).repeat(row_runs)
+        scales_j = np.array([lo, hi, lo, hi]).repeat(6)
+        rows = scales_i.size
+        xi = rng.normal(scale=0.5, size=(rows, 2))
+        xj = rng.normal(scale=0.5, size=(scales_j.size, 2))
+        kmat, dmat, diff = kernel_matrix(kernel, scales_i, xi, scales_j, xj, deriv=True)
+        slices = {(s, t): kernel.slice(s, t) for s in (lo, hi) for t in (lo, hi)}
+        if rows > 100:
+            # the first run's block against a column run spans two row chunks
+            assert row_runs[0] * 6 * slices[hi, hi][1].size > flow.CHUNK_ELEMENTS
+        assert np.array_equal(diff, xi[:, None, :] - xj[None, :, :])
+        for p in range(rows):
+            for q in range(scales_j.size):
+                r = np.linalg.norm(xi[p] - xj[q])
+                w, a = slices[scales_i[p], scales_j[q]]
+                expo = np.exp(-a * r * r)
+                ref = float(kernel(scales_i[p], scales_j[q], r))
+                # rounding is relative to the terms, which may cancel
+                tol = 1e-13 * np.dot(np.abs(w), expo)
+                assert kmat[p, q] == pytest.approx(ref, rel=1e-12, abs=tol)
+                dref = -np.dot(w * a, expo)
+                assert dmat[p, q] == pytest.approx(dref, rel=1e-12, abs=tol * a.max())
 
     def test_rectangular_and_derivative(self):
         rng = np.random.default_rng(2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msreg import registration
 from msreg.flow import LandmarkSystem, integrate_forward
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.registration import Objective, optimize
@@ -171,3 +172,30 @@ class TestOptimize:
         assert rows[0]["iter"] == 0 and rows[0]["step"] == 0.0
         for row in rows:
             assert set(row) == {"iter", "value", "energy", "match", "step"}
+
+    def test_one_forward_pass_per_line_search_evaluation(self, monkeypatch):
+        calls = {"forward": 0, "evaluate": 0, "gradient": 0}
+
+        def counting_forward(*args):
+            calls["forward"] += 1
+            return integrate_forward(*args)
+
+        class CountingObjective(Objective):
+            def evaluate(self, *args, **kwargs):
+                calls["evaluate"] += 1
+                return super().evaluate(*args, **kwargs)
+
+            def gradient(self, *args, **kwargs):
+                calls["gradient"] += 1
+                return super().gradient(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "integrate_forward", counting_forward)
+        sys0 = random_system(np.random.default_rng(13))
+        result = optimize(CountingObjective(KERNEL, sys0, num_steps=6), max_iters=25)
+        accepted = len(result.history) - 1
+        assert calls["evaluate"] > accepted > 0  # some steps were halved
+        assert calls["forward"] == 1 + calls["evaluate"] == result.forward_passes
+        assert calls["gradient"] == 1 + accepted == result.gradient_passes
+        final = integrate_forward(KERNEL, sys0, result.controls)
+        assert np.array_equal(result.trajectory.positions, final.positions)
+        assert result.trajectory.energy == final.energy
