@@ -28,7 +28,6 @@ from .scale_kernels import (
     gauss_scale_integral,
     integrated_dirac_kernel,
     piecewise_scale_integral,
-    product_kernel,
     sum_dirac_kernel_hat,
 )
 from .spectral import (

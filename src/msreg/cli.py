@@ -27,6 +27,7 @@ from .config import ConfigError, ExperimentConfig
 from .flow import (
     DeformationField,
     IntegrationError,
+    LandmarkSystem,
     bounding_box,
     integrate_forward,
     inverse_map,
@@ -135,8 +136,6 @@ def cmd_fit_kernel(config, root, max_relative_residual=1e-2):
 
 
 def _build_system(config):
-    from .flow import LandmarkSystem
-
     groups = config.landmark_groups()
     if not groups:
         raise ConfigError("config has no shapes to register")
@@ -208,8 +207,6 @@ def cmd_register(config, root, kernel_table_path=None):
 
 
 def _load_controls(path):
-    from .flow import LandmarkSystem
-
     with open(path) as fh:
         blob = json.load(fh)
     system = LandmarkSystem(

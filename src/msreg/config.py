@@ -16,7 +16,6 @@ DEFAULTS = {
     "ladder": {"s1": 0.1, "s2": 2.0, "num_nodes": 20},
     "measure": {"type": "lebesgue", "sigma": 0.5},
     "kernel": {"backend": "fitted", "num_basis": 20, "num_frequencies": 256},
-    "base_scales": [0.1, 2.0],
     "shapes": [],
     "time_steps": 20,
     "weight": 1.0,
@@ -90,16 +89,33 @@ class ExperimentConfig:
         return ExperimentConfig(data)
 
     def validate(self):
+        """Check the config and build what it describes; every failure is a
+        ConfigError."""
+        try:
+            self._validate()
+        except KeyError as err:
+            raise ConfigError(f"missing config key {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ConfigError(str(err)) from err
+
+    def _validate(self):
         data = self.data
         if data["version"] != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {data['version']}")
         ladder = self.ladder()
-        for scale in data["base_scales"]:
-            if np.abs(ladder.nodes - scale).min() > 1e-9:
-                raise ConfigError(f"base scale {scale} is not a ladder node")
+        self.measure()
+        self.export_scales(ladder)
+        steps = data["time_steps"]
+        if not isinstance(steps, int) or steps < 1:
+            raise ConfigError(f"time_steps must be an integer >= 1, got {steps!r}")
+        weight = data["weight"]
+        if not isinstance(weight, (int, float)) or not weight > 0:
+            raise ConfigError(f"weight must be positive, got {weight!r}")
         for entry in data["shapes"]:
             if "scale" not in entry or "template" not in entry or "target" not in entry:
                 raise ConfigError("each shape entry needs scale, template, target")
+            if np.abs(ladder.nodes - entry["scale"]).min() > 1e-9:
+                raise ConfigError(f"shape scale {entry['scale']} is not a ladder node")
             template = shapes.generate(entry["template"])
             target = shapes.generate(entry["target"])
             if template.shape != target.shape:

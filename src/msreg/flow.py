@@ -108,16 +108,6 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
     return kmat
 
 
-def velocity(kernel, system, positions, controls_t, query_scales, query_points):
-    """Velocity induced by one time slice of landmark controls at the given
-    query scale(s) and points."""
-    query_scales = np.asarray(query_scales, dtype=float)
-    if query_scales.ndim == 0:
-        query_scales = np.full(query_points.shape[0], float(query_scales))
-    kmat = kernel_matrix(kernel, query_scales, query_points, system.point_scales, positions)
-    return kmat.dot(controls_t)
-
-
 @dataclass
 class FlowTrajectory:
     """Time-discretized landmark trajectory with the accumulated kernel energy."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
+from .flow import kernel_matrix
 from .scale_kernels import MixtureKernel
 from .spectral import kappa_hat_gaussian
 
@@ -48,11 +49,6 @@ class HankelBasis:
     @property
     def size(self):
         return self.taus.size
-
-    def spatial(self, r):
-        """Matrix h_q(r_i), shape (len(r), Q)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.exp(-np.multiply.outer(r**2, 1.0 / (2.0 * self.taus**2)))
 
     def spectral(self, xi):
         """Matrix h_hat_q(xi_j), shape (len(xi), Q); strictly positive."""
@@ -181,17 +177,15 @@ def repair_pairwise(row, diag_k, diag_l, design, tol=1e-13):
 class KernelTable(MixtureKernel):
     """Fitted kernel coefficients beta_q(s_k, s_l) over a Gaussian basis.
 
-    Evaluation at (lam1, lam2, r) is an O(Q) mixture sum.  Scales not in the
-    table raise a lookup error unless `interpolate` is enabled, in which
-    case beta rows are linearly interpolated across neighboring scales (and
-    the fit report flags the table as approximate).
+    Evaluation at (lam1, lam2, r) is an O(Q) mixture sum.  Only the fitted
+    ladder scales can be evaluated, since only their beta rows carry the
+    positivity certificate; any other scale raises a lookup error.
     """
 
     scales: np.ndarray
     beta: np.ndarray  # shape (m, m, Q), symmetric in the first two axes
     basis: HankelBasis
     report: dict = field(default_factory=dict)
-    interpolate: bool = False
 
     def __post_init__(self):
         self.scales = np.asarray(self.scales, dtype=float)
@@ -203,35 +197,13 @@ class KernelTable(MixtureKernel):
             raise KeyError(f"scale {lam} not in kernel table")
         return idx
 
-    def _beta_row(self, lam1, lam2):
-        if not self.interpolate:
-            return self.beta[self.index_of(lam1), self.index_of(lam2)]
-        return self._interp_beta(lam1, lam2)
-
-    def _interp_axis(self, lam):
-        s = self.scales
-        if lam <= s[0]:
-            return [(0, 1.0)]
-        if lam >= s[-1]:
-            return [(s.size - 1, 1.0)]
-        hi = int(np.searchsorted(s, lam))
-        lo = hi - 1
-        w = (lam - s[lo]) / (s[hi] - s[lo])
-        return [(lo, 1.0 - w), (hi, w)]
-
-    def _interp_beta(self, lam1, lam2):
-        row = np.zeros(self.basis.size)
-        for i, wi in self._interp_axis(lam1):
-            for j, wj in self._interp_axis(lam2):
-                row += wi * wj * self.beta[i, j]
-        return row
-
     def slice(self, lam, mu):
-        return self._beta_row(lam, mu), self._rates
+        return self.beta[self.index_of(lam), self.index_of(mu)], self._rates
 
     def spectrum(self, lam1, lam2, xis):
         """Fitted spectral profile at the given frequencies."""
-        return self.basis.spectral(xis).dot(self._beta_row(lam1, lam2))
+        row = self.beta[self.index_of(lam1), self.index_of(lam2)]
+        return self.basis.spectral(xis).dot(row)
 
     def save_binary(self, path):
         m, q = self.scales.size, self.basis.size
@@ -346,7 +318,6 @@ def fit_kernel_table(spectral_table, basis=None, num_basis=20, workers=1):
             margins[~np.eye(m, dtype=bool)].min() if m > 1 else 0.0
         ),
         "residuals": residuals.tolist(),
-        "interpolation": False,
     }
     return KernelTable(scales.copy(), beta, basis, report)
 
@@ -355,28 +326,20 @@ def certify_pairwise_positivity(table, sample_points, scale_pairs=None, tol=1e-8
     """Assemble Gram matrices from the fitted kernel on random point samples
     restricted to pairs of scales, and report the worst eigenvalue ratio.
 
+    The Gram matrices come from `flow.kernel_matrix`, the evaluator the flow
+    energy uses, so the certificate is about the kernel the energy sees.
     Report-only: three or more scales are not certified by the pairwise fit.
     """
     pts = np.asarray(sample_points, dtype=float)
+    n = pts.shape[0]
+    coords = np.vstack([pts, pts])
     if scale_pairs is None:
         m = table.scales.size
         scale_pairs = [(k, l) for k in range(m) for l in range(k, m)]
     worst = np.inf
     details = []
     for k, l in scale_pairs:
-        labels = np.array([k] * pts.shape[0] + [l] * pts.shape[0])
-        coords = np.vstack([pts, pts])
-        diff = coords[:, None, :] - coords[None, :, :]
-        rr = np.sqrt((diff**2).sum(-1))
-        gram = np.empty((coords.shape[0], coords.shape[0]))
-        for a in (k, l):
-            for b in (k, l):
-                mask_a = labels == a
-                mask_b = labels == b
-                w, rates = table.slice(table.scales[a], table.scales[b])
-                gram[np.ix_(mask_a, mask_b)] = MixtureKernel.value_sq(
-                    w, rates, rr[np.ix_(mask_a, mask_b)] ** 2
-                )
+        gram = kernel_matrix(table, np.repeat(table.scales[[k, l]], n), coords)
         gram = 0.5 * (gram + gram.T)
         eigs = np.linalg.eigvalsh(gram)
         ratio = eigs[0] / max(eigs[-1], 1e-300)

@@ -4,7 +4,8 @@ Per-scale kernels are Gaussians, either varying continuously with scale or
 held piecewise constant on the ladder intervals.  For a Dirac scale measure
 the scale-space kernel has a closed form built from integrals of the
 per-scale kernels over windows of the scale axis; those integrals are
-computed here, together with a few alternative kernel constructions.
+computed here, together with the sum-of-Diracs spectral formula and the
+atom-integrated Dirac kernel.
 
 Every kernel that feeds the flow engine is represented as a finite mixture
 of spatial Gaussians for each scale pair, so that values and spatial
@@ -133,12 +134,7 @@ class MixtureKernel:
     def __call__(self, lam, mu, r):
         w, a = self.slice(lam, mu)
         u = np.asarray(r, dtype=float) ** 2
-        return self.value_sq(w, a, u)
-
-    @staticmethod
-    def value_sq(weights, rates, u):
-        u = np.asarray(u, dtype=float)
-        return np.exp(-np.multiply.outer(u, rates)).dot(weights)
+        return np.exp(-np.multiply.outer(u, a)).dot(w)
 
 
 class DiracPiecewiseKernel(MixtureKernel):
@@ -256,15 +252,6 @@ def make_sum_dirac_xfun(family, xi):
 
     xfun.x_s2 = float(cum[-1])
     return xfun
-
-
-def product_kernel(k_scale, k_space, warp, lam, mu, x, y):
-    """Separable scale x space kernel K_scale(lam, mu) * K_space(h(lam,x), h(mu,y)).
-
-    warp(lam, x) must be injective in x; warp(lam, x) = x / lam gives the
-    rescaling construction.
-    """
-    return k_scale(lam, mu) * k_space(warp(lam, np.asarray(x, float)), warp(mu, np.asarray(y, float)))
 
 
 def integrated_dirac_weights(family, lam, lam0):

@@ -19,7 +19,6 @@ SMALL_CONFIG = {
     "ladder": {"s1": 0.1, "s2": 2.0, "num_nodes": 6},
     "measure": {"type": "lebesgue", "sigma": 0.5},
     "kernel": {"backend": "fitted", "num_basis": 12, "num_frequencies": 112},
-    "base_scales": [0.1, 2.0],
     "shapes": [
         {
             "scale": 0.1,
@@ -43,7 +42,6 @@ DIRAC_CONFIG = {
     "ladder": {"s1": 0.1, "s2": 2.0, "num_nodes": 6},
     "measure": {"type": "dirac", "s0": 0.48},
     "kernel": {"backend": "dirac_closed_form"},
-    "base_scales": [0.1, 2.0],
     "shapes": SMALL_CONFIG["shapes"],
     "time_steps": 6,
     "optimizer": {"method": "lbfgs", "max_iters": 20, "tol": 1e-8, "memory": 10},
@@ -81,10 +79,31 @@ class TestArgumentHandling:
 
     def test_semantically_bad_config(self, tmp_path, capsys):
         bad = dict(SMALL_CONFIG)
-        bad["base_scales"] = [0.123]
+        bad["shapes"] = [dict(SMALL_CONFIG["shapes"][0], scale=0.123)]
         path = write_config(tmp_path, bad)
         assert main(["--config", str(path), "check"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "ladder.s1=-1",
+            "measure.sigma=-1",
+            "export_scales=[3.0]",
+            "time_steps=0",
+            "weight=-1",
+            "measure.type=dirac",
+            'shapes=[{"scale": 0.15, "template": {"type": "circle", "num": 8},'
+            ' "target": {"type": "circle", "num": 8}}]',
+            'shapes=[{"scale": "a", "template": {"type": "circle", "num": 8},'
+            ' "target": {"type": "circle", "num": 8}}]',
+        ],
+        ids=["s1", "sigma", "export_scales", "time_steps", "weight", "no_s0", "shape_scale",
+             "shape_scale_type"],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, override):
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["--config", str(path), "--set", override, "register"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
     def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, threads):

@@ -17,7 +17,6 @@ from msreg.flow import (
     make_grid,
     residual_maps,
     transport_grid,
-    velocity,
 )
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.scale_kernels import DiracPiecewiseKernel, GaussianScaleFamily
@@ -133,25 +132,14 @@ class TestKernelMatrix:
 
 
 class TestVelocity:
+    """The velocity field, seen as the displacement of one transport step."""
+
     def test_zero_controls_give_zero_velocity(self):
         rng = np.random.default_rng(4)
         sys0 = two_scale_system(rng)
-        vel = velocity(
-            KERNEL, sys0, sys0.points, np.zeros_like(sys0.points), 0.5, sys0.points
-        )
-        assert np.abs(vel).max() == 0.0
-
-    def test_scalar_scale_broadcast(self):
-        rng = np.random.default_rng(5)
-        sys0 = two_scale_system(rng)
-        controls = rng.normal(size=sys0.points.shape)
-        query = rng.normal(size=(7, 2))
-        v_scalar = velocity(KERNEL, sys0, sys0.points, controls, 1.1, query)
-        v_vector = velocity(
-            KERNEL, sys0, sys0.points, controls, np.full(7, 1.1), query
-        )
-        assert np.array_equal(v_scalar, v_vector)
-        assert v_scalar.shape == (7, 2)
+        traj = integrate_forward(KERNEL, sys0, sys0.zero_controls(1))
+        field = transport_grid(KERNEL, traj, sys0, 0.5, sys0.points)
+        assert np.abs(field.displacement).max() == 0.0
 
     def test_single_landmark_closed_form(self):
         sys0 = LandmarkSystem(
@@ -159,9 +147,12 @@ class TestVelocity:
         )
         a = np.array([[0.3, -0.2]])
         query = np.array([[0.7, 0.1]])
-        vel = velocity(KERNEL, sys0, sys0.points, a, 0.5, query)
+        traj = integrate_forward(KERNEL, sys0, a[None])
+        field = transport_grid(KERNEL, traj, sys0, 0.5, query)
         r = np.linalg.norm(query[0])
-        assert np.allclose(vel[0], float(KERNEL(0.5, 0.5, r)) * a[0])
+        # displacement = dt * K * a with a single step, dt = 1
+        assert traj.dt == 1.0
+        assert np.allclose(field.displacement[0], float(KERNEL(0.5, 0.5, r)) * a[0])
 
 
 class TestIntegrateForward:

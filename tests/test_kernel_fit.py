@@ -49,7 +49,6 @@ class TestHankelBasis:
 
     def test_shapes(self):
         basis = HankelBasis(np.array([0.3, 0.9, 2.0]))
-        assert basis.spatial(np.linspace(0, 1, 5)).shape == (5, 3)
         assert basis.spectral(np.linspace(0, 1, 7)).shape == (7, 3)
         assert np.all(basis.spectral(np.linspace(0, 3, 7)) > 0)
 
@@ -224,24 +223,6 @@ class TestKernelTable:
             small_kernel.beta[k, k].sum()
         )
 
-    def test_interpolation_mode(self, small_kernel):
-        table = KernelTable(
-            small_kernel.scales,
-            small_kernel.beta,
-            small_kernel.basis,
-            interpolate=True,
-        )
-        s = small_kernel.scales
-        mid = 0.5 * (s[1] + s[2])
-        v = float(table(mid, s[0], 0.4))
-        va = float(table(s[1], s[0], 0.4))
-        vb = float(table(s[2], s[0], 0.4))
-        assert min(va, vb) - 1e-12 <= v <= max(va, vb) + 1e-12
-        # outside the ladder it clamps to the end rows
-        assert float(table(s[-1] + 1.0, s[0], 0.4)) == pytest.approx(
-            float(table(s[-1], s[0], 0.4))
-        )
-
     def test_binary_round_trip(self, small_kernel, tmp_path):
         path = tmp_path / "kernel.mskt"
         small_kernel.save_binary(path)
@@ -286,3 +267,24 @@ class TestCertification:
         result = certify_pairwise_positivity(small_kernel, pts, scale_pairs=[(0, 3)])
         assert len(result["pairs"]) == 1
         assert result["pairs"][0]["pair"] == [0, 3]
+
+    def test_eigenvalues_match_elementwise_gram(self, small_kernel):
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(7, 2))
+        k, l = 1, 3
+        result = certify_pairwise_positivity(small_kernel, pts, scale_pairs=[(k, l)])
+        lams = np.repeat(small_kernel.scales[[k, l]], len(pts))
+        coords = np.vstack([pts, pts])
+        gram = np.array(
+            [
+                [
+                    float(small_kernel(lams[p], lams[q], np.linalg.norm(coords[p] - coords[q])))
+                    for q in range(len(coords))
+                ]
+                for p in range(len(coords))
+            ]
+        )
+        eigs = np.linalg.eigvalsh(gram)
+        pair = result["pairs"][0]
+        assert pair["min_eig"] == pytest.approx(eigs[0], rel=1e-12)
+        assert pair["max_eig"] == pytest.approx(eigs[-1], rel=1e-12)

@@ -15,7 +15,6 @@ from msreg.scale_kernels import (
     make_sum_dirac_xfun,
     piecewise_scale_integral,
     piecewise_weights,
-    product_kernel,
     sum_dirac_kernel_hat,
 )
 
@@ -231,44 +230,6 @@ class TestSumDiracKernelHat:
         assert np.all(np.diff(vals) > 0)
         value = sum_dirac_kernel_hat(2.0, 3.0, xfun, 0.5, 1.5)
         assert value > 0
-
-
-class TestProductKernel:
-    K_SCALE = staticmethod(lambda lam, mu: np.exp(-((lam - mu) ** 2)))
-    K_SPACE = staticmethod(lambda x, y: np.exp(-np.sum((x - y) ** 2) / 2.0))
-
-    def test_coincident_inputs(self):
-        warp = lambda lam, x: x / lam
-        value = product_kernel(
-            self.K_SCALE, self.K_SPACE, warp, 0.7, 0.7, np.ones(2), np.ones(2)
-        )
-        assert value == pytest.approx(self.K_SCALE(0.7, 0.7))
-
-    def test_gram_positivity(self):
-        rng = np.random.default_rng(2)
-        warp = lambda lam, x: x / lam
-        pts = rng.normal(size=(20, 2))
-        lams = rng.uniform(0.1, 2.0, 20)
-        gram = np.array(
-            [
-                [
-                    product_kernel(
-                        self.K_SCALE, self.K_SPACE, warp, lams[i], lams[j], pts[i], pts[j]
-                    )
-                    for j in range(20)
-                ]
-                for i in range(20)
-            ]
-        )
-        eigs = np.linalg.eigvalsh(gram)
-        assert eigs[0] >= -1e-8 * eigs[-1]
-
-    def test_identity_warp_is_scale_separable(self):
-        warp = lambda lam, x: x
-        x, y = np.array([0.3, -0.2]), np.array([1.0, 0.4])
-        a = product_kernel(self.K_SCALE, self.K_SPACE, warp, 0.2, 1.5, x, y)
-        b = self.K_SCALE(0.2, 1.5) * self.K_SPACE(x, y)
-        assert a == pytest.approx(b)
 
 
 class TestIntegratedDiracKernel:

@@ -78,7 +78,8 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg["ladder"] == {"s1": 0.1, "s2": 2.0, "num_nodes": 20}
         assert cfg["measure"] == {"type": "lebesgue", "sigma": 0.5}
-        assert cfg["base_scales"] == [0.1, 2.0]
+        assert cfg["shapes"] == []
+        assert "base_scales" not in cfg.data
         assert cfg["time_steps"] == 20
         assert cfg["weight"] == 1.0
         assert cfg["kernel"]["num_basis"] == 20
@@ -108,8 +109,14 @@ class TestExperimentConfig:
             ExperimentConfig({"version": 99})
 
     def test_rejects_off_ladder_base_scale(self):
+        # a shape's scale is its landmarks' base scale
+        entry = {
+            "template": {"type": "circle", "num": 5},
+            "target": {"type": "circle", "num": 5},
+        }
+        ExperimentConfig({"shapes": [dict(entry, scale=0.1)]})
         with pytest.raises(ConfigError):
-            ExperimentConfig({"base_scales": [0.1234]})
+            ExperimentConfig({"shapes": [dict(entry, scale=0.1234)]})
 
     def test_rejects_incomplete_shape_entry(self):
         with pytest.raises(ConfigError):
@@ -160,10 +167,15 @@ class TestExperimentConfig:
         lad = ExperimentConfig().ladder()
         assert lad.nodes.size == 20
         assert lad.s1 == pytest.approx(0.1) and lad.s2 == pytest.approx(2.0)
-        cfg = ExperimentConfig(
-            {"ladder": {"nodes": [0.1, 0.5, 2.0]}, "base_scales": [0.5]}
-        )
+        entry = {
+            "scale": 0.5,
+            "template": {"type": "circle", "num": 5},
+            "target": {"type": "circle", "num": 5},
+        }
+        cfg = ExperimentConfig({"ladder": {"nodes": [0.1, 0.5, 2.0]}, "shapes": [entry]})
         assert list(cfg.ladder().nodes) == [0.1, 0.5, 2.0]
+        with pytest.raises(ConfigError):
+            ExperimentConfig({"ladder": {"nodes": [0.1, 0.6, 2.0]}, "shapes": [entry]})
 
     def test_landmark_groups(self):
         cfg = ExperimentConfig(
@@ -200,7 +212,7 @@ class TestBundledConfigs:
             groups = cfg.landmark_groups()
             assert groups, path.name
             base = [g[0] for g in groups]
-            assert set(base) <= set(cfg["base_scales"])
+            assert set(base) <= set(cfg.ladder().nodes.tolist()), path.name
 
     def test_flower_config_uses_rotated_target(self):
         cfg = ExperimentConfig.load(CONFIG_DIR / "example3_flower_rotate.json")
