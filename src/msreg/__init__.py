@@ -18,7 +18,7 @@ from .flow import (
     transport_grid,
 )
 from .kernel_fit import HankelBasis, KernelTable, certify_pairwise_positivity, fit_kernel_table
-from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder, SumDiracMeasure
+from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder
 from .registration import Objective, optimize
 from .scale_kernels import (
     DiracPiecewiseKernel,

@@ -37,7 +37,7 @@ from .flow import (
     transport_grid,
 )
 from .kernel_fit import KernelTable, certify_pairwise_positivity, fit_kernel_table
-from .ladder import DiracMeasure, LebesgueMeasure
+from .ladder import DiracMeasure
 from .registration import Objective, optimize
 from .scale_kernels import DiracPiecewiseKernel, GaussianScaleFamily
 from .spectral import SpectralGrid, compute_spectral_table
@@ -87,16 +87,8 @@ def build_kernel(config, workers=1):
     """
     ladder = config.ladder()
     measure = config.measure()
-    family = GaussianScaleFamily(ladder)
-    backend = config["kernel"]["backend"]
-    if isinstance(measure, DiracMeasure) or backend == "dirac_closed_form":
-        if not isinstance(measure, DiracMeasure):
-            raise ConfigError("dirac_closed_form backend requires a dirac measure")
-        return DiracPiecewiseKernel(measure, family), {}
-    if not isinstance(measure, LebesgueMeasure):
-        raise ConfigError(
-            f"no real-space kernel backend for measure {config['measure']['type']!r}"
-        )
+    if isinstance(measure, DiracMeasure):
+        return DiracPiecewiseKernel(measure, GaussianScaleFamily(ladder)), {}
     grid = SpectralGrid.default(ladder.s1, config["kernel"]["num_frequencies"])
     spectral = compute_spectral_table(ladder, measure.sigma, grid)
     table = fit_kernel_table(
@@ -156,11 +148,7 @@ def cmd_register(config, root, kernel_table_path=None):
     objective = Objective(kernel, system, num_steps=config["time_steps"])
     opt = config["optimizer"]
     result = optimize(
-        objective,
-        max_iters=opt["max_iters"],
-        tol=opt["tol"],
-        method=opt["method"],
-        memory=opt.get("memory", 10),
+        objective, max_iters=opt["max_iters"], tol=opt["tol"], memory=opt["memory"]
     )
     hist_path = root / "history.csv"
     with open(hist_path, "w", newline="") as fh:
@@ -255,7 +243,7 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
     folded_cells = {}
     deformations = []
     for scale in export_scales:
-        field = transport_grid(kernel, trajectory, system, scale, grid_pts, grid_shape, bbox)
+        field = transport_grid(kernel, trajectory, system, scale, grid_pts, grid_shape)
         deformations.append(field.mapped)
         log_jacobian(field, spacing)
         folded_cells[f"{scale:g}"] = int(field.folded.sum())
@@ -277,7 +265,7 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
     grid_transports = len(deformations)
     # the first residual is the first deformation
     residuals = residual_maps(
-        kernel, trajectory, system, export_scales, grid_pts, grid_shape, bbox,
+        kernel, trajectory, system, export_scales, grid_pts, grid_shape,
         first=deformations[0],
     )
     grid_transports += 2 * len(residuals) - 2
@@ -363,10 +351,10 @@ def main(argv=None):
 
     try:
         config = ExperimentConfig.load(args.config).override(args.set)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as err:
+        root, digest = _run_dir(config)
+    except (ConfigError, OSError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    root, digest = _run_dir(config)
     try:
         if args.command == "fit-kernel":
             files, code = cmd_fit_kernel(config, root)

@@ -6,10 +6,12 @@ import json
 import numpy as np
 
 from . import shapes
-from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder, SumDiracMeasure
+from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder
 
 CONFIG_VERSION = 1
 
+# The schema: a config may set only these keys (and OPTIONAL_KEYS), each to a
+# value of its default's JSON type; export_scales may also be a list of scales.
 DEFAULTS = {
     "version": CONFIG_VERSION,
     "name": "experiment",
@@ -26,6 +28,32 @@ DEFAULTS = {
     "output_dir": "msreg_out",
 }
 
+# Keys DEFAULTS lacks that a config may add, with a value of the type shown:
+# explicit ladder nodes, and the atom of a Dirac measure.
+OPTIONAL_KEYS = {"ladder.nodes": [], "measure.s0": 0.0}
+
+CHOICES = {
+    "measure.type": ("lebesgue", "dirac"),
+    "kernel.backend": ("fitted", "dirac_closed_form"),
+    "optimizer.method": ("lbfgs",),
+}
+
+MINIMUM = {
+    "ladder.num_nodes": 2,
+    "kernel.num_basis": 1,
+    "kernel.num_frequencies": 2,
+    "time_steps": 1,
+    "optimizer.max_iters": 0,
+    "optimizer.memory": 1,
+    "grid.size": 2,
+    "grid.margin": 0,
+    "seed": 0,
+}
+
+# Validation allocates the uniform ladder's nodes, and the Lebesgue spectral
+# table grows with their square (20 nodes take a few seconds to fit).
+MAX_LADDER_NODES = 1000
+
 
 class ConfigError(ValueError):
     pass
@@ -39,6 +67,34 @@ def _merge(base, override):
         else:
             out[key] = copy.deepcopy(val)
     return out
+
+
+def _same_type(value, default):
+    """JSON type match; an int may stand for a float, a bool never for a number."""
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _check_schema(node, schema, prefix=""):
+    for key, value in node.items():
+        path = prefix + key
+        if key in schema:
+            default = schema[key]
+        elif path in OPTIONAL_KEYS and (path != "measure.s0" or node["type"] == "dirac"):
+            default = OPTIONAL_KEYS[path]
+        else:
+            raise ConfigError(f"unknown config key {path!r}")
+        if path == "export_scales":
+            continue
+        if not _same_type(value, default):
+            raise ConfigError(f"{path} must be {type(default).__name__}, got {value!r}")
+        if isinstance(default, dict):
+            _check_schema(value, default, path + ".")
+        elif path in CHOICES and value not in CHOICES[path]:
+            raise ConfigError(f"{path} must be one of {CHOICES[path]}, got {value!r}")
+        elif path in MINIMUM and not value >= MINIMUM[path]:
+            raise ConfigError(f"{path} must be >= {MINIMUM[path]}, got {value!r}")
 
 
 class ExperimentConfig:
@@ -85,6 +141,8 @@ class ExperimentConfig:
             keys = path.split(".")
             for key in keys[:-1]:
                 node = node.setdefault(key, {})
+                if not isinstance(node, dict):
+                    raise ConfigError(f"override {path!r} goes through a non-object")
             node[keys[-1]] = value
         return ExperimentConfig(data)
 
@@ -95,26 +153,31 @@ class ExperimentConfig:
             self._validate()
         except KeyError as err:
             raise ConfigError(f"missing config key {err}") from err
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(str(err)) from err
 
     def _validate(self):
         data = self.data
+        _check_schema(data, DEFAULTS)
         if data["version"] != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {data['version']}")
+        name = data["name"]
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
+            raise ConfigError(f"name must be a single plain path component, got {name!r}")
+        if data["ladder"]["num_nodes"] > MAX_LADDER_NODES:
+            raise ConfigError(f"ladder.num_nodes must be <= {MAX_LADDER_NODES}")
         ladder = self.ladder()
-        self.measure()
+        measure = self.measure()
+        if isinstance(measure, DiracMeasure):
+            ladder.clamp(measure.s0)
         self.export_scales(ladder)
-        steps = data["time_steps"]
-        if not isinstance(steps, int) or steps < 1:
-            raise ConfigError(f"time_steps must be an integer >= 1, got {steps!r}")
         weight = data["weight"]
-        if not isinstance(weight, (int, float)) or not weight > 0:
+        if not weight > 0:
             raise ConfigError(f"weight must be positive, got {weight!r}")
         for entry in data["shapes"]:
             if "scale" not in entry or "template" not in entry or "target" not in entry:
                 raise ConfigError("each shape entry needs scale, template, target")
-            if np.abs(ladder.nodes - entry["scale"]).min() > 1e-9:
+            if not np.abs(ladder.nodes - entry["scale"]).min() <= 1e-9:
                 raise ConfigError(f"shape scale {entry['scale']} is not a ladder node")
             template = shapes.generate(entry["template"])
             target = shapes.generate(entry["target"])
@@ -123,9 +186,7 @@ class ExperimentConfig:
                     f"template/target point counts differ at scale {entry['scale']}"
                 )
         backend = data["kernel"]["backend"]
-        if backend not in ("fitted", "dirac_closed_form"):
-            raise ConfigError(f"unknown kernel backend {backend!r}")
-        if backend == "dirac_closed_form" and data["measure"]["type"] != "dirac":
+        if backend == "dirac_closed_form" and not isinstance(measure, DiracMeasure):
             raise ConfigError("dirac_closed_form backend requires a dirac measure")
 
     def ladder(self):
@@ -136,14 +197,9 @@ class ExperimentConfig:
 
     def measure(self):
         spec = self.data["measure"]
-        kind = spec["type"]
-        if kind == "lebesgue":
-            return LebesgueMeasure(spec.get("sigma", 1.0))
-        if kind == "dirac":
-            return DiracMeasure(spec["s0"], spec.get("sigma", 1.0))
-        if kind == "sum_dirac":
-            return SumDiracMeasure(spec.get("weight_s1", 1.0), spec.get("weight_s2", 1.0))
-        raise ConfigError(f"unknown measure type {kind!r}")
+        if spec["type"] == "dirac":
+            return DiracMeasure(spec["s0"], spec["sigma"])
+        return LebesgueMeasure(spec["sigma"])
 
     def landmark_groups(self):
         """[(base_scale, template, target), ...] from the shape entries."""

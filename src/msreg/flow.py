@@ -8,7 +8,6 @@ inter-scale residuals, and log-Jacobian fields.
 """
 
 import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +174,6 @@ class DeformationField:
     grid_shape: tuple = None
     log_jac: np.ndarray = None
     folded: np.ndarray = None
-    bbox: tuple = None
 
     @property
     def displacement(self):
@@ -194,16 +192,6 @@ class DeformationField:
                 row.append("" if lj is None else lj.ravel()[i])
                 writer.writerow(row)
 
-    def save_binary(self, path):
-        shape = self.grid_shape or (self.source.shape[0], 1)
-        bbox = self.bbox or (0.0, 0.0, 0.0, 0.0)
-        with open(path, "wb") as fh:
-            fh.write(b"MSDF")
-            fh.write(struct.pack("<dii4d", self.scale, shape[0], shape[1], *bbox))
-            self.mapped.astype("<f8").tofile(fh)
-            if self.log_jac is not None:
-                self.log_jac.astype("<f8").tofile(fh)
-
 
 def _transport(kernel, trajectory, system, lam, points, reverse=False):
     pts = np.array(points, dtype=float, copy=True)
@@ -221,24 +209,22 @@ def _transport(kernel, trajectory, system, lam, points, reverse=False):
     return pts
 
 
-def transport_grid(kernel, trajectory, system, lam, grid_points, grid_shape=None, bbox=None):
+def transport_grid(kernel, trajectory, system, lam, grid_points, grid_shape=None):
     """Transport grid points forward at scale lam (passive: the grid does not
     influence the landmark trajectory)."""
     mapped = _transport(kernel, trajectory, system, lam, grid_points)
-    return DeformationField(float(lam), np.asarray(grid_points, float), mapped,
-                            grid_shape=grid_shape, bbox=bbox)
+    return DeformationField(float(lam), np.asarray(grid_points, float), mapped, grid_shape)
 
 
-def inverse_map(kernel, trajectory, system, lam, grid_points, grid_shape=None, bbox=None):
+def inverse_map(kernel, trajectory, system, lam, grid_points, grid_shape=None):
     """Transport grid points backward in time under the negated velocity,
     approximating the inverse deformation at scale lam."""
     mapped = _transport(kernel, trajectory, system, lam, grid_points, reverse=True)
-    return DeformationField(float(lam), np.asarray(grid_points, float), mapped,
-                            grid_shape=grid_shape, bbox=bbox)
+    return DeformationField(float(lam), np.asarray(grid_points, float), mapped, grid_shape)
 
 
 def residual_maps(kernel, trajectory, system, node_scales, grid_points, grid_shape=None,
-                  bbox=None, first=None):
+                  first=None):
     """Inter-scale residuals rho_k = psi_{r_k} o (psi_{r_{k-1}})^{-1} on a grid,
     with the identity below the first node; composing them reconstructs the
     deformation at any node.
@@ -258,9 +244,7 @@ def residual_maps(kernel, trajectory, system, node_scales, grid_points, grid_sha
         else:
             pulled = _transport(kernel, trajectory, system, prev_scale, grid_points, reverse=True)
             mapped = _transport(kernel, trajectory, system, scale, pulled)
-        fields.append(
-            DeformationField(float(scale), grid_points, mapped, grid_shape=grid_shape, bbox=bbox)
-        )
+        fields.append(DeformationField(float(scale), grid_points, mapped, grid_shape))
         prev_scale = scale
     return fields
 

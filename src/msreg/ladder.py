@@ -28,14 +28,14 @@ class ScaleLadder:
             raise ValueError("ladder needs at least two nodes")
         if nodes[0] <= 0:
             raise ValueError("scales must be positive (s1 > 0)")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("ladder nodes must be strictly increasing")
+        if not np.all(np.isfinite(nodes)) or np.any(np.diff(nodes) <= 0):
+            raise ValueError("ladder nodes must be finite and strictly increasing")
 
     @classmethod
     def uniform(cls, s1, s2, num_nodes):
         """Ladder with `num_nodes` equally spaced nodes from s1 to s2."""
-        if not (0 < s1 < s2):
-            raise ValueError("need 0 < s1 < s2")
+        if not (0 < s1 < s2 < np.inf):
+            raise ValueError("need 0 < s1 < s2 < inf")
         return cls(np.linspace(s1, s2, num_nodes))
 
     @property
@@ -57,7 +57,7 @@ class ScaleLadder:
 
     def clamp(self, lam):
         """Return lam clamped into [s1, s2]; reject excursions beyond tolerance."""
-        if lam < self.s1 - SCALE_CLAMP_TOL or lam > self.s2 + SCALE_CLAMP_TOL:
+        if not self.s1 - SCALE_CLAMP_TOL <= lam <= self.s2 + SCALE_CLAMP_TOL:
             raise ValueError(f"scale {lam} outside [{self.s1}, {self.s2}]")
         return min(max(lam, self.s1), self.s2)
 
@@ -77,20 +77,8 @@ class DiracMeasure:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-
-
-@dataclass(frozen=True)
-class SumDiracMeasure:
-    """rho = w1 * delta_{s1} + w2 * delta_{s2}: atoms at both endpoints."""
-
-    weight_s1: float = 1.0
-    weight_s2: float = 1.0
-
-    def __post_init__(self):
-        if self.weight_s1 <= 0 or self.weight_s2 <= 0:
-            raise ValueError("weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,5 +88,5 @@ class LebesgueMeasure:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")

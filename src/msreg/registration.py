@@ -5,7 +5,7 @@ endpoint mismatch.  Gradients are exact for the discretized problem: a
 reverse sweep through the explicit Euler steps (discretize-then-
 differentiate), which agrees with the continuous costate equations as the
 step count grows.  Optimization uses two-loop L-BFGS with Armijo
-backtracking; plain gradient descent is available for debugging.
+backtracking.
 """
 
 from dataclasses import dataclass, field
@@ -95,7 +95,6 @@ def optimize(
     init_controls=None,
     max_iters=1000,
     tol=1e-8,
-    method="lbfgs",
     memory=10,
     max_halvings=40,
 ):
@@ -129,7 +128,7 @@ def optimize(
         if np.abs(g).max() < tol:
             result.converged = True
             break
-        direction = -_lbfgs_direction(g, s_mem, y_mem) if method == "lbfgs" else -g
+        direction = -_lbfgs_direction(g, s_mem, y_mem)
         descent = direction.dot(g)
         if descent >= 0:  # stale curvature pairs; fall back to steepest descent
             direction = -g
@@ -154,15 +153,14 @@ def optimize(
             break
         g_new = objective.gradient(x_new.reshape(shape), trajectory=traj_new).ravel()
         result.gradient_passes += 1
-        if method == "lbfgs":
-            s_vec = x_new - x
-            y_vec = g_new - g
-            if s_vec.dot(y_vec) > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
-                s_mem.append(s_vec)
-                y_mem.append(y_vec)
-                if len(s_mem) > memory:
-                    s_mem.pop(0)
-                    y_mem.pop(0)
+        s_vec = x_new - x
+        y_vec = g_new - g
+        if s_vec.dot(y_vec) > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
+            s_mem.append(s_vec)
+            y_mem.append(y_vec)
+            if len(s_mem) > memory:
+                s_mem.pop(0)
+                y_mem.pop(0)
         rel_decrease = (value - value_new) / max(abs(value), 1e-300)
         x, g, trajectory = x_new, g_new, traj_new
         value, energy, match = value_new, energy_new, match_new

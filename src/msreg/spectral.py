@@ -8,7 +8,6 @@ every coefficient bounded even when the reciprocal spectra chi explode at
 high frequency.
 """
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -182,12 +181,6 @@ class SpectralTable:
     def dim(self):
         return self.grid.dim
 
-    def value(self, k, k0, j):
-        return float(self.values[k, k0, j])
-
-    def diagonal_spectrum(self, k):
-        return self.values[k, k, :]
-
     def save_binary(self, path):
         nodes = self.ladder.nodes
         with open(path, "wb") as fh:
@@ -219,18 +212,6 @@ class SpectralTable:
             xis = np.fromfile(fh, dtype="<f8", count=nxi)
             values = np.fromfile(fh, dtype="<f8").reshape(n + 1, n + 1, nxi)
         return cls(ScaleLadder(nodes), sigma, SpectralGrid(xis, dim), values)
-
-    def save_csv(self, path):
-        nodes = self.ladder.nodes
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "k0", "j", "scale_k", "scale_k0", "xi", "kappa_hat"])
-            for k in range(nodes.size):
-                for k0 in range(nodes.size):
-                    for j, xi in enumerate(self.grid.xis):
-                        writer.writerow(
-                            [k, k0, j, nodes[k], nodes[k0], xi, self.values[k, k0, j]]
-                        )
 
 
 def compute_spectral_table(ladder, sigma, grid):

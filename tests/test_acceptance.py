@@ -191,7 +191,7 @@ class TestCriterion5Experiment:
         bbox = bounding_box(np.vstack([system.points, system.targets]))
         grid_pts, grid_shape, spacing = make_grid(bbox, 64)
         field = transport_grid(
-            experiment_kernel, trajectory, system, 2.0, grid_pts, grid_shape, bbox
+            experiment_kernel, trajectory, system, 2.0, grid_pts, grid_shape
         )
         log_jacobian(field, spacing)
         folded = int(field.folded.sum())
@@ -360,7 +360,7 @@ class TestCriterion8Convergence:
                 jacobian_determinant(
                     transport_grid(
                         experiment_kernel, trajectory, system, scale,
-                        grid_pts, grid_shape, bbox,
+                        grid_pts, grid_shape,
                     ),
                     spacing,
                 ).min()

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from msreg import flow
 from msreg.cli import (
@@ -13,6 +16,7 @@ from msreg.cli import (
     EXIT_THRESHOLD,
     main,
 )
+from msreg.config import DEFAULTS
 
 SMALL_CONFIG = {
     "name": "cli-test",
@@ -84,26 +88,108 @@ class TestArgumentHandling:
         assert main(["--config", str(path), "check"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "override",
+        "config, override",
         [
-            "ladder.s1=-1",
-            "measure.sigma=-1",
-            "export_scales=[3.0]",
-            "time_steps=0",
-            "weight=-1",
-            "measure.type=dirac",
-            'shapes=[{"scale": 0.15, "template": {"type": "circle", "num": 8},'
-            ' "target": {"type": "circle", "num": 8}}]',
-            'shapes=[{"scale": "a", "template": {"type": "circle", "num": 8},'
-            ' "target": {"type": "circle", "num": 8}}]',
+            pytest.param(SMALL_CONFIG, "ladder.s1=-1", id="s1"),
+            pytest.param(SMALL_CONFIG, "measure.sigma=-1", id="sigma"),
+            pytest.param(SMALL_CONFIG, "export_scales=[3.0]", id="export_scales"),
+            pytest.param(SMALL_CONFIG, "time_steps=0", id="time_steps"),
+            pytest.param(SMALL_CONFIG, "weight=-1", id="weight"),
+            pytest.param(SMALL_CONFIG, "measure.type=dirac", id="no_s0"),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.15, "template": {"type": "circle", "num": 8},'
+                ' "target": {"type": "circle", "num": 8}}]',
+                id="shape_scale",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": "a", "template": {"type": "circle", "num": 8},'
+                ' "target": {"type": "circle", "num": 8}}]',
+                id="shape_scale_type",
+            ),
+            pytest.param(DIRAC_CONFIG, "measure.s0=5", id="s0_off_ladder"),
+            pytest.param(SMALL_CONFIG, "grid.size=1", id="grid_size_1"),
+            pytest.param(SMALL_CONFIG, "grid.size=0", id="grid_size_0"),
+            pytest.param(SMALL_CONFIG, "grid.size=2.5", id="grid_size_float"),
+            pytest.param(SMALL_CONFIG, "optimizer.method=gd", id="method_gd"),
+            pytest.param(SMALL_CONFIG, "optimizer.method=LBFGS", id="method_case"),
+            pytest.param(SMALL_CONFIG, "optimiser.max_iters=5", id="misspelt_key"),
+            pytest.param(SMALL_CONFIG, "time_steps=true", id="time_steps_bool"),
+            pytest.param(SMALL_CONFIG, "weight=true", id="weight_bool"),
+            pytest.param(SMALL_CONFIG, "optimizer.tol=abc", id="tol_string"),
+            pytest.param(SMALL_CONFIG, "optimizer.max_iters=2.5", id="max_iters_float"),
+            pytest.param(SMALL_CONFIG, "kernel.num_basis=0", id="num_basis"),
+            pytest.param(SMALL_CONFIG, "kernel.num_frequencies=1", id="num_frequencies"),
+            pytest.param(SMALL_CONFIG, "seed=-1", id="seed"),
+            pytest.param(SMALL_CONFIG, f"ladder.num_nodes={10**12}", id="num_nodes_huge"),
+            pytest.param(SMALL_CONFIG, f"ladder.nodes=[0.1, {10**400}]", id="node_overflow"),
+            pytest.param(SMALL_CONFIG, "ladder.s2=Infinity", id="s2_infinite"),
+            pytest.param(SMALL_CONFIG, "measure.sigma=NaN", id="sigma_nan"),
+            pytest.param(DIRAC_CONFIG, "measure.s0=NaN", id="s0_nan"),
+            pytest.param(SMALL_CONFIG, "measure.type=sum_dirac", id="sum_dirac"),
+            pytest.param(SMALL_CONFIG, "name=../../x", id="name_escape"),
+            pytest.param(SMALL_CONFIG, "time_steps.x=1", id="through_number"),
+            pytest.param(SMALL_CONFIG, "shapes.0.scale=0.5", id="through_list"),
         ],
-        ids=["s1", "sigma", "export_scales", "time_steps", "weight", "no_s0", "shape_scale",
-             "shape_scale_type"],
     )
-    def test_bad_values_are_config_errors(self, tmp_path, capsys, override):
-        path = write_config(tmp_path, SMALL_CONFIG)
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, config, override):
+        path = write_config(tmp_path, config)
         assert main(["--config", str(path), "--set", override, "register"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        # no run directory, inside output_dir or anywhere a name could lead
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert not list(tmp_path.parent.glob("x-*"))
+
+    def test_fuzzed_overrides_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
+                                                         capsys):
+        path = write_config(tmp_path, DIRAC_CONFIG)
+
+        def dotted(node, prefix=""):
+            for key, val in node.items():
+                yield prefix + key
+                if isinstance(val, dict):
+                    yield from dotted(val, prefix + key + ".")
+
+        # output_dir is left out: a drawn string would put run directories
+        # wherever it points
+        known = [p for p in dotted(DEFAULTS) if p != "output_dir"]
+        known += ["ladder.nodes", "measure.s0"]
+        misspelt = ["optimiser.max_iters", "ladder.num_node", "grids.size", "Seed",
+                    "measure.s00", "kernel.basis", ""]
+        through = ["time_steps.x", "shapes.0.scale", "name.first", "export_scales.0",
+                   "ladder.num_nodes.y", "measure.type.z", "kernel.backend.q"]
+        edges = [0, -1, 1, 2, 999, 1000, 1001, 2**31, 2**63, 2**64, 10**30, 10**400,
+                -10**400, 1e300, -1e300, 5e-324]
+        words = ["", "all", "dirac", "fitted", "lbfgs", ".", "..", "a/b", "../x"]
+        numbers = st.integers(-3, 30) | st.integers() | st.floats() | st.sampled_from(edges)
+        documents = st.recursive(
+            st.none() | st.booleans() | numbers | st.text(max_size=8) | st.sampled_from(words),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+            max_leaves=6,
+        )
+        # known paths and numbers twice, so that runs often get past validation
+        values = (numbers | numbers | documents).map(json.dumps) | st.text(max_size=8)
+        paths = st.sampled_from(known) | st.sampled_from(known + misspelt + through)
+        assignments = st.builds("{}={}".format, paths, values)
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+        @given(st.lists(assignments, min_size=1, max_size=2))
+        def run(overrides):
+            args = ["--config", str(path)]
+            for item in overrides:
+                args += ["--set", item]
+            assert main(args + ["fit-kernel"]) in (EXIT_OK, EXIT_CONFIG)
+            capsys.readouterr()
+
+        # hypothesis caches constants and unicode tables even with no database
+        set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+        try:
+            run()
+        finally:
+            set_hypothesis_home_dir(None)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
     @pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
     def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, threads):

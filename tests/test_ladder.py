@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from msreg.ladder import DiracMeasure, LebesgueMeasure, ScaleLadder, SumDiracMeasure
+from msreg.ladder import DiracMeasure, LebesgueMeasure, ScaleLadder
 
 
 class TestScaleLadder:
@@ -59,12 +59,6 @@ class TestMeasures:
         with pytest.raises(ValueError):
             DiracMeasure(0.5, sigma=0.0)
         assert DiracMeasure(0.5).sigma == 1.0
-
-    def test_sum_dirac_requires_positive_weights(self):
-        with pytest.raises(ValueError):
-            SumDiracMeasure(weight_s1=0.0)
-        with pytest.raises(ValueError):
-            SumDiracMeasure(weight_s2=-1.0)
 
     def test_lebesgue_requires_positive_density(self):
         with pytest.raises(ValueError):

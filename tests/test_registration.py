@@ -126,14 +126,6 @@ class TestOptimize:
         result = optimize(obj, max_iters=50)
         assert result.value <= 1e-8
 
-    def test_gradient_descent_method(self):
-        rng = np.random.default_rng(8)
-        sys0 = random_system(rng, num=2)
-        obj = Objective(KERNEL, sys0, num_steps=6)
-        result = optimize(obj, max_iters=40, method="gd")
-        values = [row["value"] for row in result.history_rows()]
-        assert result.value < values[0]
-
     def test_warm_start_preserved_shape_and_improves(self):
         rng = np.random.default_rng(9)
         sys0 = random_system(rng, num=2)

@@ -7,7 +7,7 @@ import pytest
 
 from msreg import shapes
 from msreg.config import ConfigError, ExperimentConfig
-from msreg.ladder import DiracMeasure, LebesgueMeasure, SumDiracMeasure
+from msreg.ladder import DiracMeasure, LebesgueMeasure
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -156,10 +156,6 @@ class TestExperimentConfig:
     def test_measure_builders(self):
         assert isinstance(ExperimentConfig().measure(), LebesgueMeasure)
         assert ExperimentConfig().measure().sigma == 0.5
-        cfg = ExperimentConfig({"measure": {"type": "sum_dirac", "weight_s1": 2.0}})
-        m = cfg.measure()
-        assert isinstance(m, SumDiracMeasure)
-        assert m.weight_s1 == 2.0
         with pytest.raises(ConfigError):
             ExperimentConfig({"measure": {"type": "uniform"}}).measure()
 

@@ -137,7 +137,7 @@ class TestTableProperties:
     def test_diagonal_spectra_nonnegative(self, small_spectral):
         n1 = small_spectral.ladder.nodes.size
         for k in range(n1):
-            assert small_spectral.diagonal_spectrum(k).min() >= -1e-12
+            assert small_spectral.values[k, k, :].min() >= -1e-12
 
     def test_larger_sigma_lowers_the_kernel(self, small_ladder):
         grid = SpectralGrid(np.linspace(0.0, 2.0, 8))
@@ -160,11 +160,6 @@ class TestTableProperties:
         jump2 = np.abs(tff.values[::4, ::4, 0] - tc.values[:, :, 0]).max()
         assert jump2 <= 1.6 * jump
 
-    def test_diagonal_spectrum_accessor(self, small_spectral):
-        assert np.array_equal(
-            small_spectral.diagonal_spectrum(2), small_spectral.values[2, 2, :]
-        )
-
 
 class TestPersistence:
     def test_binary_round_trip(self, small_spectral, tmp_path):
@@ -182,16 +177,6 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             SpectralTable.load_binary(path)
-
-    def test_csv_export(self, small_spectral, tmp_path):
-        path = tmp_path / "table.csv"
-        small_spectral.save_csv(path)
-        lines = path.read_text().strip().splitlines()
-        n1 = small_spectral.ladder.nodes.size
-        assert lines[0].startswith("k,k0,j")
-        assert len(lines) == 1 + n1 * n1 * small_spectral.grid.xis.size
-        first = lines[1].split(",")
-        assert float(first[6]) == small_spectral.values[0, 0, 0]
 
 
 class TestEvaluator:
