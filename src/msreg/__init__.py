@@ -34,10 +34,8 @@ from .spectral import (
     SpectralGrid,
     SpectralKernelEvaluator,
     SpectralTable,
-    build_tridiagonal,
     chi_gaussian,
     compute_spectral_table,
-    solve_tridiagonal,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -46,6 +47,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
+
+# fit-kernel exits with EXIT_THRESHOLD above this worst fit residual,
+# relative to each pair's spectral peak.
+MAX_RELATIVE_RESIDUAL = 1e-2
 
 
 def _num_workers():
@@ -79,35 +84,35 @@ def _write_manifest(root, digest, files, extra=None):
     return path
 
 
-def build_kernel(config, workers=1):
-    """Kernel evaluator for a config; returns (kernel, artifacts).
+def build_kernel(config):
+    """Kernel evaluator for a config; returns (kernel, spectral table).
 
-    Dirac measures take the closed-form path with no fitting; the Lebesgue
-    measure goes through the spectral solver and the basis fit.
+    Dirac measures take the closed-form path with no fitting and no spectral
+    table (None); the Lebesgue measure goes through the spectral solver and
+    the basis fit.
     """
+    workers = _num_workers()  # a bad MSREG_THREADS fails Dirac configs too
     ladder = config.ladder()
     measure = config.measure()
     if isinstance(measure, DiracMeasure):
-        return DiracPiecewiseKernel(measure, GaussianScaleFamily(ladder)), {}
+        return DiracPiecewiseKernel(measure, GaussianScaleFamily(ladder)), None
     grid = SpectralGrid.default(ladder.s1, config["kernel"]["num_frequencies"])
     spectral = compute_spectral_table(ladder, measure.sigma, grid)
     table = fit_kernel_table(
         spectral, num_basis=config["kernel"]["num_basis"], workers=workers
     )
-    return table, {"spectral": spectral, "table": table}
+    return table, spectral
 
 
-def cmd_fit_kernel(config, root, max_relative_residual=1e-2):
+def cmd_fit_kernel(config, root):
     files = []
-    kernel, artifacts = build_kernel(config, workers=_num_workers())
-    if not artifacts:
+    table, spectral = build_kernel(config)
+    if spectral is None:
         summary = {"backend": "dirac_closed_form", "fitted": False}
         path = root / "kernel_summary.json"
         with open(path, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         return [path], EXIT_OK
-    table = artifacts["table"]
-    spectral = artifacts["spectral"]
     for name, saver in (
         ("spectral_table.bin", spectral.save_binary),
         ("kernel_table.bin", table.save_binary),
@@ -117,10 +122,10 @@ def cmd_fit_kernel(config, root, max_relative_residual=1e-2):
         path = root / name
         saver(path)
         files.append(path)
-    if table.report["max_relative_residual"] > max_relative_residual:
+    if table.report["max_relative_residual"] > MAX_RELATIVE_RESIDUAL:
         print(
             f"fit residual {table.report['max_relative_residual']:.3e} exceeds "
-            f"bound {max_relative_residual:.3e}",
+            f"bound {MAX_RELATIVE_RESIDUAL:.3e}",
             file=sys.stderr,
         )
         return files, EXIT_THRESHOLD
@@ -135,16 +140,32 @@ def _build_system(config):
 
 
 def _load_kernel(config, kernel_table_path):
-    if kernel_table_path:
+    if not kernel_table_path:
+        return build_kernel(config)[0]
+    try:
         return KernelTable.load_binary(kernel_table_path)
-    kernel, _ = build_kernel(config, workers=_num_workers())
-    return kernel
+    except (OSError, ValueError, struct.error) as err:
+        raise ConfigError(f"kernel table {kernel_table_path}: {err}") from None
+
+
+def _check_scales(kernel, scales, source):
+    """ConfigError unless the kernel evaluates every scale: a fitted table
+    holds its nodes only, the closed form any scale on its ladder."""
+    for scale in np.unique(scales):
+        try:
+            if isinstance(kernel, KernelTable):
+                kernel.index_of(scale)
+            else:
+                kernel.family.ladder.clamp(scale)
+        except (KeyError, ValueError):
+            raise ConfigError(f"the kernel has no scale {scale:g} ({source})") from None
 
 
 def cmd_register(config, root, kernel_table_path=None):
     files = []
     kernel = _load_kernel(config, kernel_table_path)
     system = _build_system(config)
+    _check_scales(kernel, system.point_scales, "shapes[].scale")
     objective = Objective(kernel, system, num_steps=config["time_steps"])
     opt = config["optimizer"]
     result = optimize(
@@ -195,15 +216,23 @@ def cmd_register(config, root, kernel_table_path=None):
 
 
 def _load_controls(path):
-    with open(path) as fh:
-        blob = json.load(fh)
-    system = LandmarkSystem(
-        np.asarray(blob["point_scales"]),
-        np.asarray(blob["points"]),
-        np.asarray(blob["targets"]),
-        blob["weight"],
-    )
-    return system, np.asarray(blob["controls"])
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+        system = LandmarkSystem(
+            np.asarray(blob["point_scales"]),
+            np.asarray(blob["points"]),
+            np.asarray(blob["targets"]),
+            blob["weight"],
+        )
+        controls = np.asarray(blob["controls"], dtype=float)
+    except KeyError as err:
+        raise ConfigError(f"controls {path}: missing key {err}") from None
+    except (OSError, ValueError, TypeError) as err:
+        raise ConfigError(f"controls {path}: {err}") from None
+    if controls.ndim != 3 or controls.shape[1:] != system.points.shape:
+        raise ConfigError(f"controls {path}: controls must have shape (T, P, d)")
+    return system, controls
 
 
 def _write_svg(path, contours, bbox):
@@ -233,9 +262,11 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
         if not reg_controls.exists():
             raise ConfigError("no controls found; run register first or pass --controls")
         system, controls = _load_controls(reg_controls)
-    trajectory = integrate_forward(kernel, system, controls)
     ladder = config.ladder()
     export_scales = config.export_scales(ladder)
+    _check_scales(kernel, system.point_scales, "controls point_scales")
+    _check_scales(kernel, export_scales, "export_scales")
+    trajectory = integrate_forward(kernel, system, controls)
     bbox = bounding_box(
         np.vstack([system.points, system.targets]), config["grid"]["margin"]
     )
@@ -301,7 +332,7 @@ def cmd_check(config, root):
     problems = []
     if ExperimentConfig.loads(config.dumps()) != config:
         problems.append("config does not round-trip")
-    kernel, artifacts = build_kernel(config, workers=_num_workers())
+    kernel, spectral = build_kernel(config)
     ladder = config.ladder()
     rng = np.random.default_rng(config["seed"])
     nodes = ladder.nodes
@@ -313,9 +344,9 @@ def cmd_check(config, root):
         if abs(a - b) > 1e-12:
             problems.append(f"asymmetry {a - b:.2e} at ({lam}, {mu}, {r})")
             break
-    if artifacts:
+    if spectral is not None:
         report = certify_pairwise_positivity(
-            artifacts["table"],
+            kernel,
             rng.normal(size=(8, 2)),
             scale_pairs=[(0, nodes.size - 1)],
         )

@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 from . import shapes
-from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder
+from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder, node_index
 
 CONFIG_VERSION = 1
 
@@ -57,6 +57,13 @@ MAX_LADDER_NODES = 1000
 
 class ConfigError(ValueError):
     pass
+
+
+def _require_node(ladder, scale, what):
+    try:
+        node_index(ladder.nodes, scale)
+    except KeyError:
+        raise ConfigError(f"{what} {scale} is not a ladder node") from None
 
 
 def _merge(base, override):
@@ -168,17 +175,22 @@ class ExperimentConfig:
             raise ConfigError(f"ladder.num_nodes must be <= {MAX_LADDER_NODES}")
         ladder = self.ladder()
         measure = self.measure()
+        export_scales = self.export_scales(ladder)
+        if not export_scales:
+            raise ConfigError("export_scales must list at least one scale")
         if isinstance(measure, DiracMeasure):
             ladder.clamp(measure.s0)
-        self.export_scales(ladder)
+        else:
+            # the fitted kernel holds the ladder nodes only
+            for scale in export_scales:
+                _require_node(ladder, scale, "export scale")
         weight = data["weight"]
         if not weight > 0:
             raise ConfigError(f"weight must be positive, got {weight!r}")
         for entry in data["shapes"]:
             if "scale" not in entry or "template" not in entry or "target" not in entry:
                 raise ConfigError("each shape entry needs scale, template, target")
-            if not np.abs(ladder.nodes - entry["scale"]).min() <= 1e-9:
-                raise ConfigError(f"shape scale {entry['scale']} is not a ladder node")
+            _require_node(ladder, entry["scale"], "shape scale")
             template = shapes.generate(entry["template"])
             target = shapes.generate(entry["target"])
             if template.shape != target.shape:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .flow import kernel_matrix
+from .ladder import node_index
 from .scale_kernels import MixtureKernel
 from .spectral import kappa_hat_gaussian
 
@@ -101,14 +102,14 @@ _REL_MARGIN = 1e-6
 _ABS_MARGIN = 1e-7
 
 
-def fit_diagonal(target, basis, xis):
+def fit_diagonal(target, design):
     """Minimax fit of a diagonal spectral profile with the nonnegative
-    spectrum constraint sum_q beta_q h_hat_q(xi_j) >= 0.
+    spectrum constraint design . beta >= 0, where `design` holds the basis
+    spectra (`HankelBasis.spectral`) at the profile's frequencies.
 
     The LP enforces the constraint to solver tolerance only; callers that
     need exact nonnegativity repair the row with `repair_nonnegative`.
     """
-    design = basis.spectral(xis)
     target = np.asarray(target, dtype=float)
     if target.shape != (design.shape[0],):
         raise ValueError("target length must match the frequency grid")
@@ -133,16 +134,11 @@ def repair_nonnegative(row, design):
     return row
 
 
-def fit_offdiagonal(target, cj, basis, xis, pair=None):
+def fit_offdiagonal(target, cj, design):
     """Minimax fit of an off-diagonal profile under |spectrum| <= c_j,
-    where c_j is the geometric mean of the two fitted diagonal spectra.
-
-    `pair` may carry the (k, l) indices for misuse checking; the diagonal
-    path must go through `fit_diagonal`.
+    where c_j is the geometric mean of the two fitted diagonal spectra and
+    `design` holds the basis spectra at the profile's frequencies.
     """
-    if pair is not None and pair[0] == pair[1]:
-        raise ValueError("diagonal pairs must be fitted with fit_diagonal")
-    design = basis.spectral(xis)
     target = np.asarray(target, dtype=float)
     cj = np.asarray(cj, dtype=float)
     if np.any(cj < 0):
@@ -191,11 +187,8 @@ class KernelTable(MixtureKernel):
         self.scales = np.asarray(self.scales, dtype=float)
         self._rates = 1.0 / (2.0 * self.basis.taus**2)
 
-    def index_of(self, lam, tol=1e-9):
-        idx = int(np.argmin(np.abs(self.scales - lam)))
-        if abs(self.scales[idx] - lam) > tol:
-            raise KeyError(f"scale {lam} not in kernel table")
-        return idx
+    def index_of(self, lam):
+        return node_index(self.scales, lam)
 
     def slice(self, lam, mu):
         return self.beta[self.index_of(lam), self.index_of(mu)], self._rates
@@ -252,7 +245,7 @@ class KernelTable(MixtureKernel):
             json.dump(self.report, fh, indent=2, sort_keys=True)
 
 
-def fit_kernel_table(spectral_table, basis=None, num_basis=20, workers=1):
+def fit_kernel_table(spectral_table, num_basis=20, workers=1):
     """Fit every scale pair of a spectral table.
 
     Diagonals first (nonnegative spectra), then off-diagonals constrained by
@@ -263,54 +256,50 @@ def fit_kernel_table(spectral_table, basis=None, num_basis=20, workers=1):
     from concurrent.futures import ThreadPoolExecutor
 
     scales = spectral_table.ladder.nodes
-    xis = spectral_table.grid.xis
-    if basis is None:
-        basis = HankelBasis.log_spaced(
-            scales[0], scales[-1], num_basis, spectral_table.dim
-        )
+    values = spectral_table.values
+    basis = HankelBasis.log_spaced(scales[0], scales[-1], num_basis, spectral_table.dim)
     m = scales.size
-    q = basis.size
-    design = basis.spectral(xis)
-    beta = np.zeros((m, m, q))
+    design = basis.spectral(spectral_table.grid.xis)
+    beta = np.zeros((m, m, basis.size))
     residuals = np.zeros((m, m))
     margins = np.zeros((m, m))
 
-    def _run(jobs, func):
+    def _fill(pairs, job):
+        """Run one fit job per pair; each returns (row, residual, margin)."""
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(func, jobs))
-        return [func(job) for job in jobs]
+                results = list(pool.map(job, pairs))
+        else:
+            results = [job(pair) for pair in pairs]
+        for (k, l), (row, residual, margin) in zip(pairs, results):
+            beta[k, l] = beta[l, k] = row
+            residuals[k, l] = residuals[l, k] = residual
+            margins[k, l] = margins[l, k] = margin
 
-    def _diag_job(k):
-        return fit_diagonal(spectral_table.values[k, k, :], basis, xis)
-
-    for k, (row, _) in enumerate(_run(range(m), _diag_job)):
+    def _diag_job(pair):
+        target = values[pair[0], pair[0]]
+        row, _ = fit_diagonal(target, design)
         row = repair_nonnegative(row, design)
-        beta[k, k] = row
-        residuals[k, k] = np.abs(design.dot(row) - spectral_table.values[k, k, :]).max()
-        margins[k, k] = float(design.dot(row).min())
+        spectrum = design.dot(row)
+        return row, np.abs(spectrum - target).max(), spectrum.min()
+
+    _fill([(k, k) for k in range(m)], _diag_job)
     diag_spec = design.dot(beta[np.arange(m), np.arange(m)].T)  # (J, m)
-    pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
 
     def _offdiag_job(pair):
         k, l = pair
-        target = 0.5 * (
-            spectral_table.values[k, l, :] + spectral_table.values[l, k, :]
-        )
+        target = 0.5 * (values[k, l] + values[l, k])
         cj = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
-        return fit_offdiagonal(target, cj, basis, xis, pair=pair)
-
-    for (k, l), (row, _) in zip(pairs, _run(pairs, _offdiag_job)):
+        row, _ = fit_offdiagonal(target, cj, design)
         row = repair_pairwise(row, diag_spec[:, k], diag_spec[:, l], design)
-        beta[k, l] = beta[l, k] = row
-        target = 0.5 * (spectral_table.values[k, l, :] + spectral_table.values[l, k, :])
-        residuals[k, l] = residuals[l, k] = np.abs(design.dot(row) - target).max()
-        cj = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
-        margins[k, l] = margins[l, k] = float((cj - np.abs(design.dot(row))).min())
-    peaks = np.abs(spectral_table.values).max(axis=2)
+        spectrum = design.dot(row)
+        return row, np.abs(spectrum - target).max(), (cj - np.abs(spectrum)).min()
+
+    _fill([(k, l) for k in range(m) for l in range(k + 1, m)], _offdiag_job)
+    peaks = np.abs(values).max(axis=2)
     report = {
         "num_scales": int(m),
-        "num_basis": int(q),
+        "num_basis": int(basis.size),
         "max_residual": float(residuals.max()),
         "max_relative_residual": float((residuals / np.maximum(peaks, 1e-300)).max()),
         "min_diagonal_margin": float(np.diag(margins).min()),

@@ -14,6 +14,17 @@ import numpy as np
 # absorb floating-point ladder arithmetic.
 SCALE_CLAMP_TOL = 1e-12
 
+# A scale this close to a node is that node.
+NODE_TOL = 1e-9
+
+
+def node_index(nodes, lam):
+    """Index of the node within NODE_TOL of scale lam; KeyError if none is."""
+    idx = int(np.argmin(np.abs(nodes - lam)))
+    if not abs(nodes[idx] - lam) <= NODE_TOL:  # NaN is no node
+        raise KeyError(f"scale {lam} is not a ladder node")
+    return idx
+
 
 @dataclass(frozen=True)
 class ScaleLadder:

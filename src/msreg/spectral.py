@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import ScaleLadder
+from .ladder import ScaleLadder, node_index
 
 _MAGIC = b"MSKS"
 _VERSION = 1
@@ -74,81 +74,32 @@ class SpectralGrid:
         return cls(np.linspace(0.0, 4.0 / (np.pi * s1), num), dim)
 
 
-@dataclass
-class TridiagonalSystem:
-    """Tridiagonal coefficients over the ladder nodes, RHS -delta_{k0}."""
-
-    lower: np.ndarray  # coefficient of g_{k-1} in row k (length n)
-    diag: np.ndarray  # length n+1
-    upper: np.ndarray  # coefficient of g_{k+1} in row k (length n)
-    rhs: np.ndarray  # length n+1
-
-    def dense(self):
-        n1 = self.diag.size
-        mat = np.zeros((n1, n1))
-        mat[np.arange(n1), np.arange(n1)] = self.diag
-        mat[np.arange(1, n1), np.arange(n1 - 1)] = self.lower
-        mat[np.arange(n1 - 1), np.arange(1, n1)] = self.upper
-        return mat
-
-
 def _assemble_coefficients(ladder, sigma, xi, dim):
-    """Shared tridiagonal coefficients for one frequency (RHS-independent)."""
+    """Tridiagonal coefficients (lower, diag, upper) at one frequency."""
     nodes = ladder.nodes
     rho = ladder.widths  # length n
     n = rho.size
-    # chi_k lives on interval k (scale nodes[k]); psi_k = chi_{k-1}/chi_k
-    psi = np.empty(n + 1)
-    psi[0] = 0.0  # chi_0 = 0 boundary convention; never used in row 1
-    psi[1:n] = psi_gaussian(nodes[:-2], nodes[1:-1], xi, dim)
-    psi[n] = 1.0
+    # chi_k lives on interval k (scale nodes[k]); psi[k] = chi_k / chi_{k+1},
+    # and psi[n-1] = 1 because the last node reuses the last interval's chi
+    psi = np.append(psi_gaussian(nodes[:-2], nodes[1:-1], xi, dim), 1.0)
     coth = _coth(sigma * rho)
     isnh = _inv_sinh(sigma * rho)
     diag = np.empty(n + 1)
-    lower = np.empty(n)
-    upper = np.empty(n)
     diag[0] = -sigma * coth[0]
-    upper[0] = sigma * psi[1] * isnh[0]
-    for k in range(1, n):
-        lower[k - 1] = sigma * isnh[k - 1]
-        diag[k] = -sigma * (coth[k] + coth[k - 1] * psi[k])
-        upper[k] = sigma * psi[k + 1] * isnh[k]
-    lower[n - 1] = sigma * isnh[n - 1]
+    diag[1:n] = -sigma * (coth[1:] + coth[:-1] * psi[:-1])
     diag[n] = -sigma * coth[n - 1]
-    return lower, diag, upper
+    return sigma * isnh, diag, sigma * psi * isnh
 
 
-def build_tridiagonal(ladder, sigma, xi, k0, dim=2):
-    """System for the nodal spectral values at frequency xi with the unit
-    source at node index k0 (0-based)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    n1 = ladder.nodes.size
-    if not 0 <= k0 < n1:
-        raise ValueError("source node out of range")
-    lower, diag, upper = _assemble_coefficients(ladder, sigma, xi, dim)
-    rhs = np.zeros(n1)
-    rhs[k0] = -1.0
-    return TridiagonalSystem(lower, diag, upper, rhs)
-
-
-def solve_tridiagonal(system):
-    """Thomas algorithm.  The assembled systems are column diagonally
-    dominant, so elimination without pivoting is stable; a vanishing pivot
-    is still reported."""
-    return _thomas(system.lower, system.diag, system.upper, system.rhs)
-
-
-def _thomas(lower, diag, upper, rhs):
+def _thomas(lower, diag, upper):
+    """Thomas algorithm for the right-hand side -I, one column per source
+    node.  The assembled systems are column diagonally dominant, so
+    elimination without pivoting is stable; a vanishing pivot is still
+    reported."""
     n1 = diag.size
-    rhs = np.array(rhs, dtype=float, copy=True)
-    if rhs.ndim == 1:
-        rhs = rhs[:, None]
-        squeeze = True
-    else:
-        squeeze = False
+    rhs = -np.eye(n1)
     cp = np.empty(n1 - 1)
-    dp = np.empty((n1, rhs.shape[1]))
+    dp = np.empty((n1, n1))
     piv = diag[0]
     if piv == 0.0:
         raise ArithmeticError("singular pivot in tridiagonal solve")
@@ -165,7 +116,7 @@ def _thomas(lower, diag, upper, rhs):
     x[-1] = dp[-1]
     for k in range(n1 - 2, -1, -1):
         x[k] = dp[k] - cp[k] * x[k + 1]
-    return x[:, 0] if squeeze else x
+    return x
 
 
 @dataclass
@@ -231,9 +182,8 @@ def compute_spectral_table(ladder, sigma, grid):
     rec_scales = np.concatenate((nodes[:-1], [nodes[-2]]))
     for j, xi in enumerate(grid.xis):
         lower, diag, upper = _assemble_coefficients(ladder, sigma, xi, grid.dim)
-        rhs = -np.eye(n1)
         try:
-            g = _thomas(lower, diag, upper, rhs)
+            g = _thomas(lower, diag, upper)
         except ArithmeticError as err:
             raise ArithmeticError(f"solver failure at frequency index {j}") from err
         khat = kappa_hat_gaussian(rec_scales, xi, grid.dim)
@@ -254,17 +204,11 @@ class SpectralKernelEvaluator:
             raise ValueError("inverse Hankel evaluation implemented for d=2 only")
         self.table = table
 
-    def _node_index(self, lam):
-        nodes = self.table.ladder.nodes
-        idx = int(np.argmin(np.abs(nodes - lam)))
-        if abs(nodes[idx] - lam) > 1e-9:
-            raise KeyError(f"scale {lam} is not a ladder node")
-        return idx
-
     def __call__(self, lam, mu, r):
         from scipy.special import j0
 
-        k, k0 = self._node_index(lam), self._node_index(mu)
+        nodes = self.table.ladder.nodes
+        k, k0 = node_index(nodes, lam), node_index(nodes, mu)
         xis = self.table.grid.xis
         khat = self.table.values[k, k0, :]
         r = np.asarray(r, dtype=float)

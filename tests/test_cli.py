@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from msreg import flow
+from msreg import flow, spectral
 from msreg.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_THRESHOLD,
     main,
 )
 from msreg.config import DEFAULTS
+from msreg.kernel_fit import HankelBasis, KernelTable
 
 SMALL_CONFIG = {
     "name": "cli-test",
@@ -93,6 +95,8 @@ class TestArgumentHandling:
             pytest.param(SMALL_CONFIG, "ladder.s1=-1", id="s1"),
             pytest.param(SMALL_CONFIG, "measure.sigma=-1", id="sigma"),
             pytest.param(SMALL_CONFIG, "export_scales=[3.0]", id="export_scales"),
+            pytest.param(DIRAC_CONFIG, "export_scales=[]", id="export_scales_empty"),
+            pytest.param(SMALL_CONFIG, "export_scales=[0.15]", id="export_scale_off_node"),
             pytest.param(SMALL_CONFIG, "time_steps=0", id="time_steps"),
             pytest.param(SMALL_CONFIG, "weight=-1", id="weight"),
             pytest.param(SMALL_CONFIG, "measure.type=dirac", id="no_s0"),
@@ -191,6 +195,42 @@ class TestArgumentHandling:
             set_hypothesis_home_dir(None)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            pytest.param(["export-fields", "--controls", "{tmp}/missing.json"],
+                         id="controls_missing"),
+            pytest.param(["export-fields", "--controls", "{tmp}/no_scales.json"],
+                         id="controls_no_scales"),
+            pytest.param(["register", "--kernel-table", "{tmp}/foreign.bin"],
+                         id="table_foreign"),
+            pytest.param(["register", "--kernel-table", "{tmp}/table.bin"],
+                         id="table_lacks_shape_scale"),
+            pytest.param(["export-fields", "--kernel-table", "{tmp}/table.bin",
+                          "--controls", "{tmp}/controls.json"],
+                         id="table_lacks_export_scale"),
+        ],
+    )
+    def test_bad_input_files_are_config_errors(self, tmp_path, capsys, verb):
+        # a Dirac config may export at 0.15, which the one-scale table lacks
+        path = write_config(tmp_path, dict(DIRAC_CONFIG, export_scales=[0.15]))
+        controls = {
+            "point_scales": [0.1],
+            "points": [[0.0, 0.0]],
+            "targets": [[0.1, 0.0]],
+            "weight": 1.0,
+            "controls": [[[0.0, 0.0]]],
+        }
+        (tmp_path / "controls.json").write_text(json.dumps(controls))
+        del controls["point_scales"]
+        (tmp_path / "no_scales.json").write_text(json.dumps(controls))
+        (tmp_path / "foreign.bin").write_bytes(b"XXXX" + b"\x00" * 32)
+        table = KernelTable(np.array([0.1]), np.ones((1, 1, 1)), HankelBasis(np.array([0.5])))
+        table.save_binary(tmp_path / "table.bin")
+        args = [arg.format(tmp=tmp_path) for arg in verb]
+        assert main(["--config", str(path)] + args) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
     def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("MSREG_THREADS", threads)
@@ -246,6 +286,19 @@ class TestFitKernel:
         )
         assert code == EXIT_THRESHOLD
         assert "exceeds" in capsys.readouterr().err
+
+    def test_solver_failure_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        assemble = spectral._assemble_coefficients
+
+        def singular_above_zero(ladder, sigma, xi, dim):
+            lower, diag, upper = assemble(ladder, sigma, xi, dim)
+            return lower, diag if xi == 0.0 else np.zeros_like(diag), upper
+
+        monkeypatch.setattr(spectral, "_assemble_coefficients", singular_above_zero)
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["--config", str(path), "fit-kernel"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: solver failure at frequency index 1" in err
 
     def test_override_changes_run_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CONFIG)
@@ -336,7 +389,10 @@ class TestExportFields:
         assert svg.startswith("<svg") and "polygon" in svg
 
 
-    @pytest.mark.parametrize("export_scales", [[0.48], [0.1, 2.0], [0.1, 0.48, 2.0]])
+    # 0.15 is no ladder node: the closed-form Dirac kernel exports any scale
+    @pytest.mark.parametrize(
+        "export_scales", [[0.48], [0.1, 2.0], [0.1, 0.48, 2.0], [0.15, 2.0]]
+    )
     def test_grid_transport_count(self, tmp_path, capsys, monkeypatch, export_scales):
         config = dict(DIRAC_CONFIG, export_scales=export_scales)
         path = write_config(tmp_path, config)

@@ -8,12 +8,10 @@ from msreg.spectral import (
     SpectralGrid,
     SpectralKernelEvaluator,
     SpectralTable,
-    build_tridiagonal,
     chi_gaussian,
     compute_spectral_table,
     kappa_hat_gaussian,
     psi_gaussian,
-    solve_tridiagonal,
 )
 
 from oracles import adaptive_simpson, dense_spectral_solve
@@ -60,58 +58,18 @@ class TestSpectra:
         assert psi_gaussian(0.1, 2.0, 5.0, 2) < 1e-30
 
 
-class TestTridiagonal:
-    LADDER = ScaleLadder(np.array([0.2, 0.6, 1.1]))
-
-    def test_two_interval_structure(self):
-        sys0 = build_tridiagonal(self.LADDER, 0.8, 0.5, k0=1)
-        assert sys0.diag.size == 3
-        assert sys0.lower.size == 2 and sys0.upper.size == 2
-        assert np.all(sys0.diag < 0)
-        assert np.all(sys0.lower > 0) and np.all(sys0.upper > 0)
-        assert list(sys0.rhs) == [0.0, -1.0, 0.0]
-
-    def test_source_location_moves_rhs(self):
-        for k0 in range(3):
-            rhs = build_tridiagonal(self.LADDER, 0.8, 0.5, k0=k0).rhs
-            assert rhs[k0] == -1.0 and np.count_nonzero(rhs) == 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            build_tridiagonal(self.LADDER, 0.0, 0.5, k0=0)
-        with pytest.raises(ValueError):
-            build_tridiagonal(self.LADDER, 1.0, 0.5, k0=3)
-        with pytest.raises(ValueError):
-            build_tridiagonal(self.LADDER, 1.0, 0.5, k0=-1)
-
-    def test_thomas_solves_the_assembled_system(self):
-        sys0 = build_tridiagonal(self.LADDER, 0.8, 0.9, k0=2)
-        g = solve_tridiagonal(sys0)
-        residual = sys0.dense().dot(g) - sys0.rhs
-        assert np.abs(residual).max() <= 1e-12
-
-    def test_dense_view_round_trips(self):
-        sys0 = build_tridiagonal(self.LADDER, 1.2, 0.3, k0=0)
-        mat = sys0.dense()
-        assert mat.shape == (3, 3)
-        assert mat[0, 2] == 0.0 and mat[2, 0] == 0.0
-        assert mat[1, 0] == sys0.lower[0] and mat[1, 2] == sys0.upper[1]
-
-
 class TestAgainstDenseOracle:
     def test_all_sources_match_dense_solve(self):
         nodes = np.array([0.1, 0.3, 0.55, 0.8, 1.2, 1.6, 2.0])
         sigma = 0.7
-        for xi in (0.0, 0.4, 1.3, 3.0):
+        grid = SpectralGrid(np.array([0.0, 0.4, 1.3, 3.0]))
+        table = compute_spectral_table(ScaleLadder(nodes), sigma, grid)
+        for j, xi in enumerate(grid.xis):
             dense = dense_spectral_solve(nodes, sigma, xi)
-            ladder = ScaleLadder(nodes)
-            rec = np.concatenate((nodes[:-1], [nodes[-2]]))
-            khat = kappa_hat_gaussian(rec, xi, 2)
-            for k0 in range(nodes.size):
-                sys0 = build_tridiagonal(ladder, sigma, xi, k0)
-                h = solve_tridiagonal(sys0) * khat
-                ref = dense[:, k0]
-                assert np.abs(h - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
+            # each source node's column against its own peak
+            err = np.abs(table.values[:, :, j] - dense).max(axis=0)
+            bound = 1e-10 * np.maximum(np.abs(dense).max(axis=0), 1.0)
+            assert np.all(err <= bound)
 
     def test_table_matches_dense_solve(self):
         nodes = np.array([0.1, 0.4, 0.9, 1.5])
