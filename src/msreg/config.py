@@ -11,7 +11,8 @@ from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder, node_index
 CONFIG_VERSION = 1
 
 # The schema: a config may set only these keys (and OPTIONAL_KEYS), each to a
-# value of its default's JSON type; export_scales may also be a list of scales.
+# value of its default's JSON type; export_scales may also be a nonempty list
+# of numbers.
 DEFAULTS = {
     "version": CONFIG_VERSION,
     "name": "experiment",
@@ -48,11 +49,21 @@ MINIMUM = {
     "grid.size": 2,
     "grid.margin": 0,
     "seed": 0,
+    "shapes.num": 1,
 }
 
-# Validation allocates the uniform ladder's nodes, and the Lebesgue spectral
-# table grows with their square (20 nodes take a few seconds to fit).
-MAX_LADDER_NODES = 1000
+# Upper bounds on the sizes a run allocates, so that a huge value is a config
+# error rather than a MemoryError.  Validation allocates the uniform ladder's
+# nodes, and the Lebesgue spectral table grows with their square.  In both
+# tables "shapes.num" stands for each template's and target's point count.
+MAXIMUM = {
+    "ladder.num_nodes": 1000,
+    "kernel.num_basis": 200,
+    "kernel.num_frequencies": 8192,
+    "time_steps": 10000,
+    "grid.size": 1024,
+    "shapes.num": 10000,
+}
 
 
 class ConfigError(ValueError):
@@ -83,6 +94,13 @@ def _same_type(value, default):
     return type(value) is type(default)
 
 
+def _check_range(path, value):
+    if path in MINIMUM and not value >= MINIMUM[path]:
+        raise ConfigError(f"{path} must be >= {MINIMUM[path]}, got {value!r}")
+    if path in MAXIMUM and not value <= MAXIMUM[path]:
+        raise ConfigError(f"{path} must be <= {MAXIMUM[path]}, got {value!r}")
+
+
 def _check_schema(node, schema, prefix=""):
     for key, value in node.items():
         path = prefix + key
@@ -93,6 +111,12 @@ def _check_schema(node, schema, prefix=""):
         else:
             raise ConfigError(f"unknown config key {path!r}")
         if path == "export_scales":
+            if value != "all" and not (
+                isinstance(value, list) and value and all(_same_type(s, 0.0) for s in value)
+            ):
+                raise ConfigError(
+                    f'export_scales must be "all" or a nonempty list of numbers, got {value!r}'
+                )
             continue
         if not _same_type(value, default):
             raise ConfigError(f"{path} must be {type(default).__name__}, got {value!r}")
@@ -100,8 +124,8 @@ def _check_schema(node, schema, prefix=""):
             _check_schema(value, default, path + ".")
         elif path in CHOICES and value not in CHOICES[path]:
             raise ConfigError(f"{path} must be one of {CHOICES[path]}, got {value!r}")
-        elif path in MINIMUM and not value >= MINIMUM[path]:
-            raise ConfigError(f"{path} must be >= {MINIMUM[path]}, got {value!r}")
+        else:
+            _check_range(path, value)
 
 
 class ExperimentConfig:
@@ -171,13 +195,9 @@ class ExperimentConfig:
         name = data["name"]
         if name in ("", ".", "..") or "/" in name or "\0" in name:
             raise ConfigError(f"name must be a single plain path component, got {name!r}")
-        if data["ladder"]["num_nodes"] > MAX_LADDER_NODES:
-            raise ConfigError(f"ladder.num_nodes must be <= {MAX_LADDER_NODES}")
         ladder = self.ladder()
         measure = self.measure()
         export_scales = self.export_scales(ladder)
-        if not export_scales:
-            raise ConfigError("export_scales must list at least one scale")
         if isinstance(measure, DiracMeasure):
             ladder.clamp(measure.s0)
         else:
@@ -191,6 +211,9 @@ class ExperimentConfig:
             if "scale" not in entry or "template" not in entry or "target" not in entry:
                 raise ConfigError("each shape entry needs scale, template, target")
             _require_node(ladder, entry["scale"], "shape scale")
+            for spec in (entry["template"], entry["target"]):
+                if isinstance(spec, dict) and "num" in spec:
+                    _check_range("shapes.num", spec["num"])
             template = shapes.generate(entry["template"])
             target = shapes.generate(entry["target"])
             if template.shape != target.shape:

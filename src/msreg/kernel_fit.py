@@ -7,7 +7,7 @@ under a nonnegative-spectrum constraint; off-diagonal profiles are then
 fitted under the two-sided bound |spectrum| <= sqrt(diag_k * diag_l),
 which makes every 2x2 spectral sub-matrix positive semidefinite.  Both
 steps are Chebyshev (minimax) problems solved as linear programs in
-epigraph form.
+epigraph form, on persistent HiGHS models warm-started from pair to pair.
 """
 
 import csv
@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+from scipy.sparse import csc_matrix
 
 from .flow import kernel_matrix
 from .ladder import node_index
@@ -59,22 +61,91 @@ class HankelBasis:
         )
 
 
-def _solve_minimax(design, target, extra_a=None, extra_b=None):
-    """minimize max_j |target_j - design_j . beta| subject to optional extra
-    rows extra_a . beta <= extra_b.  Returns (beta, residual)."""
+class _MinimaxModel:
+    """A persistent HiGHS model of the minimax LP over one design matrix A.
+
+    Over (beta, t >= 0) it minimises t subject to three ranged row blocks,
+
+        target <= A beta + t,   A beta - t <= target,   lower <= A beta <= upper,
+
+    so a diagonal fit (lower = 0) and an off-diagonal fit (|A beta| <= c) are
+    two bound patterns on one constraint matrix.  Between solves only the
+    row bounds change, so each solve restarts the dual simplex from the last
+    optimal basis, which stays dual feasible (Huangfu & Hall, Math. Prog.
+    Comp. 2018).  Not thread-safe: give each thread its own model.
+    """
+
+    def __init__(self, design):
+        self.design = design
+        nj, nq = design.shape
+        t_column = np.repeat([1.0, -1.0, 0.0], nj)[:, None]
+        matrix = csc_matrix(np.hstack([np.vstack([design] * 3), t_column]))
+        lp = HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = nq + 1
+        lp.num_row_ = lp.a_matrix_.num_row_ = 3 * nj
+        lp.col_cost_ = np.r_[np.zeros(nq), 1.0]
+        lp.col_lower_ = np.r_[np.full(nq, -np.inf), 0.0]
+        lp.col_upper_ = np.full(nq + 1, np.inf)
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        self._lp = lp
+        self._highs = _Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._basis = None  # the last optimal basis
+        self.solves = 0
+        self.iterations = 0
+        self.cold_retries = 0
+
+    def solve(self, target, lower, upper):
+        """(beta, t) for these row bounds, or None unless HiGHS reports optimal."""
+        free = np.full(target.size, np.inf)
+        self._lp.row_lower_ = np.concatenate([target, -free, lower])
+        self._lp.row_upper_ = np.concatenate([free, target, upper])
+        highs = self._highs
+        highs.passModel(self._lp)
+        if self._basis is not None:
+            highs.setBasis(self._basis)
+        highs.run()
+        self.solves += 1
+        self.iterations += highs.getInfo().simplex_iteration_count
+        if highs.getModelStatus() != HighsModelStatus.kOptimal:
+            return None
+        self._basis = highs.getBasis()
+        x = np.array(highs.getSolution().col_value)
+        return x[:-1], float(x[-1])
+
+
+def _solve_minimax(model, target, lower, upper):
+    """minimize max_j |target_j - design_j . beta| subject to
+    lower <= design . beta <= upper, where `design` is the model's.
+
+    Warm-starts `model`; if HiGHS does not report optimal, the LP is solved
+    again cold by `linprog`.  Returns (beta, residual).
+    """
+    solution = model.solve(target, lower, upper)
+    if solution is not None:
+        return solution
+    model.cold_retries += 1
+    design = model.design
     nj, nq = design.shape
     # variables: beta (free), t >= 0
     c = np.zeros(nq + 1)
     c[-1] = 1.0
     ones = np.ones((nj, 1))
-    a_ub = [np.hstack([design, -ones]), np.hstack([-design, -ones])]
-    b_ub = [target, -target]
-    if extra_a is not None:
-        a_ub.append(np.hstack([extra_a, np.zeros((extra_a.shape[0], 1))]))
-        b_ub.append(extra_b)
+    zeros = np.zeros((nj, 1))
+    hi, lo = np.isfinite(upper), np.isfinite(lower)
+    a_ub = np.vstack(
+        [
+            np.hstack([design, -ones]),
+            np.hstack([-design, -ones]),
+            np.hstack([design, zeros])[hi],
+            np.hstack([-design, zeros])[lo],
+        ]
+    )
+    b_ub = np.concatenate([target, -target, upper[hi], -lower[lo]])
     bounds = [(None, None)] * nq + [(0.0, None)]
-    a_ub = np.vstack(a_ub)
-    b_ub = np.concatenate(b_ub)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         # presolve can misreport feasible problems as infeasible when the
@@ -102,10 +173,11 @@ _REL_MARGIN = 1e-6
 _ABS_MARGIN = 1e-7
 
 
-def fit_diagonal(target, design):
+def fit_diagonal(target, design, model=None):
     """Minimax fit of a diagonal spectral profile with the nonnegative
     spectrum constraint design . beta >= 0, where `design` holds the basis
-    spectra (`HankelBasis.spectral`) at the profile's frequencies.
+    spectra (`HankelBasis.spectral`) at the profile's frequencies.  `model`
+    is a `_MinimaxModel` of `design` to warm-start; a fresh one by default.
 
     The LP enforces the constraint to solver tolerance only; callers that
     need exact nonnegativity repair the row with `repair_nonnegative`.
@@ -113,7 +185,9 @@ def fit_diagonal(target, design):
     target = np.asarray(target, dtype=float)
     if target.shape != (design.shape[0],):
         raise ValueError("target length must match the frequency grid")
-    return _solve_minimax(design, target, extra_a=-design, extra_b=np.zeros(target.size))
+    if model is None:
+        model = _MinimaxModel(design)
+    return _solve_minimax(model, target, np.zeros(target.size), np.full(target.size, np.inf))
 
 
 def repair_nonnegative(row, design):
@@ -134,10 +208,11 @@ def repair_nonnegative(row, design):
     return row
 
 
-def fit_offdiagonal(target, cj, design):
+def fit_offdiagonal(target, cj, design, model=None):
     """Minimax fit of an off-diagonal profile under |spectrum| <= c_j,
     where c_j is the geometric mean of the two fitted diagonal spectra and
-    `design` holds the basis spectra at the profile's frequencies.
+    `design` holds the basis spectra at the profile's frequencies.  `model`
+    is a `_MinimaxModel` of `design` to warm-start; a fresh one by default.
     """
     target = np.asarray(target, dtype=float)
     cj = np.asarray(cj, dtype=float)
@@ -147,9 +222,9 @@ def fit_offdiagonal(target, cj, design):
     # which the LP solver's presolve can misreport as infeasible
     floor = 1e-14 * cj.max() if cj.size and cj.max() > 0 else 0.0
     cj = np.maximum(cj * (1.0 - _REL_MARGIN) - _ABS_MARGIN * cj.max(), floor)
-    extra_a = np.vstack([design, -design])
-    extra_b = np.concatenate([cj, cj])
-    return _solve_minimax(design, target, extra_a=extra_a, extra_b=extra_b)
+    if model is None:
+        model = _MinimaxModel(design)
+    return _solve_minimax(model, target, -cj, cj)
 
 
 def repair_pairwise(row, diag_k, diag_l, design, tol=1e-13):
@@ -250,8 +325,12 @@ def fit_kernel_table(spectral_table, num_basis=20, workers=1):
 
     Diagonals first (nonnegative spectra), then off-diagonals constrained by
     the geometric means of the fitted diagonals.  Returns a KernelTable with
-    a per-pair residual report.  Each fit is independent within its phase,
-    so `workers` > 1 fans the linear programs out over a thread pool.
+    a per-pair residual report and the LP work it took.  The pairs are
+    solved in chains, each on one warm-started `_MinimaxModel`: all the
+    diagonals form one chain, and the off-diagonals (k, k+1..m-1) of each
+    row k another.  The chains depend on the pair order alone, and `workers`
+    > 1 only spreads them over a thread pool, so the table does not depend
+    on the worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -263,39 +342,57 @@ def fit_kernel_table(spectral_table, num_basis=20, workers=1):
     beta = np.zeros((m, m, basis.size))
     residuals = np.zeros((m, m))
     margins = np.zeros((m, m))
+    work = {"lp_solves": 0, "simplex_iterations": 0, "cold_retries": 0}
 
-    def _fill(pairs, job):
-        """Run one fit job per pair; each returns (row, residual, margin)."""
+    def _fill(chains, job):
+        """Run one fit job per pair, each chain on its own model; each job
+        returns (row, residual, margin)."""
+
+        def run(chain):
+            # return the counts, not the model, so that each model's HiGHS
+            # workspace is freed as soon as its chain ends
+            model = _MinimaxModel(design)
+            fits = [job(pair, model) for pair in chain]
+            counts = {
+                "lp_solves": model.solves,
+                "simplex_iterations": model.iterations,
+                "cold_retries": model.cold_retries,
+            }
+            return fits, counts
+
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(job, pairs))
+                results = list(pool.map(run, chains))
         else:
-            results = [job(pair) for pair in pairs]
-        for (k, l), (row, residual, margin) in zip(pairs, results):
-            beta[k, l] = beta[l, k] = row
-            residuals[k, l] = residuals[l, k] = residual
-            margins[k, l] = margins[l, k] = margin
+            results = [run(chain) for chain in chains]
+        for chain, (fits, counts) in zip(chains, results):
+            for (k, l), (row, residual, margin) in zip(chain, fits):
+                beta[k, l] = beta[l, k] = row
+                residuals[k, l] = residuals[l, k] = residual
+                margins[k, l] = margins[l, k] = margin
+            for key, count in counts.items():
+                work[key] += count
 
-    def _diag_job(pair):
+    def _diag_job(pair, model):
         target = values[pair[0], pair[0]]
-        row, _ = fit_diagonal(target, design)
+        row, _ = fit_diagonal(target, design, model)
         row = repair_nonnegative(row, design)
         spectrum = design.dot(row)
         return row, np.abs(spectrum - target).max(), spectrum.min()
 
-    _fill([(k, k) for k in range(m)], _diag_job)
+    _fill([[(k, k) for k in range(m)]], _diag_job)
     diag_spec = design.dot(beta[np.arange(m), np.arange(m)].T)  # (J, m)
 
-    def _offdiag_job(pair):
+    def _offdiag_job(pair, model):
         k, l = pair
         target = 0.5 * (values[k, l] + values[l, k])
         cj = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
-        row, _ = fit_offdiagonal(target, cj, design)
+        row, _ = fit_offdiagonal(target, cj, design, model)
         row = repair_pairwise(row, diag_spec[:, k], diag_spec[:, l], design)
         spectrum = design.dot(row)
         return row, np.abs(spectrum - target).max(), (cj - np.abs(spectrum)).min()
 
-    _fill([(k, l) for k in range(m) for l in range(k + 1, m)], _offdiag_job)
+    _fill([[(k, l) for l in range(k + 1, m)] for k in range(m - 1)], _offdiag_job)
     peaks = np.abs(values).max(axis=2)
     report = {
         "num_scales": int(m),
@@ -307,6 +404,7 @@ def fit_kernel_table(spectral_table, num_basis=20, workers=1):
             margins[~np.eye(m, dtype=bool)].min() if m > 1 else 0.0
         ),
         "residuals": residuals.tolist(),
+        **work,
     }
     return KernelTable(scales.copy(), beta, basis, report)
 

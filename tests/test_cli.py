@@ -135,6 +135,23 @@ class TestArgumentHandling:
             pytest.param(SMALL_CONFIG, "name=../../x", id="name_escape"),
             pytest.param(SMALL_CONFIG, "time_steps.x=1", id="through_number"),
             pytest.param(SMALL_CONFIG, "shapes.0.scale=0.5", id="through_list"),
+            pytest.param(DIRAC_CONFIG, "export_scales=[true]", id="export_scale_bool"),
+            pytest.param(SMALL_CONFIG, "grid.size=200000", id="grid_size_huge"),
+            pytest.param(SMALL_CONFIG, "time_steps=10001", id="time_steps_huge"),
+            pytest.param(SMALL_CONFIG, "kernel.num_frequencies=8193", id="num_frequencies_huge"),
+            pytest.param(SMALL_CONFIG, "kernel.num_basis=201", id="num_basis_huge"),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 10001},'
+                ' "target": {"type": "circle", "num": 10001}}]',
+                id="shape_num_huge",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 0},'
+                ' "target": {"type": "circle", "num": 0}}]',
+                id="shape_num_zero",
+            ),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, config, override):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 from scipy.special import j0
 
+from msreg import kernel_fit
 from msreg.kernel_fit import (
     HankelBasis,
     KernelTable,
@@ -171,6 +174,9 @@ class TestFitKernelTable:
         assert report["max_residual"] >= 0
         assert report["min_diagonal_margin"] >= 0.0
         assert np.asarray(report["residuals"]).shape == (5, 5)
+        assert report["lp_solves"] == 15
+        assert report["simplex_iterations"] > 0
+        assert report["cold_retries"] == 0
 
     def test_beta_symmetry(self, small_kernel):
         assert np.array_equal(small_kernel.beta, np.swapaxes(small_kernel.beta, 0, 1))
@@ -206,6 +212,73 @@ class TestFitKernelTable:
                 # loose: the two disagree through quadrature truncation of
                 # the spectral tail, worst at r = 0 on the finest scale
                 assert abs(a - b) <= 5e-2 * ref
+
+
+def cold_minimax(design, target, lower, upper):
+    """The minimax LP in inequality form, solved cold by linprog."""
+    nj, nq = design.shape
+    ones, zeros = np.ones((nj, 1)), np.zeros((nj, 1))
+    hi, lo = np.isfinite(upper), np.isfinite(lower)
+    a_ub = np.vstack(
+        [
+            np.hstack([design, -ones]),
+            np.hstack([-design, -ones]),
+            np.hstack([design, zeros])[hi],
+            np.hstack([-design, zeros])[lo],
+        ]
+    )
+    b_ub = np.concatenate([target, -target, upper[hi], -lower[lo]])
+    res = linprog(
+        np.r_[np.zeros(nq), 1.0],
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(None, None)] * nq + [(0.0, None)],
+        method="highs",
+    )
+    assert res.success
+    return res.x[:nq], res.x[nq]
+
+
+class _NeverOptimal(_Highs):
+    def getModelStatus(self):
+        return HighsModelStatus.kInfeasible
+
+
+class TestWarmStart:
+    def test_warm_objective_never_above_cold(self, small_spectral, monkeypatch):
+        calls = []
+        solve = kernel_fit._solve_minimax
+
+        def recorded(model, target, lower, upper):
+            result = solve(model, target, lower, upper)
+            calls.append((model.design, target, lower, upper, result[1]))
+            return result
+
+        monkeypatch.setattr(kernel_fit, "_solve_minimax", recorded)
+        fit_kernel_table(small_spectral, num_basis=16)
+        assert len(calls) == 15
+        for design, target, lower, upper, warm in calls:
+            _, cold = cold_minimax(design, target, lower, upper)
+            assert warm <= cold + 1e-9 * np.abs(target).max()
+
+    def test_non_optimal_warm_solve_falls_back_to_cold(self, small_spectral, monkeypatch):
+        monkeypatch.setattr(kernel_fit, "_Highs", _NeverOptimal)
+        basis = HankelBasis(np.array([0.3, 0.8, 1.5]))
+        xis = np.linspace(0.0, 3.0, 40)
+        design = basis.spectral(xis)
+        target = design.dot(np.array([0.5, -0.2, 0.9])) + 0.01 * np.sin(5 * xis)
+        row, resid = fit_diagonal(target, design)
+        ref_row, ref_resid = cold_minimax(design, target, np.zeros(40), np.full(40, np.inf))
+        assert np.array_equal(row, ref_row) and resid == ref_resid
+        cj = 0.5 * np.abs(target) + 0.01
+        model = kernel_fit._MinimaxModel(design)
+        row, resid = fit_offdiagonal(target, cj, design, model)
+        shrunk = cj * (1.0 - kernel_fit._REL_MARGIN) - kernel_fit._ABS_MARGIN * cj.max()
+        ref_row, ref_resid = cold_minimax(design, target, -shrunk, shrunk)
+        assert np.array_equal(row, ref_row) and resid == ref_resid
+        assert (model.solves, model.cold_retries) == (1, 1)
+        report = fit_kernel_table(small_spectral, num_basis=16).report
+        assert report["lp_solves"] == report["cold_retries"] == 15
 
 
 class TestKernelTable:
