@@ -1,9 +1,9 @@
 """Multiscale diffeomorphic landmark registration.
 
-Kernels over scale x space (closed forms, a Fourier-domain solver, and a
-fitted positive basis), landmark flow integration with adjoint-gradient
-registration, and grid exports of deformations, inter-scale residuals, and
-log-Jacobian fields.
+Kernels over scale x space (the Dirac measure's closed form, and for the
+Lebesgue measure a Fourier-domain solver and a fitted positive basis),
+landmark flow integration with adjoint-gradient registration, and grid
+exports of deformations, inter-scale residuals, and log-Jacobian fields.
 """
 
 from .config import ExperimentConfig
@@ -23,19 +23,10 @@ from .registration import Objective, optimize
 from .scale_kernels import (
     DiracPiecewiseKernel,
     GaussianScaleFamily,
-    IntegratedDiracKernel,
     dirac_kernel,
     gauss_scale_integral,
-    integrated_dirac_kernel,
-    piecewise_scale_integral,
     sum_dirac_kernel_hat,
 )
-from .spectral import (
-    SpectralGrid,
-    SpectralKernelEvaluator,
-    SpectralTable,
-    chi_gaussian,
-    compute_spectral_table,
-)
+from .spectral import SpectralGrid, SpectralTable, compute_spectral_table
 
 __version__ = "0.1.0"

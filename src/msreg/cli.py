@@ -150,13 +150,11 @@ def _load_kernel(config, kernel_table_path):
 
 def _check_scales(kernel, scales, source):
     """ConfigError unless the kernel evaluates every scale: a fitted table
-    holds its nodes only, the closed form any scale on its ladder."""
+    holds its nodes only (KeyError off them), the closed form any scale on
+    its ladder (ValueError outside it)."""
     for scale in np.unique(scales):
         try:
-            if isinstance(kernel, KernelTable):
-                kernel.index_of(scale)
-            else:
-                kernel.family.ladder.clamp(scale)
+            kernel.slice(scale, scale)
         except (KeyError, ValueError):
             raise ConfigError(f"the kernel has no scale {scale:g} ({source})") from None
 

@@ -101,7 +101,9 @@ def optimize(
     """Minimize the registration objective over control trajectories.
 
     Stops on relative objective decrease < tol or gradient sup-norm < tol.
-    A failed line search returns the best iterate with a warning flag.
+    A failed line search returns the best iterate with a warning flag; a
+    starting value or gradient that is not finite (say, an overflowing
+    match weight) raises FloatingPointError.
     Each accepted line-search point's forward pass feeds its gradient, so
     the run takes one forward pass plus one per line-search evaluation.
     """
@@ -122,8 +124,8 @@ def optimize(
     result = OptimizeResult(
         controls, value, energy, match, history, forward_passes=1, gradient_passes=1
     )
-    if not np.isfinite(value):
-        raise ValueError("initial objective value is not finite")
+    if not (np.isfinite(value) and np.all(np.isfinite(g))):
+        raise FloatingPointError("initial objective value or gradient is not finite")
     for _ in range(max_iters):
         if np.abs(g).max() < tol:
             result.converged = True

@@ -1,13 +1,15 @@
-"""Closed-form multiscale kernels for measures with explicit solutions.
+"""Closed-form multiscale kernels for the Dirac scale measure.
 
 Per-scale kernels are Gaussians, either varying continuously with scale or
 held piecewise constant on the ladder intervals.  For a Dirac scale measure
-the scale-space kernel has a closed form built from integrals of the
-per-scale kernels over windows of the scale axis; those integrals are
-computed here, together with the sum-of-Diracs spectral formula and the
-atom-integrated Dirac kernel.
+the scale-space kernel has a closed form built from the integral of the
+per-scale kernels over one window of the scale axis: `DiracPiecewiseKernel`
+takes the piecewise-constant family and feeds the flow engine, and
+`dirac_kernel` integrates the continuous family by its erf closed form.
+`sum_dirac_kernel_hat` is the spectral formula for the sum of two Diracs
+at the ladder ends.
 
-Every kernel that feeds the flow engine is represented as a finite mixture
+The kernel that feeds the flow engine is represented as a finite mixture
 of spatial Gaussians for each scale pair, so that values and spatial
 derivatives are cheap and exact.
 """
@@ -29,7 +31,6 @@ class GaussianScaleFamily:
     """
 
     ladder: ScaleLadder
-    dim: int = 2
 
     def node_scale(self, lam):
         """Width of the piecewise-constant kernel governing scale lam."""
@@ -63,26 +64,6 @@ def gauss_scale_integral(family, lam1, lam2, r):
     )
 
 
-def gauss_scale_integral_dsq(family, lam1, lam2, r):
-    """Derivative of `gauss_scale_integral` with respect to u = r^2.
-
-    The closed form collapses to sqrt(pi/c) (erf(sqrt(c)/lam2) -
-    erf(sqrt(c)/lam1)) / 4 after cancellation; a series expansion covers
-    small c.
-    """
-    if lam2 < lam1:
-        raise ValueError("reversed scale bounds")
-    c = 0.5 * r * r
-    if c < 1e-12:
-        # erf(x)/x ~ (2/sqrt(pi)) (1 - x^2/3), difference of the two scales
-        return 0.25 * (
-            2.0 * (1.0 / lam2 - 1.0 / lam1)
-            - (2.0 / 3.0) * c * (1.0 / lam2**3 - 1.0 / lam1**3)
-        )
-    sc = math.sqrt(c)
-    return 0.25 * math.sqrt(math.pi / c) * (math.erf(sc / lam2) - math.erf(sc / lam1))
-
-
 def piecewise_weights(family, lam1, lam2):
     """Decompose the scale window [lam1, lam2] against the ladder.
 
@@ -110,12 +91,18 @@ def piecewise_weights(family, lam1, lam2):
     return np.asarray(scales), np.asarray(weights)
 
 
-def piecewise_scale_integral(family, lam1, lam2, r):
-    """Scale integral of the piecewise-constant kernel over [lam1, lam2]."""
-    scales, weights = piecewise_weights(family, lam1, lam2)
-    if scales.size == 0:
-        return 0.0
-    return float(np.dot(weights, GaussianScaleFamily.kappa(scales, r)))
+def _dirac_window(s0, lam, lam0):
+    """Signed scale window (coeff, lo, hi) of the Dirac closed form.
+
+    The kernel at (lam, lam0) adds coeff / sigma times the scale integral
+    of kappa_mu(r) over [lo, hi], where lam is clamped into the span
+    between s0 and lam0; coeff is +-1 (the sign of lam0 - s0 times the
+    window's orientation), or 0 when lam0 == s0.
+    """
+    sign = np.sign(lam0 - s0)
+    xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
+    orient = 1.0 if xc >= s0 else -1.0
+    return sign * orient, min(s0, xc), max(s0, xc)
 
 
 class MixtureKernel:
@@ -170,134 +157,45 @@ class DiracPiecewiseKernel(MixtureKernel):
         inv_sigma = 1.0 / measure.sigma
         scales = [family.node_scale(s0)]
         weights = [inv_sigma]
-        sign = np.sign(lam0 - s0)
-        if sign != 0.0:
-            xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
-            lo, hi = min(s0, xc), max(s0, xc)
-            orient = 1.0 if xc >= s0 else -1.0
+        coeff, lo, hi = _dirac_window(s0, lam, lam0)
+        if coeff:
             ws, ww = piecewise_weights(family, lo, hi)
             scales.extend(ws)
-            weights.extend(sign * orient * inv_sigma * ww)
+            weights.extend(coeff * inv_sigma * ww)
         scales = np.asarray(scales)
         weights = np.asarray(weights)
         rates = 1.0 / (2.0 * scales**2)
         return weights, rates
 
 
-def dirac_kernel(measure, family, lam, lam0, r, method="piecewise"):
-    """Closed-form Dirac-measure kernel value at (lam, lam0, r).
-
-    method="piecewise" evaluates the per-scale kernels as piecewise constant
-    on the ladder; method="gauss" integrates the continuously varying
-    Gaussian via the erf closed form.
-    """
+def dirac_kernel(measure, family, lam, lam0, r):
+    """Closed-form Dirac-measure kernel value at (lam, lam0, r), integrating
+    the continuously varying Gaussian over the scale window via the erf
+    closed form (`DiracPiecewiseKernel` is the piecewise-constant family)."""
     if not isinstance(measure, DiracMeasure):
         raise TypeError("dirac_kernel requires a Dirac scale measure")
-    if method == "piecewise":
-        kern = DiracPiecewiseKernel(measure, family)
-        return float(kern(lam, lam0, r))
-    if method != "gauss":
-        raise ValueError(f"unknown method {method!r}")
     ladder = family.ladder
     lam = ladder.clamp(lam)
     lam0 = ladder.clamp(lam0)
     s0 = ladder.clamp(measure.s0)
     value = float(GaussianScaleFamily.kappa(s0, r)) / measure.sigma
-    sign = np.sign(lam0 - s0)
-    if sign != 0.0:
-        xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
-        lo, hi = min(s0, xc), max(s0, xc)
-        orient = 1.0 if xc >= s0 else -1.0
-        value += sign * orient / measure.sigma * gauss_scale_integral(family, lo, hi, r)
+    coeff, lo, hi = _dirac_window(s0, lam, lam0)
+    if coeff:
+        value += coeff / measure.sigma * gauss_scale_integral(family, lo, hi, r)
     return value
 
 
-def sum_dirac_kernel_hat(chi_s1, chi_s2, xfun, lam, lam0, x_s2=None):
+def sum_dirac_kernel_hat(chi_s1, chi_s2, xfun, lam, lam0, x_s2):
     """Spectral kernel for rho = delta_{s1} + delta_{s2} at one frequency.
 
     chi_s1, chi_s2 are the reciprocal per-scale spectra at the endpoints and
     xfun(lam) is the antiderivative of 1/chi_mu from s1 (so xfun(s1) = 0 and
-    xfun is nondecreasing).  x_s2 = xfun(s2) may be passed explicitly;
-    otherwise it is read from the `x_s2` attribute of xfun (see
-    `make_sum_dirac_xfun`).
+    xfun is nondecreasing); x_s2 = xfun(s2).
     """
     if chi_s1 <= 0 or chi_s2 <= 0:
         raise ValueError("chi values must be positive")
-    if x_s2 is None:
-        x_s2 = xfun.x_s2
     x_hi = xfun(max(lam, lam0))
     x_lo = xfun(min(lam, lam0))
     num = (1.0 + chi_s2 * (x_s2 - x_hi)) * (1.0 + chi_s1 * x_lo)
     den = chi_s1 + chi_s2 + chi_s1 * chi_s2 * x_s2
     return num / den
-
-
-def make_sum_dirac_xfun(family, xi):
-    """Build X(lam) = integral of kappa_hat_mu(xi) from s1 to lam.
-
-    Uses the piecewise-constant family, so X is piecewise linear and exact.
-    Returns a callable with attribute x_s2 = X(s2).
-    """
-    from .spectral import kappa_hat_gaussian
-
-    ladder = family.ladder
-    nodes = ladder.nodes
-    khat = kappa_hat_gaussian(nodes[:-1], xi, family.dim)
-    cum = np.concatenate(([0.0], np.cumsum(ladder.widths * khat)))
-
-    def xfun(lam):
-        lam = ladder.clamp(lam)
-        k = ladder.interval_index(lam)
-        return float(cum[k] + (lam - nodes[k]) * khat[k])
-
-    xfun.x_s2 = float(cum[-1])
-    return xfun
-
-
-def integrated_dirac_weights(family, lam, lam0):
-    """Mixture weights for the Dirac kernels integrated over their atom.
-
-    The integrand weight is 1 plus a linear ramp (mu - s1)/(s2 - s1) below
-    min(lam, lam0) and (s2 - mu)/(s2 - s1) above max(lam, lam0); with the
-    piecewise-constant family the integral is exact per ladder interval.
-    """
-    ladder = family.ladder
-    lam = ladder.clamp(lam)
-    lam0 = ladder.clamp(lam0)
-    s1, s2 = ladder.s1, ladder.s2
-    span = s2 - s1
-    m, mm = min(lam, lam0), max(lam, lam0)
-    nodes = ladder.nodes
-    cuts = np.unique(np.concatenate((nodes, [m, mm])))
-    scales, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        w = b - a
-        if b <= m:
-            # ramp (mu - s1) / span
-            w += ((b - s1) ** 2 - (a - s1) ** 2) / (2.0 * span)
-        if a >= mm:
-            # ramp (s2 - mu) / span
-            w += ((s2 - a) ** 2 - (s2 - b) ** 2) / (2.0 * span)
-        scales.append(family.node_scale(0.5 * (a + b)))
-        weights.append(w)
-    return np.asarray(scales), np.asarray(weights)
-
-
-def integrated_dirac_kernel(family, lam, lam0, r):
-    """Kernel obtained by integrating the Dirac closed forms over the atom
-    location, with sigma = s2 - s1."""
-    scales, weights = integrated_dirac_weights(family, lam, lam0)
-    return float(np.dot(weights, GaussianScaleFamily.kappa(scales, r)))
-
-
-class IntegratedDiracKernel(MixtureKernel):
-    """Mixture-backed evaluator for `integrated_dirac_kernel`."""
-
-    def __init__(self, family):
-        self.family = family
-
-    def slice(self, lam, mu):
-        scales, weights = integrated_dirac_weights(self.family, lam, mu)
-        return weights, 1.0 / (2.0 * scales**2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import ScaleLadder, node_index
+from .ladder import ScaleLadder
 
 _MAGIC = b"MSKS"
 _VERSION = 1
@@ -27,20 +27,9 @@ def kappa_hat_gaussian(scale, xi, dim):
     )
 
 
-def chi_gaussian(scale, xi, dim):
-    """Reciprocal spectrum 1 / kappa_hat of the Gaussian at width `scale`.
-
-    Overflows for large scale * xi; the solver never evaluates it there and
-    works with the ratios `psi_gaussian` instead.
-    """
-    scale = np.asarray(scale, dtype=float)
-    return (2.0 * np.pi * scale**2) ** (-dim / 2.0) * np.exp(
-        2.0 * np.pi**2 * scale**2 * np.asarray(xi, dtype=float) ** 2
-    )
-
-
 def psi_gaussian(scale_prev, scale_cur, xi, dim):
-    """Stable ratio chi_{k-1} / chi_k for Gaussian spectra."""
+    """Stable ratio chi_{k-1} / chi_k of the reciprocal Gaussian spectra
+    chi = 1 / kappa_hat, which themselves overflow at large scale * xi."""
     return (scale_cur / scale_prev) ** dim * np.exp(
         -2.0 * np.pi**2 * (scale_cur**2 - scale_prev**2) * np.asarray(xi, float) ** 2
     )
@@ -189,28 +178,3 @@ def compute_spectral_table(ladder, sigma, grid):
         khat = kappa_hat_gaussian(rec_scales, xi, grid.dim)
         values[:, :, j] = g * khat[:, None]
     return SpectralTable(ladder, sigma, grid, values)
-
-
-class SpectralKernelEvaluator:
-    """Real-space kernel backed by a spectral table via inverse Hankel
-    quadrature (d = 2 only): kappa(r) = 2 pi * int khat(xi) J0(2 pi r xi) xi dxi.
-
-    Slow compared to the fitted basis; intended for validation and small
-    evaluations, not for flow integration.
-    """
-
-    def __init__(self, table):
-        if table.dim != 2:
-            raise ValueError("inverse Hankel evaluation implemented for d=2 only")
-        self.table = table
-
-    def __call__(self, lam, mu, r):
-        from scipy.special import j0
-
-        nodes = self.table.ladder.nodes
-        k, k0 = node_index(nodes, lam), node_index(nodes, mu)
-        xis = self.table.grid.xis
-        khat = self.table.values[k, k0, :]
-        r = np.asarray(r, dtype=float)
-        integrand = khat * xis * j0(2.0 * np.pi * np.multiply.outer(r, xis))
-        return 2.0 * np.pi * np.trapezoid(integrand, xis, axis=-1)

@@ -2,12 +2,16 @@
 
 Everything here is deliberately written from first principles (adaptive
 Simpson quadrature, dense linear solves, finite differences, exhaustive
-vertex enumeration) rather than reusing library code paths.
+vertex enumeration, inverse Hankel quadrature) rather than reusing library
+code paths.
 """
 
 import itertools
 
 import numpy as np
+from scipy.special import j0
+
+from msreg.ladder import node_index
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=50):
@@ -109,3 +113,37 @@ def brute_piecewise_integral(nodes, lam1, lam2, r):
         if hi > lo:
             total += (hi - lo) * np.exp(-(r**2) / (2.0 * nodes[k] ** 2))
     return total
+
+
+def chi_gaussian(scale, xi, dim):
+    """Reciprocal spectrum 1 / kappa_hat of the Gaussian at width `scale`.
+
+    Overflows for large scale * xi; the solver never evaluates it there and
+    works with the ratios `psi_gaussian` instead.
+    """
+    scale = np.asarray(scale, dtype=float)
+    return (2.0 * np.pi * scale**2) ** (-dim / 2.0) * np.exp(
+        2.0 * np.pi**2 * scale**2 * np.asarray(xi, dtype=float) ** 2
+    )
+
+
+class SpectralKernelEvaluator:
+    """Real-space kernel backed by a spectral table via inverse Hankel
+    quadrature (d = 2 only): kappa(r) = 2 pi * int khat(xi) J0(2 pi r xi) xi dxi.
+
+    Slow compared to the fitted basis; for validation on small inputs.
+    """
+
+    def __init__(self, table):
+        if table.dim != 2:
+            raise ValueError("inverse Hankel evaluation implemented for d=2 only")
+        self.table = table
+
+    def __call__(self, lam, mu, r):
+        nodes = self.table.ladder.nodes
+        k, k0 = node_index(nodes, lam), node_index(nodes, mu)
+        xis = self.table.grid.xis
+        khat = self.table.values[k, k0, :]
+        r = np.asarray(r, dtype=float)
+        integrand = khat * xis * j0(2.0 * np.pi * np.multiply.outer(r, xis))
+        return 2.0 * np.pi * np.trapezoid(integrand, xis, axis=-1)

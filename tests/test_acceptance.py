@@ -119,7 +119,7 @@ class TestCriterion3ClosedForms:
             sigma = float(rng.uniform(0.5, 2.0))
             r = float(rng.uniform(0.0, 2.5))
             measure = DiracMeasure(s0, sigma)
-            value = dirac_kernel(measure, family, lam, lam0, r, method="gauss")
+            value = dirac_kernel(measure, family, lam, lam0, r)
             xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
             lo, hi = min(s0, xc), max(s0, xc)
             orient = 1.0 if xc >= s0 else -1.0
@@ -130,7 +130,7 @@ class TestCriterion3ClosedForms:
                 np.exp(-(r**2) / (2.0 * s0**2)) + np.sign(lam0 - s0) * orient * window
             ) / sigma
             worst = max(worst, abs(value - ref))
-            pw = dirac_kernel(measure, family, lam, lam0, r, method="piecewise")
+            pw = DiracPiecewiseKernel(measure, family)(lam, lam0, r)
             pw_window = brute_piecewise_integral(experiment_ladder.nodes, lo, hi, r)
             pw_scale = family.node_scale(s0)
             pw_ref = (

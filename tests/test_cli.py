@@ -349,6 +349,25 @@ class TestRegister:
         first_value = float(hist[1].split(",")[1])
         assert summary["value"] < first_value
 
+    @pytest.mark.parametrize(
+        "radius",
+        [
+            # the match term fits in a double but its gradient overflows
+            pytest.param(1.15, id="gradient_overflows"),
+            # the match term itself overflows
+            pytest.param(3.0, id="value_overflows"),
+        ],
+    )
+    def test_overflowing_weight_is_a_numerical_error(self, tmp_path, capsys, radius):
+        shapes = [
+            dict(group, target=dict(group["target"], radius=radius))
+            for group in DIRAC_CONFIG["shapes"]
+        ]
+        path = write_config(tmp_path, dict(DIRAC_CONFIG, shapes=shapes))
+        code = main(["--config", str(path), "--set", "weight=1e308", "register"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_register_with_prefit_kernel_table(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CONFIG)
         assert main(["--config", str(path), "fit-kernel"]) == EXIT_OK

@@ -17,9 +17,8 @@ from msreg.kernel_fit import (
     repair_nonnegative,
     repair_pairwise,
 )
-from msreg.spectral import SpectralKernelEvaluator
 
-from oracles import adaptive_simpson, lp_vertex_minimum
+from oracles import SpectralKernelEvaluator, adaptive_simpson, lp_vertex_minimum
 
 
 class TestHankelBasis:

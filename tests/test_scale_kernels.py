@@ -7,13 +7,8 @@ from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.scale_kernels import (
     DiracPiecewiseKernel,
     GaussianScaleFamily,
-    IntegratedDiracKernel,
     dirac_kernel,
     gauss_scale_integral,
-    gauss_scale_integral_dsq,
-    integrated_dirac_kernel,
-    make_sum_dirac_xfun,
-    piecewise_scale_integral,
     piecewise_weights,
     sum_dirac_kernel_hat,
 )
@@ -22,6 +17,12 @@ from oracles import adaptive_simpson, brute_piecewise_integral
 
 LADDER6 = ScaleLadder.uniform(0.1, 2.0, 20)
 FAMILY6 = GaussianScaleFamily(LADDER6)
+
+
+def piecewise_integral(lam1, lam2, r):
+    """Piecewise-constant scale integral over [lam1, lam2] from its weights."""
+    scales, weights = piecewise_weights(FAMILY6, lam1, lam2)
+    return float(np.dot(weights, GaussianScaleFamily.kappa(scales, r)))
 
 
 class TestGaussScaleIntegral:
@@ -55,35 +56,17 @@ class TestGaussScaleIntegral:
             )
             assert value == pytest.approx(ref, rel=1e-8, abs=1e-14)
 
-    def test_derivative_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            lam1, lam2 = np.sort(rng.uniform(0.1, 2.0, 2) + np.array([0.0, 0.05]))
-            r = rng.uniform(0.05, 2.5)
-            h = 1e-6
-            up = gauss_scale_integral(FAMILY6, lam1, lam2, np.sqrt(r**2 + h))
-            dn = gauss_scale_integral(FAMILY6, lam1, lam2, np.sqrt(r**2 - h))
-            fd = (up - dn) / (2.0 * h)
-            an = gauss_scale_integral_dsq(FAMILY6, lam1, lam2, r)
-            assert an == pytest.approx(fd, rel=1e-6, abs=1e-10)
-
-    def test_derivative_small_distance_series(self):
-        # the series branch must join the closed form continuously
-        lo = gauss_scale_integral_dsq(FAMILY6, 0.3, 1.2, 1e-7)
-        hi = gauss_scale_integral_dsq(FAMILY6, 0.3, 1.2, 2e-6)
-        assert lo == pytest.approx(hi, rel=1e-4)
-
 
 class TestPiecewiseScaleIntegral:
     def test_empty_interval(self):
-        assert piecewise_scale_integral(FAMILY6, 0.5, 0.5, 1.0) == 0.0
+        assert piecewise_integral(0.5, 0.5, 1.0) == 0.0
 
     def test_zero_distance_gives_length(self):
         r3, r5 = LADDER6.nodes[2], LADDER6.nodes[4]
-        assert piecewise_scale_integral(FAMILY6, r3, r5, 0.0) == pytest.approx(r5 - r3)
+        assert piecewise_integral(r3, r5, 0.0) == pytest.approx(r5 - r3)
 
     def test_partial_intervals_match_brute_force(self):
-        value = piecewise_scale_integral(FAMILY6, 0.15, 0.95, 0.5)
+        value = piecewise_integral(0.15, 0.95, 0.5)
         ref = brute_piecewise_integral(LADDER6.nodes, 0.15, 0.95, 0.5)
         assert value == pytest.approx(ref, rel=1e-12)
 
@@ -92,27 +75,30 @@ class TestPiecewiseScaleIntegral:
         for _ in range(25):
             lam1, lam2 = np.sort(rng.uniform(0.1, 2.0, 2))
             r = rng.uniform(0.0, 2.5)
-            value = piecewise_scale_integral(FAMILY6, lam1, lam2, r)
+            value = piecewise_integral(lam1, lam2, r)
             ref = brute_piecewise_integral(LADDER6.nodes, lam1, lam2, r)
             assert value == pytest.approx(ref, rel=1e-10, abs=1e-15)
 
     def test_weights_reproduce_integral(self):
         scales, weights = piecewise_weights(FAMILY6, 0.33, 1.47)
+        assert np.all(np.isin(scales, LADDER6.nodes)) and np.all(np.diff(scales) > 0)
+        assert np.all(weights > 0) and weights.sum() == pytest.approx(1.47 - 0.33)
         r = 0.8
-        direct = piecewise_scale_integral(FAMILY6, 0.33, 1.47, r)
+        direct = brute_piecewise_integral(LADDER6.nodes, 0.33, 1.47, r)
         assert np.dot(weights, GaussianScaleFamily.kappa(scales, r)) == pytest.approx(direct)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            piecewise_scale_integral(FAMILY6, 1.0, 0.2, 0.7)
+            piecewise_weights(FAMILY6, 1.0, 0.2)
 
 
 class TestDiracKernel:
     MEASURE = DiracMeasure(0.5, sigma=2.0)
 
     def test_atom_at_query_collapses_to_leading_term(self):
+        kern = DiracPiecewiseKernel(self.MEASURE, FAMILY6)
         for lam in (0.1, 0.7, 2.0):
-            value = dirac_kernel(self.MEASURE, FAMILY6, lam, 0.5, 1.1)
+            value = kern(lam, 0.5, 1.1)
             expected = np.exp(-(1.1**2) / (2.0 * FAMILY6.node_scale(0.5) ** 2)) / 2.0
             assert value == pytest.approx(expected)
 
@@ -120,7 +106,7 @@ class TestDiracKernel:
         # atom at s2: value = kappa_{s2}(r)/sigma + (1/sigma) int_{max}^{s2}
         measure = DiracMeasure(2.0, sigma=1.5)
         lam, lam0, r = 0.8, 1.3, 0.6
-        value = dirac_kernel(measure, FAMILY6, lam, lam0, r, method="gauss")
+        value = dirac_kernel(measure, FAMILY6, lam, lam0, r)
         expected = np.exp(-(r**2) / 8.0) / 1.5 + gauss_scale_integral(
             FAMILY6, max(lam, lam0), 2.0, r
         ) / 1.5
@@ -128,8 +114,8 @@ class TestDiracKernel:
 
     def test_experiment_hand_value(self):
         measure = DiracMeasure(0.1, sigma=1.0)
-        for method in ("piecewise", "gauss"):
-            value = dirac_kernel(measure, FAMILY6, 2.0, 2.0, 0.0, method=method)
+        piecewise = DiracPiecewiseKernel(measure, FAMILY6)(2.0, 2.0, 0.0)
+        for value in (piecewise, dirac_kernel(measure, FAMILY6, 2.0, 2.0, 0.0)):
             assert value == pytest.approx(2.9)
 
     def test_symmetry(self):
@@ -145,7 +131,7 @@ class TestDiracKernel:
         for _ in range(30):
             lam, lam0 = rng.uniform(0.1, 2.0, 2)
             r = rng.uniform(0.0, 2.0)
-            value = dirac_kernel(self.MEASURE, FAMILY6, lam, lam0, r, method="gauss")
+            value = dirac_kernel(self.MEASURE, FAMILY6, lam, lam0, r)
             s0 = 0.5
             xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
             lo, hi = min(s0, xc), max(s0, xc)
@@ -161,9 +147,18 @@ class TestDiracKernel:
 
     def test_mixture_slice_agrees_with_scalar_path(self):
         kern = DiracPiecewiseKernel(self.MEASURE, FAMILY6)
+        s0, sigma = 0.5, 2.0
+        # the last pair puts lam0 on the atom, where the window term vanishes
         for lam, lam0 in ((0.3, 1.7), (1.1, 0.2), (0.5, 0.5)):
+            xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
+            lo, hi = min(s0, xc), max(s0, xc)
+            orient = 1.0 if xc >= s0 else -1.0
             for r in (0.0, 0.4, 1.9):
-                direct = dirac_kernel(self.MEASURE, FAMILY6, lam, lam0, r)
+                window = brute_piecewise_integral(LADDER6.nodes, lo, hi, r)
+                direct = (
+                    np.exp(-(r**2) / (2.0 * FAMILY6.node_scale(s0) ** 2))
+                    + np.sign(lam0 - s0) * orient * window
+                ) / sigma
                 assert kern(lam, lam0, r) == pytest.approx(direct)
 
     def test_monotone_in_distance(self):
@@ -193,10 +188,6 @@ class TestDiracKernel:
         with pytest.raises(TypeError):
             DiracPiecewiseKernel(LebesgueMeasure(), FAMILY6)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            dirac_kernel(self.MEASURE, FAMILY6, 0.5, 0.5, 1.0, method="rk4")
-
 
 class TestSumDiracKernelHat:
     def test_fine_end_formula(self):
@@ -219,64 +210,3 @@ class TestSumDiracKernelHat:
     def test_rejects_nonpositive_chi(self):
         with pytest.raises(ValueError):
             sum_dirac_kernel_hat(0.0, 3.0, lambda lam: 0.0, 0.5, 0.5, x_s2=1.0)
-
-    def test_xfun_builder(self):
-        xfun = make_sum_dirac_xfun(FAMILY6, xi=0.3)
-        assert xfun(0.1) == 0.0
-        assert xfun.x_s2 == pytest.approx(xfun(2.0))
-        # piecewise-linear and increasing
-        lams = np.linspace(0.1, 2.0, 40)
-        vals = [xfun(l) for l in lams]
-        assert np.all(np.diff(vals) > 0)
-        value = sum_dirac_kernel_hat(2.0, 3.0, xfun, 0.5, 1.5)
-        assert value > 0
-
-
-class TestIntegratedDiracKernel:
-    def test_zero_distance_fine_pair(self):
-        value = integrated_dirac_kernel(FAMILY6, 0.1, 0.1, 0.0)
-        assert value == pytest.approx(1.5 * 1.9)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(17)
-        for _ in range(15):
-            lam, lam0 = rng.uniform(0.1, 2.0, 2)
-            r = rng.uniform(0.0, 2.0)
-            a = integrated_dirac_kernel(FAMILY6, lam, lam0, r)
-            b = integrated_dirac_kernel(FAMILY6, lam0, lam, r)
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_matches_quadrature(self):
-        rng = np.random.default_rng(19)
-        s1, s2 = 0.1, 2.0
-        for _ in range(10):
-            lam, lam0 = rng.uniform(0.1, 2.0, 2)
-            r = rng.uniform(0.0, 2.0)
-            m, mm = min(lam, lam0), max(lam, lam0)
-            cuts = np.unique(np.concatenate((LADDER6.nodes, [m, mm])))
-            ref = 0.0
-            # integrate per cut piece: the atom-location weight is smooth and
-            # the frozen kernel scale is constant on each piece
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                if b <= a:
-                    continue
-                kappa = np.exp(-(r**2) / (2.0 * FAMILY6.node_scale(0.5 * (a + b)) ** 2))
-
-                def weight(mu):
-                    w = 1.0
-                    if mu <= m:
-                        w += (mu - s1) / (s2 - s1)
-                    if mu >= mm:
-                        w += (s2 - mu) / (s2 - s1)
-                    return w
-
-                ref += kappa * adaptive_simpson(weight, a, b)
-            value = integrated_dirac_kernel(FAMILY6, lam, lam0, r)
-            assert value == pytest.approx(ref, rel=1e-8)
-
-    def test_mixture_object_consistency(self):
-        kern = IntegratedDiracKernel(FAMILY6)
-        for lam, lam0, r in ((0.3, 1.4, 0.7), (1.9, 0.2, 0.0)):
-            assert kern(lam, lam0, r) == pytest.approx(
-                integrated_dirac_kernel(FAMILY6, lam, lam0, r)
-            )

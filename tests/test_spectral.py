@@ -6,15 +6,18 @@ import pytest
 from msreg.ladder import ScaleLadder
 from msreg.spectral import (
     SpectralGrid,
-    SpectralKernelEvaluator,
     SpectralTable,
-    chi_gaussian,
     compute_spectral_table,
     kappa_hat_gaussian,
     psi_gaussian,
 )
 
-from oracles import adaptive_simpson, dense_spectral_solve
+from oracles import (
+    SpectralKernelEvaluator,
+    adaptive_simpson,
+    chi_gaussian,
+    dense_spectral_solve,
+)
 
 
 class TestSpectra:

@@ -1,0 +1,46 @@
+"""Surface lint: every top-level function and class of the package is used.
+
+A definition counts as used when its name appears as a `Name`, an
+`Attribute` or an import alias in a package module (its own included, but
+not `__init__.py`, whose re-exports prove nothing), in
+`tests/test_acceptance.py` or in `tests/conftest.py`.  Code that only its
+own unit tests reach belongs in `tests/`, or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "msreg"
+
+
+def _used_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+            if node.asname:
+                names.add(node.asname)
+    return names
+
+
+def test_every_definition_is_used():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules, f"no package modules under {PACKAGE}"
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in modules}
+    used = set()
+    for path in modules + [TESTS / "test_acceptance.py", TESTS / "conftest.py"]:
+        tree = trees.get(path) or ast.parse(path.read_text(), str(path))
+        used |= _used_names(tree)
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert not unused, "unused top-level definitions: " + ", ".join(unused)
