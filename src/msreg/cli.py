@@ -10,14 +10,13 @@ Verbs:
 
 All outputs land in a run directory derived from the config contents, with
 a manifest listing every artifact; identical configs produce identical
-files.  MSREG_THREADS (an integer >= 1) caps internal worker counts.
+files.
 """
 
 import argparse
 import csv
 import hashlib
 import json
-import os
 import struct
 import sys
 from pathlib import Path
@@ -53,17 +52,6 @@ EXIT_THRESHOLD = 4
 MAX_RELATIVE_RESIDUAL = 1e-2
 
 
-def _num_workers():
-    raw = os.environ.get("MSREG_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"MSREG_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def _run_dir(config):
     digest = hashlib.sha256(config.dumps().encode()).hexdigest()[:12]
     root = Path(config["output_dir"]) / f"{config['name']}-{digest}"
@@ -91,16 +79,13 @@ def build_kernel(config):
     table (None); the Lebesgue measure goes through the spectral solver and
     the basis fit.
     """
-    workers = _num_workers()  # a bad MSREG_THREADS fails Dirac configs too
     ladder = config.ladder()
     measure = config.measure()
     if isinstance(measure, DiracMeasure):
         return DiracPiecewiseKernel(measure, GaussianScaleFamily(ladder)), None
     grid = SpectralGrid.default(ladder.s1, config["kernel"]["num_frequencies"])
     spectral = compute_spectral_table(ladder, measure.sigma, grid)
-    table = fit_kernel_table(
-        spectral, num_basis=config["kernel"]["num_basis"], workers=workers
-    )
+    table = fit_kernel_table(spectral, num_basis=config["kernel"]["num_basis"])
     return table, spectral
 
 
@@ -217,20 +202,23 @@ def _load_controls(path):
     try:
         with open(path) as fh:
             blob = json.load(fh)
-        system = LandmarkSystem(
-            np.asarray(blob["point_scales"]),
-            np.asarray(blob["points"]),
-            np.asarray(blob["targets"]),
-            blob["weight"],
+        scales, points, targets, controls = (
+            np.asarray(blob[key], dtype=float)
+            for key in ("point_scales", "points", "targets", "controls")
         )
-        controls = np.asarray(blob["controls"], dtype=float)
+        weight = blob["weight"]
     except KeyError as err:
         raise ConfigError(f"controls {path}: missing key {err}") from None
     except (OSError, ValueError, TypeError) as err:
         raise ConfigError(f"controls {path}: {err}") from None
-    if controls.ndim != 3 or controls.shape[1:] != system.points.shape:
+    # the export grid is planar
+    if scales.ndim != 1 or points.shape != (scales.size, 2) or targets.shape != points.shape:
+        raise ConfigError(
+            f"controls {path}: point_scales must have shape (P,), points and targets (P, 2)"
+        )
+    if controls.ndim != 3 or controls.shape[1:] != points.shape:
         raise ConfigError(f"controls {path}: controls must have shape (T, P, d)")
-    return system, controls
+    return LandmarkSystem(scales, points, targets, weight), controls
 
 
 def _write_svg(path, contours, bbox):

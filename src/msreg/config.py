@@ -198,6 +198,10 @@ class ExperimentConfig:
         ladder = self.ladder()
         measure = self.measure()
         export_scales = self.export_scales(ladder)
+        # each export scale names its output files
+        names = [f"{scale:g}" for scale in export_scales]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"export scales must have distinct file names, got {names}")
         if isinstance(measure, DiracMeasure):
             ladder.clamp(measure.s0)
         else:

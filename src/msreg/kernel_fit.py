@@ -72,7 +72,7 @@ class _MinimaxModel:
     two bound patterns on one constraint matrix.  Between solves only the
     row bounds change, so each solve restarts the dual simplex from the last
     optimal basis, which stays dual feasible (Huangfu & Hall, Math. Prog.
-    Comp. 2018).  Not thread-safe: give each thread its own model.
+    Comp. 2018).
     """
 
     def __init__(self, design):
@@ -320,79 +320,42 @@ class KernelTable(MixtureKernel):
             json.dump(self.report, fh, indent=2, sort_keys=True)
 
 
-def fit_kernel_table(spectral_table, num_basis=20, workers=1):
+def fit_kernel_table(spectral_table, num_basis=20):
     """Fit every scale pair of a spectral table.
 
     Diagonals first (nonnegative spectra), then off-diagonals constrained by
     the geometric means of the fitted diagonals.  Returns a KernelTable with
-    a per-pair residual report and the LP work it took.  The pairs are
-    solved in chains, each on one warm-started `_MinimaxModel`: all the
-    diagonals form one chain, and the off-diagonals (k, k+1..m-1) of each
-    row k another.  The chains depend on the pair order alone, and `workers`
-    > 1 only spreads them over a thread pool, so the table does not depend
-    on the worker count.
+    a per-pair residual report and the LP work it took.  All pairs are
+    solved on one warm-started `_MinimaxModel`, in a fixed order: the
+    diagonals, then the off-diagonals (k, l > k) row by row.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     scales = spectral_table.ladder.nodes
     values = spectral_table.values
     basis = HankelBasis.log_spaced(scales[0], scales[-1], num_basis, spectral_table.dim)
     m = scales.size
     design = basis.spectral(spectral_table.grid.xis)
+    model = _MinimaxModel(design)
     beta = np.zeros((m, m, basis.size))
     residuals = np.zeros((m, m))
     margins = np.zeros((m, m))
-    work = {"lp_solves": 0, "simplex_iterations": 0, "cold_retries": 0}
-
-    def _fill(chains, job):
-        """Run one fit job per pair, each chain on its own model; each job
-        returns (row, residual, margin)."""
-
-        def run(chain):
-            # return the counts, not the model, so that each model's HiGHS
-            # workspace is freed as soon as its chain ends
-            model = _MinimaxModel(design)
-            fits = [job(pair, model) for pair in chain]
-            counts = {
-                "lp_solves": model.solves,
-                "simplex_iterations": model.iterations,
-                "cold_retries": model.cold_retries,
-            }
-            return fits, counts
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, chains))
-        else:
-            results = [run(chain) for chain in chains]
-        for chain, (fits, counts) in zip(chains, results):
-            for (k, l), (row, residual, margin) in zip(chain, fits):
-                beta[k, l] = beta[l, k] = row
-                residuals[k, l] = residuals[l, k] = residual
-                margins[k, l] = margins[l, k] = margin
-            for key, count in counts.items():
-                work[key] += count
-
-    def _diag_job(pair, model):
-        target = values[pair[0], pair[0]]
+    for k in range(m):
+        target = values[k, k]
         row, _ = fit_diagonal(target, design, model)
-        row = repair_nonnegative(row, design)
-        spectrum = design.dot(row)
-        return row, np.abs(spectrum - target).max(), spectrum.min()
-
-    _fill([[(k, k) for k in range(m)]], _diag_job)
+        beta[k, k] = repair_nonnegative(row, design)
+        spectrum = design.dot(beta[k, k])
+        residuals[k, k] = np.abs(spectrum - target).max()
+        margins[k, k] = spectrum.min()
     diag_spec = design.dot(beta[np.arange(m), np.arange(m)].T)  # (J, m)
-
-    def _offdiag_job(pair, model):
-        k, l = pair
-        target = 0.5 * (values[k, l] + values[l, k])
-        cj = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
-        row, _ = fit_offdiagonal(target, cj, design, model)
-        row = repair_pairwise(row, diag_spec[:, k], diag_spec[:, l], design)
-        spectrum = design.dot(row)
-        return row, np.abs(spectrum - target).max(), (cj - np.abs(spectrum)).min()
-
-    _fill([[(k, l) for l in range(k + 1, m)] for k in range(m - 1)], _offdiag_job)
+    for k in range(m):
+        for l in range(k + 1, m):
+            target = 0.5 * (values[k, l] + values[l, k])
+            cj = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
+            row, _ = fit_offdiagonal(target, cj, design, model)
+            row = repair_pairwise(row, diag_spec[:, k], diag_spec[:, l], design)
+            spectrum = design.dot(row)
+            beta[k, l] = beta[l, k] = row
+            residuals[k, l] = residuals[l, k] = np.abs(spectrum - target).max()
+            margins[k, l] = margins[l, k] = (cj - np.abs(spectrum)).min()
     peaks = np.abs(values).max(axis=2)
     report = {
         "num_scales": int(m),
@@ -404,7 +367,9 @@ def fit_kernel_table(spectral_table, num_basis=20, workers=1):
             margins[~np.eye(m, dtype=bool)].min() if m > 1 else 0.0
         ),
         "residuals": residuals.tolist(),
-        **work,
+        "lp_solves": model.solves,
+        "simplex_iterations": model.iterations,
+        "cold_retries": model.cold_retries,
     }
     return KernelTable(scales.copy(), beta, basis, report)
 

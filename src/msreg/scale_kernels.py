@@ -111,8 +111,7 @@ class MixtureKernel:
     Subclasses provide ``slice(lam, mu) -> (weights, rates)`` with
     value(u) = sum_i weights[i] * exp(-rates[i] * u) at squared distance u.
     The returned arrays may be shared between calls; callers must not
-    modify them.  Immutable after construction apart from slice memos;
-    safe for concurrent reads.
+    modify them.  Immutable after construction apart from slice memos.
     """
 
     def slice(self, lam, mu):

@@ -28,7 +28,7 @@ def experiment_spectral(experiment_ladder):
 
 @pytest.fixture(scope="session")
 def experiment_kernel(experiment_spectral):
-    return fit_kernel_table(experiment_spectral, workers=4)
+    return fit_kernel_table(experiment_spectral)
 
 
 @pytest.fixture(scope="session")

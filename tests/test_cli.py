@@ -136,6 +136,13 @@ class TestArgumentHandling:
             pytest.param(SMALL_CONFIG, "time_steps.x=1", id="through_number"),
             pytest.param(SMALL_CONFIG, "shapes.0.scale=0.5", id="through_list"),
             pytest.param(DIRAC_CONFIG, "export_scales=[true]", id="export_scale_bool"),
+            # two export scales with one file name, deformation_0.1.csv
+            pytest.param(DIRAC_CONFIG, "export_scales=[0.1, 0.1]", id="export_scales_equal"),
+            pytest.param(
+                DIRAC_CONFIG,
+                "export_scales=[0.1, 0.1000000001, 2.0]",
+                id="export_scales_one_name",
+            ),
             pytest.param(SMALL_CONFIG, "grid.size=200000", id="grid_size_huge"),
             pytest.param(SMALL_CONFIG, "time_steps=10001", id="time_steps_huge"),
             pytest.param(SMALL_CONFIG, "kernel.num_frequencies=8193", id="num_frequencies_huge"),
@@ -219,6 +226,12 @@ class TestArgumentHandling:
                          id="controls_missing"),
             pytest.param(["export-fields", "--controls", "{tmp}/no_scales.json"],
                          id="controls_no_scales"),
+            pytest.param(["export-fields", "--controls", "{tmp}/points_3d.json"],
+                         id="controls_points_3d"),
+            pytest.param(["export-fields", "--controls", "{tmp}/points_1d.json"],
+                         id="controls_points_1d"),
+            pytest.param(["export-fields", "--controls", "{tmp}/scales_2d.json"],
+                         id="controls_scales_2d"),
             pytest.param(["register", "--kernel-table", "{tmp}/foreign.bin"],
                          id="table_foreign"),
             pytest.param(["register", "--kernel-table", "{tmp}/table.bin"],
@@ -239,6 +252,14 @@ class TestArgumentHandling:
             "controls": [[[0.0, 0.0]]],
         }
         (tmp_path / "controls.json").write_text(json.dumps(controls))
+        # consistent among themselves, but not planar or not one scale per point
+        for name, changes in (
+            ("points_3d", {"points": [[0.0, 0.0, 0.0]], "targets": [[0.1, 0.0, 0.0]],
+                           "controls": [[[0.0, 0.0, 0.0]]]}),
+            ("points_1d", {"points": [[0.0]], "targets": [[0.1]], "controls": [[[0.0]]]}),
+            ("scales_2d", {"point_scales": [[0.1]]}),
+        ):
+            (tmp_path / f"{name}.json").write_text(json.dumps(dict(controls, **changes)))
         del controls["point_scales"]
         (tmp_path / "no_scales.json").write_text(json.dumps(controls))
         (tmp_path / "foreign.bin").write_bytes(b"XXXX" + b"\x00" * 32)
@@ -247,13 +268,6 @@ class TestArgumentHandling:
         args = [arg.format(tmp=tmp_path) for arg in verb]
         assert main(["--config", str(path)] + args) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads", ["abc", "0", "1.5"])
-    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("MSREG_THREADS", threads)
-        path = write_config(tmp_path, DIRAC_CONFIG)
-        assert main(["--config", str(path), "fit-kernel"]) == EXIT_CONFIG
-        assert "config error: MSREG_THREADS" in capsys.readouterr().err
 
 
 class TestFitKernel:

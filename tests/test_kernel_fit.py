@@ -195,11 +195,6 @@ class TestFitKernelTable:
                 off = small_kernel.spectrum(scales[k], scales[l], xis)
                 assert (dk * dl - off**2).min() >= -1e-12
 
-    def test_workers_give_identical_tables(self, small_spectral):
-        serial = fit_kernel_table(small_spectral, num_basis=16, workers=1)
-        threaded = fit_kernel_table(small_spectral, num_basis=16, workers=3)
-        assert np.abs(serial.beta - threaded.beta).max() <= 1e-12
-
     def test_matches_inverse_hankel_evaluation(self, small_kernel, small_spectral):
         ev = SpectralKernelEvaluator(small_spectral)
         scales = small_kernel.scales
@@ -259,6 +254,19 @@ class TestWarmStart:
         for design, target, lower, upper, warm in calls:
             _, cold = cold_minimax(design, target, lower, upper)
             assert warm <= cold + 1e-9 * np.abs(target).max()
+
+    def test_one_model_per_table(self, small_spectral, monkeypatch):
+        models = []
+
+        class Counted(kernel_fit._MinimaxModel):
+            def __init__(self, design):
+                super().__init__(design)
+                models.append(self)
+
+        monkeypatch.setattr(kernel_fit, "_MinimaxModel", Counted)
+        report = fit_kernel_table(small_spectral, num_basis=16).report
+        assert len(models) == 1
+        assert report["lp_solves"] == models[0].solves == 15
 
     def test_non_optimal_warm_solve_falls_back_to_cold(self, small_spectral, monkeypatch):
         monkeypatch.setattr(kernel_fit, "_Highs", _NeverOptimal)

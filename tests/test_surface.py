@@ -44,3 +44,16 @@ def test_every_definition_is_used():
         and node.name not in used
     ]
     assert not unused, "unused top-level definitions: " + ", ".join(unused)
+
+
+def test_no_environment_reads():
+    """No package module reads `os.environ` or calls `os.getenv`: a run is
+    set by its config alone."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno} import {node.name}")
+    assert not reads, "environment reads: " + ", ".join(reads)
