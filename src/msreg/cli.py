@@ -252,10 +252,15 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
     export_scales = config.export_scales(ladder)
     _check_scales(kernel, system.point_scales, "controls point_scales")
     _check_scales(kernel, export_scales, "export_scales")
-    trajectory = integrate_forward(kernel, system, controls)
     bbox = bounding_box(
         np.vstack([system.points, system.targets]), config["grid"]["margin"]
     )
+    if not (bbox[1] > bbox[0] and bbox[3] > bbox[2]):
+        raise ConfigError(
+            f"the export grid box {[float(b) for b in bbox]} has zero width or height: "
+            "the landmarks and targets all coincide, or lie on one line with grid.margin 0"
+        )
+    trajectory = integrate_forward(kernel, system, controls)
     grid_pts, grid_shape, spacing = make_grid(bbox, config["grid"]["size"])
     folded_cells = {}
     deformations = []

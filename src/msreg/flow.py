@@ -61,7 +61,7 @@ class LandmarkSystem:
         return np.zeros((num_steps,) + self.points.shape)
 
 
-# Elements of the (rows x cols x terms) exponential evaluated at once: big
+# Elements of the (terms x rows x cols) exponential evaluated at once: big
 # enough to amortize numpy call overhead, small enough to stay in cache.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -73,38 +73,81 @@ def _scale_runs(scales):
     return [(a, b, scales[a]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
-    """Scalar kernel matrix K[p, q] = kappa(scale_p, scale_q, |x_p - x_q|).
+def _squared_distances(Xi, Xj):
+    """u[p, q] = |Xi[p] - Xj[q]|^2, summed one coordinate at a time."""
+    u = np.zeros((Xi.shape[0], Xj.shape[0]))
+    for d in range(Xi.shape[1]):
+        delta = np.subtract.outer(Xi[:, d], Xj[:, d])
+        u += delta * delta
+    return u
 
-    With deriv=True, also returns dK/du where u is the squared distance.
 
-    Each block between two runs of equal scale is a contiguous view of the
-    matrix; it is evaluated in row chunks so that the mixture's
-    (rows x cols x terms) exponential stays near CHUNK_ELEMENTS elements,
-    a lazy kernel reduction in the manner of KeOps (Charlier et al., JMLR
-    2021).
+def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj):
+    """The block loop behind `kernel_matrix` and `kernel_velocity`.
+
+    With u the squared distances between the rows Xi and the columns Xj,
+    yields for each block between a run of equal row scale and a run of
+    equal column scale, and for each row chunk of that block,
+    (rows, cols, w, a, expo) with the mixture slice (w, a) of the block and
+    expo[t, r, c] = exp(-a[t] * u[rows, cols][r, c]), laid out term-major
+    so that both reductions over the terms t are single BLAS calls.  `expo` lives in
+    one buffer of about CHUNK_ELEMENTS elements that the next chunk
+    overwrites.  This is a lazy kernel reduction in the manner of KeOps
+    (Charlier et al., JMLR 2021): no (rows x cols x terms) tensor of the
+    whole block is ever formed.
     """
-    if scales_j is None:
-        scales_j, Xj = scales_i, Xi
-    diff = Xi[:, None, :] - Xj[None, :, :]
-    u = np.einsum("pqd,pqd->pq", diff, diff)
-    kmat = np.empty_like(u)
-    dmat = np.empty_like(u) if deriv else None
+    u = _squared_distances(Xi, Xj)
+    buf = np.empty(0)
     runs_j = _scale_runs(scales_j)
     for i0, i1, si in _scale_runs(scales_i):
         for j0, j1, sj in runs_j:
             w, a = kernel.slice(si, sj)
-            wa = w * a if deriv else None
-            step = max(1, CHUNK_ELEMENTS // ((j1 - j0) * a.size))
+            neg_a = -a[:, None, None]
+            per_row = a.size * (j1 - j0)
+            step = min(max(1, CHUNK_ELEMENTS // per_row), i1 - i0)
+            if buf.size < step * per_row:
+                buf = np.empty(step * per_row)
+            cols = slice(j0, j1)
             for r0 in range(i0, i1, step):
-                r1 = min(r0 + step, i1)
-                expo = np.exp(-np.multiply.outer(u[r0:r1, j0:j1], a))
-                kmat[r0:r1, j0:j1] = expo.dot(w)
-                if deriv:
-                    dmat[r0:r1, j0:j1] = -expo.dot(wa)
+                rows = slice(r0, min(r0 + step, i1))
+                expo = buf[: (rows.stop - r0) * per_row].reshape(a.size, -1, j1 - j0)
+                np.multiply(neg_a, u[rows, cols], out=expo)
+                np.exp(expo, out=expo)
+                yield rows, cols, w, a, expo
+
+
+def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
+    """Scalar kernel matrix K[p, q] = kappa(scale_p, scale_q, |x_p - x_q|).
+
+    With deriv=True, also returns dK/du where u is the squared distance,
+    and the coordinate differences x_p - x_q.  Each row chunk of
+    `_exponential_chunks` is reduced over the mixture terms by one gemv.
+    """
+    if scales_j is None:
+        scales_j, Xj = scales_i, Xi
+    kmat = np.empty((Xi.shape[0], Xj.shape[0]))
+    dmat = np.empty_like(kmat) if deriv else None
+    for rows, cols, w, a, expo in _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj):
+        flat = expo.reshape(a.size, -1)
+        shape = expo.shape[1:]
+        kmat[rows, cols] = (w @ flat).reshape(shape)
+        if deriv:
+            dmat[rows, cols] = -((w * a) @ flat).reshape(shape)
     if deriv:
-        return kmat, dmat, diff
+        return kmat, dmat, Xi[:, None, :] - Xj[None, :, :]
     return kmat
+
+
+def kernel_velocity(kernel, scales_i, Xi, scales_j, Xj, C):
+    """Velocity V[p] = sum_q K[p, q] C[q] without forming K.
+
+    Each row chunk of `_exponential_chunks` is reduced by one batched GEMM
+    against the term-weighted vectors w[t] * C[q], then summed over terms.
+    """
+    vel = np.zeros((Xi.shape[0], C.shape[1]))
+    for rows, cols, w, a, expo in _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj):
+        vel[rows] += np.matmul(expo, w[:, None, None] * C[None, cols]).sum(0)
+    return vel
 
 
 @dataclass
@@ -153,8 +196,7 @@ def integrate_forward(kernel, system, controls):
     energy = 0.0
     scales = system.point_scales
     for i in range(num_steps):
-        kmat = kernel_matrix(kernel, scales, positions[i])
-        vel = kmat.dot(controls[i])
+        vel = kernel_velocity(kernel, scales, positions[i], scales, positions[i], controls[i])
         sq = np.einsum("pd,pd->", controls[i], vel)
         step_norms[i] = sq
         energy += 0.5 * dt * sq
@@ -183,14 +225,18 @@ class DeformationField:
         return float(np.abs(self.displacement).max())
 
     def save_csv(self, path):
-        lj = self.log_jac
+        columns = [self.source, self.mapped]
+        if self.log_jac is not None:
+            columns.append(self.log_jac.ravel())
+        # repr(float) spells every float64 as str(np.float64) does
+        rows = np.column_stack(columns).tolist()
+        if self.log_jac is None:
+            for row in rows:
+                row.append("")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "psi_x", "psi_y", "log_jac"])
-            for i in range(self.source.shape[0]):
-                row = list(self.source[i]) + list(self.mapped[i])
-                row.append("" if lj is None else lj.ravel()[i])
-                writer.writerow(row)
+            writer.writerows(rows)
 
 
 def _transport(kernel, trajectory, system, lam, points, reverse=False):
@@ -199,10 +245,10 @@ def _transport(kernel, trajectory, system, lam, points, reverse=False):
     scales = np.full(pts.shape[0], float(lam))
     steps = range(trajectory.num_steps)
     for i in (reversed(steps) if reverse else steps):
-        kmat = kernel_matrix(
-            kernel, scales, pts, system.point_scales, trajectory.positions[i]
+        vel = kernel_velocity(
+            kernel, scales, pts, system.point_scales, trajectory.positions[i],
+            trajectory.controls[i],
         )
-        vel = kmat.dot(trajectory.controls[i])
         pts += (-dt if reverse else dt) * vel
         if not np.all(np.isfinite(pts)):
             raise IntegrationError(i)
@@ -262,11 +308,14 @@ def make_grid(bbox, num):
 
 
 def bounding_box(points, margin=0.1):
-    """Axis-aligned box around the points, padded by a fractional margin."""
+    """Axis-aligned box around the points, padded by a fractional margin of
+    each axis's extent; an axis of zero extent is padded by that fraction
+    of the largest extent instead."""
     points = np.asarray(points, dtype=float)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    pad = margin * (hi - lo)
+    extent = hi - lo
+    pad = margin * np.where(extent > 0, extent, extent.max())
     return (lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 

@@ -439,6 +439,43 @@ class TestExportFields:
         assert svg.startswith("<svg") and "polygon" in svg
 
 
+    @staticmethod
+    def one_landmark_run(tmp_path, target, margin=0.1):
+        config = dict(DIRAC_CONFIG, grid={"size": 10, "margin": margin})
+        path = write_config(tmp_path, config)
+        controls = {
+            "point_scales": [0.1],
+            "points": [[0.0, 0.0]],
+            "targets": [target],
+            "weight": 1.0,
+            "controls": [[[0.05, 0.0]]],
+        }
+        controls_path = tmp_path / "controls.json"
+        controls_path.write_text(json.dumps(controls))
+        return main(["--config", str(path), "export-fields", "--controls", str(controls_path)])
+
+    def test_landmarks_on_one_line_get_a_grid_of_nonzero_height(self, tmp_path, capsys):
+        assert self.one_landmark_run(tmp_path, [0.1, 0.0]) == EXIT_OK
+        root = run_dir_of(capsys)
+        xmin, xmax, ymin, ymax = json.loads((root / "fields_summary.json").read_text())[
+            "grid"
+        ]["bbox"]
+        assert xmax - xmin == pytest.approx(0.12) and ymax - ymin == pytest.approx(0.02)
+        for name in ("deformation_0.1.csv", "deformation_2.csv", "residual_2.csv"):
+            rows = (root / name).read_text().strip().splitlines()[1:]
+            assert all(np.isfinite(float(row.split(",")[4])) for row in rows), name
+
+    @pytest.mark.parametrize(
+        "target, margin",
+        [
+            pytest.param([0.0, 0.0], 0.1, id="points_coincide"),
+            pytest.param([0.1, 0.0], 0.0, id="one_line_no_margin"),
+        ],
+    )
+    def test_grid_box_of_zero_height_is_a_config_error(self, tmp_path, capsys, target, margin):
+        assert self.one_landmark_run(tmp_path, target, margin) == EXIT_CONFIG
+        assert "zero width or height" in capsys.readouterr().err
+
     # 0.15 is no ladder node: the closed-form Dirac kernel exports any scale
     @pytest.mark.parametrize(
         "export_scales", [[0.48], [0.1, 2.0], [0.1, 0.48, 2.0], [0.15, 2.0]]

@@ -1,5 +1,7 @@
 """Flow integration, grid transport, and Jacobian diagnostics."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from msreg.flow import (
     inverse_map,
     jacobian_determinant,
     kernel_matrix,
+    kernel_velocity,
     log_jacobian,
     make_grid,
     residual_maps,
@@ -94,6 +97,7 @@ class TestKernelMatrix:
             # the first run's block against a column run spans two row chunks
             assert row_runs[0] * 6 * slices[hi, hi][1].size > flow.CHUNK_ELEMENTS
         assert np.array_equal(diff, xi[:, None, :] - xj[None, :, :])
+        term_sums = np.empty_like(kmat)
         for p in range(rows):
             for q in range(scales_j.size):
                 r = np.linalg.norm(xi[p] - xj[q])
@@ -101,10 +105,16 @@ class TestKernelMatrix:
                 expo = np.exp(-a * r * r)
                 ref = float(kernel(scales_i[p], scales_j[q], r))
                 # rounding is relative to the terms, which may cancel
-                tol = 1e-13 * np.dot(np.abs(w), expo)
+                term_sums[p, q] = np.dot(np.abs(w), expo)
+                tol = 1e-13 * term_sums[p, q]
                 assert kmat[p, q] == pytest.approx(ref, rel=1e-12, abs=tol)
                 dref = -np.dot(w * a, expo)
                 assert dmat[p, q] == pytest.approx(dref, rel=1e-12, abs=tol * a.max())
+        # the fused reduction agrees with the matrix it never forms
+        controls = rng.normal(size=(scales_j.size, 2))
+        vel = kernel_velocity(kernel, scales_i, xi, scales_j, xj, controls)
+        bound = 1e-13 * term_sums.dot(np.abs(controls))
+        assert np.all(np.abs(vel - kmat.dot(controls)) <= bound)
 
     def test_rectangular_and_derivative(self):
         rng = np.random.default_rng(2)
@@ -246,6 +256,17 @@ class TestTransport:
             pushed = transport_grid(KERNEL, traj, sys0, f.scale, pulled.mapped)
             assert np.abs(f.mapped - pushed.mapped).max() <= 1e-12
 
+    def test_velocity_paths_never_form_the_kernel_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel_matrix called")
+
+        monkeypatch.setattr(flow, "kernel_matrix", forbidden)
+        sys0, traj = self.make_case(seed=19)
+        pts = np.random.default_rng(20).normal(size=(7, 2))
+        fields = residual_maps(KERNEL, traj, sys0, [0.1, 2.0], pts)
+        direct = transport_grid(KERNEL, traj, sys0, 2.0, pts)
+        assert len(fields) == 2 and np.all(np.isfinite(direct.mapped))
+
     def test_translation_equivariance(self):
         sys0, traj = self.make_case(seed=16)
         shift = np.array([1.3, -0.6])
@@ -337,6 +358,9 @@ class TestGridHelpers:
         pts = np.array([[0.0, 0.0], [2.0, 1.0]])
         bbox = bounding_box(pts, margin=0.25)
         assert bbox == (-0.5, 2.5, -0.25, 1.25)
+        # an axis of zero extent is padded by the fraction of the largest one
+        flat = np.array([[0.0, 1.0], [2.0, 1.0]])
+        assert bounding_box(flat, margin=0.25) == (-0.5, 2.5, 0.5, 1.5)
 
 
 class TestDeformationFieldIO:
@@ -348,14 +372,30 @@ class TestDeformationFieldIO:
         return log_jacobian(field, spacing)
 
     def test_csv_export(self, tmp_path):
-        field = self.small_field()
-        path = tmp_path / "field.csv"
-        field.save_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,psi_x,psi_y,log_jac"
-        assert len(lines) == 17
-        first = lines[1].split(",")
-        assert float(first[2]) == pytest.approx(field.mapped[0, 0])
+        # one case with a log-Jacobian holding NaN, -0.0 and 1e16, one without
+        for with_log_jac in (True, False):
+            field = self.small_field()
+            field.mapped[:3] = [[-0.0, 1e16], [1e-5, np.nan], [-1e-300, 123456789.0]]
+            if with_log_jac:
+                field.log_jac.flat[:3] = [np.nan, -0.0, 1e16]
+            else:
+                field.log_jac = None
+            path = tmp_path / f"field_{with_log_jac}.csv"
+            field.save_csv(path)
+            lines = path.read_text().strip().splitlines()
+            assert lines[0] == "x,y,psi_x,psi_y,log_jac"
+            assert len(lines) == 17
+            assert lines[1].split(",")[2] == "-0.0"
+            # byte for byte what a row-by-row writer of the numpy values gives
+            reference = tmp_path / f"reference_{with_log_jac}.csv"
+            with open(reference, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["x", "y", "psi_x", "psi_y", "log_jac"])
+                for i in range(field.source.shape[0]):
+                    row = list(field.source[i]) + list(field.mapped[i])
+                    row.append("" if field.log_jac is None else field.log_jac.ravel()[i])
+                    writer.writerow(row)
+            assert path.read_bytes() == reference.read_bytes()
 
     def test_displacement(self):
         field = self.small_field()
