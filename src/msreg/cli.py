@@ -190,6 +190,8 @@ def cmd_register(config, root, kernel_table_path=None):
         "endpoint_rmse": per_scale,
         "forward_passes": result.forward_passes,
         "gradient_passes": result.gradient_passes,
+        "gradient_sup_norm": result.gradient_sup_norm,
+        "line_search_halvings": result.line_search_halvings,
     }
     summary_path = root / "register_summary.json"
     with open(summary_path, "w") as fh:
@@ -260,7 +262,8 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
             f"the export grid box {[float(b) for b in bbox]} has zero width or height: "
             "the landmarks and targets all coincide, or lie on one line with grid.margin 0"
         )
-    trajectory = integrate_forward(kernel, system, controls)
+    # the transports need the positions only
+    trajectory = integrate_forward(kernel, system, controls, keep_blocks=False)
     grid_pts, grid_shape, spacing = make_grid(bbox, config["grid"]["size"])
     folded_cells = {}
     deformations = []

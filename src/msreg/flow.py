@@ -65,6 +65,12 @@ class LandmarkSystem:
 # enough to amortize numpy call overhead, small enough to stay in cache.
 CHUNK_ELEMENTS = 1 << 16
 
+# Largest store of per-step landmark Grams (T x 2 x P x P floats) that a
+# forward pass keeps for the adjoint.  A bigger store is not kept: the forward
+# pass then forms no Gram, and the reverse sweep evaluates one per step, so
+# memory does not grow with the step count.
+MAX_BLOCK_BYTES = 32 << 20
+
 
 def _scale_runs(scales):
     """Maximal runs of equal scale as (start, stop, scale)."""
@@ -82,7 +88,7 @@ def _squared_distances(Xi, Xj):
     return u
 
 
-def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj):
+def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=False):
     """The block loop behind `kernel_matrix` and `kernel_velocity`.
 
     With u the squared distances between the rows Xi and the columns Xj,
@@ -95,12 +101,19 @@ def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj):
     overwrites.  This is a lazy kernel reduction in the manner of KeOps
     (Charlier et al., JMLR 2021): no (rows x cols x terms) tensor of the
     whole block is ever formed.
+
+    With upper_only the columns must be the rows, and only the blocks whose
+    column run starts at or after their row run are yielded, for a caller
+    that mirrors the symmetric rest.
     """
     u = _squared_distances(Xi, Xj)
     buf = np.empty(0)
-    runs_j = _scale_runs(scales_j)
-    for i0, i1, si in _scale_runs(scales_i):
+    runs_i = _scale_runs(scales_i)
+    runs_j = runs_i if upper_only else _scale_runs(scales_j)
+    for i0, i1, si in runs_i:
         for j0, j1, sj in runs_j:
+            if upper_only and j0 < i0:
+                continue
             w, a = kernel.slice(si, sj)
             neg_a = -a[:, None, None]
             per_row = a.size * (j1 - j0)
@@ -122,17 +135,25 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
     With deriv=True, also returns dK/du where u is the squared distance,
     and the coordinate differences x_p - x_q.  Each row chunk of
     `_exponential_chunks` is reduced over the mixture terms by one gemv.
+    Without columns the matrix is the square Gram of Xi, and each block
+    above the block diagonal is copied, transposed, below it.
     """
-    if scales_j is None:
+    square = scales_j is None
+    if square:
         scales_j, Xj = scales_i, Xi
     kmat = np.empty((Xi.shape[0], Xj.shape[0]))
     dmat = np.empty_like(kmat) if deriv else None
-    for rows, cols, w, a, expo in _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj):
+    mats = (kmat, dmat) if deriv else (kmat,)
+    chunks = _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=square)
+    for rows, cols, w, a, expo in chunks:
         flat = expo.reshape(a.size, -1)
         shape = expo.shape[1:]
         kmat[rows, cols] = (w @ flat).reshape(shape)
         if deriv:
             dmat[rows, cols] = -((w * a) @ flat).reshape(shape)
+        if square and cols.start >= rows.stop:  # strictly above the diagonal
+            for mat in mats:
+                mat[cols, rows] = mat[rows, cols].T
     if deriv:
         return kmat, dmat, Xi[:, None, :] - Xj[None, :, :]
     return kmat
@@ -152,12 +173,19 @@ def kernel_velocity(kernel, scales_i, Xi, scales_j, Xj, C):
 
 @dataclass
 class FlowTrajectory:
-    """Time-discretized landmark trajectory with the accumulated kernel energy."""
+    """Time-discretized landmark trajectory with the accumulated kernel energy.
+
+    `blocks[i]` holds the landmark Gram K and its derivative dK/du at
+    positions[i], for the adjoint sweep to reuse (2 T P^2 floats), or
+    `blocks` is None when the forward pass kept none.  The adjoint sweep
+    (`Objective.gradient`) consumes them: it sets `blocks` to None.
+    """
 
     positions: np.ndarray  # (T+1, P, d)
     controls: np.ndarray  # (T, P, d)
     energy: float
     step_norms: np.ndarray  # ||v(t_i)||^2 at each step
+    blocks: np.ndarray = None  # (T, 2, P, P): K and dK/du per step
 
     @property
     def num_steps(self):
@@ -178,10 +206,15 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-def integrate_forward(kernel, system, controls):
+def integrate_forward(kernel, system, controls, keep_blocks=True):
     """Explicit Euler integration of the landmark dynamics.
 
-    Accumulates the control energy 0.5 * sum_i dt * a^T K(x(t_i)) a.
+    With keep_blocks, and while the store fits MAX_BLOCK_BYTES, each step
+    evaluates the landmark Gram K and dK/du once, moves the landmarks by
+    K a, and keeps both matrices on the trajectory for the adjoint.
+    Otherwise each step forms no Gram and moves the landmarks by
+    `kernel_velocity`.  Accumulates the control energy
+    0.5 * sum_i dt * a^T K(x(t_i)) a.
     """
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 3 or controls.shape[1:] != system.points.shape:
@@ -193,17 +226,29 @@ def integrate_forward(kernel, system, controls):
     positions = np.empty((num_steps + 1,) + system.points.shape)
     positions[0] = system.points
     step_norms = np.empty(num_steps)
+    block_shape = (num_steps, 2) + (system.num_points,) * 2
+    blocks = None
+    if keep_blocks and 8 * np.prod(block_shape) <= MAX_BLOCK_BYTES:
+        # one allocation, which the allocator hands back whole once released;
+        # 2T small matrices would leave the heap larger at its next peak
+        blocks = np.empty(block_shape)
     energy = 0.0
     scales = system.point_scales
     for i in range(num_steps):
-        vel = kernel_velocity(kernel, scales, positions[i], scales, positions[i], controls[i])
+        pos = positions[i]
+        if blocks is None:
+            vel = kernel_velocity(kernel, scales, pos, scales, pos, controls[i])
+        else:
+            kmat, dmat = blocks[i]
+            kmat[...], dmat[...], _ = kernel_matrix(kernel, scales, pos, deriv=True)
+            vel = kmat @ controls[i]
         sq = np.einsum("pd,pd->", controls[i], vel)
         step_norms[i] = sq
         energy += 0.5 * dt * sq
         positions[i + 1] = positions[i] + dt * vel
         if not np.all(np.isfinite(positions[i + 1])):
             raise IntegrationError(i)
-    return FlowTrajectory(positions, controls.copy(), energy, step_norms)
+    return FlowTrajectory(positions, controls.copy(), energy, step_norms, blocks)
 
 
 @dataclass

@@ -261,12 +261,16 @@ class KernelTable(MixtureKernel):
     def __post_init__(self):
         self.scales = np.asarray(self.scales, dtype=float)
         self._rates = 1.0 / (2.0 * self.basis.taus**2)
+        self._slices = {}
 
     def index_of(self, lam):
         return node_index(self.scales, lam)
 
     def slice(self, lam, mu):
-        return self.beta[self.index_of(lam), self.index_of(mu)], self._rates
+        key = (lam, mu)
+        if key not in self._slices:
+            self._slices[key] = self.beta[self.index_of(lam), self.index_of(mu)], self._rates
+        return self._slices[key]
 
     def spectrum(self, lam1, lam2, xis):
         """Fitted spectral profile at the given frequencies."""
@@ -293,6 +297,9 @@ class KernelTable(MixtureKernel):
             scales = np.fromfile(fh, dtype="<f8", count=m)
             taus = np.fromfile(fh, dtype="<f8", count=q)
             beta = np.fromfile(fh, dtype="<f8").reshape(m, m, q)
+        # the landmark Gram mirrors its blocks above the diagonal
+        if not np.array_equal(beta, beta.transpose(1, 0, 2)):
+            raise ValueError("coefficients are not symmetric in the scale pair")
         return cls(scales, beta, HankelBasis(taus, dim))
 
     def save_csv(self, path):

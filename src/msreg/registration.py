@@ -41,14 +41,17 @@ class Objective:
         control vector, by reverse sweep through the Euler steps.
 
         `trajectory`, if given, must be the forward pass of `controls`; it
-        replaces integrating them again.
+        replaces integrating them again.  The sweep reads each step's Gram
+        and dK/du from the trajectory's kept blocks, so it evaluates no
+        kernel, and then releases the blocks (sets them to None).  For a
+        trajectory without blocks it evaluates each step's Gram itself.
         """
         if trajectory is None:
-            value, energy, match, trajectory = self.evaluate(controls, return_trajectory=True)
-        else:
-            value, energy, match = self._score(trajectory)
+            trajectory = integrate_forward(self.kernel, self.system, controls)
+        value, energy, match = self._score(trajectory)
         system = self.system
         scales = system.point_scales
+        blocks = trajectory.blocks
         num_steps = trajectory.num_steps
         dt = trajectory.dt
         grad = np.empty_like(trajectory.controls)
@@ -58,13 +61,18 @@ class Objective:
         for i in range(num_steps - 1, -1, -1):
             pos = trajectory.positions[i]
             ctrl = trajectory.controls[i]
-            kmat, dmat, diff = kernel_matrix(self.kernel, scales, pos, deriv=True)
+            if blocks is None:
+                kmat, dmat, diff = kernel_matrix(self.kernel, scales, pos, deriv=True)
+            else:
+                kmat, dmat = blocks[i]
+                diff = pos[:, None, :] - pos[None, :, :]
             grad[i] = dt * kmat.dot(costate + ctrl)
             # position gradient of b^T K(x) a is
             #   2 sum_q dK/du (x_p - x_q) (b_p.a_q + a_p.b_q)
             cross = costate.dot(ctrl.T)
             coeff = dmat * (cross + cross.T + ctrl.dot(ctrl.T))
             costate = costate + 2.0 * dt * np.einsum("pq,pqd->pd", coeff, diff)
+        trajectory.blocks = None
         if with_value:
             return grad, value, energy, match
         return grad
@@ -82,6 +90,8 @@ class OptimizeResult:
     trajectory: object = None  # forward pass of `controls`
     forward_passes: int = 0
     gradient_passes: int = 0
+    line_search_halvings: int = 0
+    gradient_sup_norm: float = np.inf  # at the returned controls
 
     def history_rows(self):
         return [
@@ -106,6 +116,9 @@ def optimize(
     match weight) raises FloatingPointError.
     Each accepted line-search point's forward pass feeds its gradient, so
     the run takes one forward pass plus one per line-search evaluation.
+    The gradient releases a trajectory's kernel blocks, and a rejected
+    trial is dropped before the next trial, so at most one set of blocks is
+    alive at a time.
     """
     system = objective.system
     if init_controls is None:
@@ -150,6 +163,8 @@ def optimize(
                 accepted = True
                 break
             step *= 0.5
+            result.line_search_halvings += 1
+            traj_new = None  # release the rejected trial's blocks
         if not accepted:
             result.line_search_failed = True
             break
@@ -173,6 +188,7 @@ def optimize(
     result.controls = x.reshape(shape)
     result.value, result.energy, result.match = value, energy, match
     result.trajectory = trajectory
+    result.gradient_sup_norm = float(np.abs(g).max())
     return result
 
 

@@ -15,10 +15,12 @@ from msreg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_THRESHOLD,
+    build_kernel,
     main,
 )
-from msreg.config import DEFAULTS
+from msreg.config import DEFAULTS, ExperimentConfig
 from msreg.kernel_fit import HankelBasis, KernelTable
+from msreg.registration import Objective
 
 SMALL_CONFIG = {
     "name": "cli-test",
@@ -234,6 +236,8 @@ class TestArgumentHandling:
                          id="controls_scales_2d"),
             pytest.param(["register", "--kernel-table", "{tmp}/foreign.bin"],
                          id="table_foreign"),
+            pytest.param(["register", "--kernel-table", "{tmp}/asymmetric.bin"],
+                         id="table_asymmetric"),
             pytest.param(["register", "--kernel-table", "{tmp}/table.bin"],
                          id="table_lacks_shape_scale"),
             pytest.param(["export-fields", "--kernel-table", "{tmp}/table.bin",
@@ -265,6 +269,9 @@ class TestArgumentHandling:
         (tmp_path / "foreign.bin").write_bytes(b"XXXX" + b"\x00" * 32)
         table = KernelTable(np.array([0.1]), np.ones((1, 1, 1)), HankelBasis(np.array([0.5])))
         table.save_binary(tmp_path / "table.bin")
+        beta = np.arange(8.0).reshape(2, 2, 2)
+        asymmetric = KernelTable(np.array([0.1, 2.0]), beta, HankelBasis(np.array([0.5, 1.0])))
+        asymmetric.save_binary(tmp_path / "asymmetric.bin")
         args = [arg.format(tmp=tmp_path) for arg in verb]
         assert main(["--config", str(path)] + args) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -487,6 +494,19 @@ class TestExportFields:
         root = run_dir_of(capsys)
         summary = json.loads((root / "register_summary.json").read_text())
         assert summary["forward_passes"] > summary["gradient_passes"] > summary["iterations"]
+        # every line-search evaluation past the accepted ones followed a halving
+        assert summary["line_search_halvings"] == (
+            summary["forward_passes"] - summary["gradient_passes"]
+        )
+        # the sup-norm of the gradient at the controls the run stopped on
+        blob = json.loads((root / "controls.json").read_text())
+        system = flow.LandmarkSystem(
+            blob["point_scales"], blob["points"], blob["targets"], blob["weight"]
+        )
+        kernel = build_kernel(ExperimentConfig.load(root / "config.json"))[0]
+        objective = Objective(kernel, system, num_steps=config["time_steps"])
+        grad = objective.gradient(np.asarray(blob["controls"]))
+        assert summary["gradient_sup_norm"] == np.abs(grad).max() > 0
         grid_cells = config["grid"]["size"] ** 2
         transported = []
         transport = flow._transport

@@ -116,6 +116,30 @@ class TestKernelMatrix:
         bound = 1e-13 * term_sums.dot(np.abs(controls))
         assert np.all(np.abs(vel - kmat.dot(controls)) <= bound)
 
+    @pytest.mark.parametrize("runs", [(2, 1, 2, 1), (7, 5, 3, 9), (300, 60, 20, 40)])
+    def test_square_gram_mirrors_the_blocks_above_the_diagonal(self, mixture, runs):
+        kernel, (lo, hi) = mixture
+        rng = np.random.default_rng(sum(runs))
+        scales = np.array([hi, lo, hi, lo]).repeat(runs)
+        x = rng.normal(scale=0.5, size=(scales.size, 2))
+        square = kernel_matrix(kernel, scales, x, deriv=True)
+        rect = kernel_matrix(kernel, scales, x, scales, x, deriv=True)
+        assert np.array_equal(square[2], rect[2])
+        u = np.sum(rect[2] ** 2, axis=-1)
+        bounds = np.cumsum((0,) + runs)
+        blocks = [slice(b0, b1) for b0, b1 in zip(bounds[:-1], bounds[1:])]
+        for b, rows in enumerate(blocks):
+            for c, cols in enumerate(blocks):
+                w, a = kernel.slice(scales[rows.start], scales[cols.start])
+                term_sums = np.exp(-np.multiply.outer(u[rows, cols], a)).dot(np.abs(w))
+                for sq, re, rate in zip(square[:2], rect[:2], (1.0, a.max())):
+                    if c >= b:  # evaluated as in the rectangular call
+                        assert np.array_equal(sq[rows, cols], re[rows, cols])
+                    else:  # the transpose of its partner above the diagonal
+                        assert np.array_equal(sq[rows, cols], sq[cols, rows].T)
+                        err = np.abs(sq[rows, cols] - re[rows, cols])
+                        assert np.all(err <= 1e-13 * rate * term_sums)
+
     def test_rectangular_and_derivative(self):
         rng = np.random.default_rng(2)
         xi = rng.normal(size=(4, 2))
@@ -260,8 +284,9 @@ class TestTransport:
         def forbidden(*args, **kwargs):
             raise AssertionError("kernel_matrix called")
 
-        monkeypatch.setattr(flow, "kernel_matrix", forbidden)
+        # the forward pass forms each step's Gram by design; transports do not
         sys0, traj = self.make_case(seed=19)
+        monkeypatch.setattr(flow, "kernel_matrix", forbidden)
         pts = np.random.default_rng(20).normal(size=(7, 2))
         fields = residual_maps(KERNEL, traj, sys0, [0.1, 2.0], pts)
         direct = transport_grid(KERNEL, traj, sys0, 2.0, pts)

@@ -315,6 +315,14 @@ class TestKernelTable:
         with pytest.raises(ValueError):
             KernelTable.load_binary(path)
 
+    def test_binary_rejects_asymmetric_coefficients(self, small_kernel, tmp_path):
+        beta = small_kernel.beta.copy()
+        beta[0, 1, 0] += 1e-9
+        path = tmp_path / "asymmetric.mskt"
+        KernelTable(small_kernel.scales, beta, small_kernel.basis).save_binary(path)
+        with pytest.raises(ValueError, match="symmetric"):
+            KernelTable.load_binary(path)
+
     def test_csv_and_report_export(self, small_kernel, tmp_path):
         csv_path = tmp_path / "kernel.csv"
         small_kernel.save_csv(csv_path)

@@ -1,9 +1,11 @@
 """Registration objective, adjoint gradient, and the optimizer."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from msreg import registration
+from msreg import flow, registration
 from msreg.flow import LandmarkSystem, integrate_forward
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.registration import Objective, optimize
@@ -85,6 +87,54 @@ class TestGradient:
         expected = 1.0 * k0 * (costate + a[0])
         grad = obj.gradient(a)
         assert np.abs(grad[0] - expected).max() <= 1e-12
+
+    def test_reuses_the_forward_pass_kernel_blocks(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        sys0 = random_system(rng)
+        obj = Objective(KERNEL, sys0, num_steps=5)
+        controls = 0.3 * rng.normal(size=(5, 6, 2))
+        _, _, _, traj = obj.evaluate(controls, return_trajectory=True)
+        fresh = obj.gradient(controls)
+        blockless = integrate_forward(KERNEL, sys0, controls)
+        assert blockless.blocks.shape == (5, 2, 6, 6)
+        blockless.blocks = None
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel evaluated")
+
+        monkeypatch.setattr(flow, "_exponential_chunks", forbidden)
+        assert np.array_equal(obj.gradient(controls, trajectory=traj), fresh)
+        assert traj.blocks is None  # the sweep consumed them
+        monkeypatch.undo()
+        # without blocks the sweep evaluates the same Grams itself
+        assert np.array_equal(obj.gradient(controls, trajectory=blockless), fresh)
+
+    def test_keeps_blocks_only_within_the_memory_budget(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        sys0 = random_system(rng)
+        obj = Objective(KERNEL, sys0, num_steps=5)
+        controls = 0.3 * rng.normal(size=(5, 6, 2))
+        store = 5 * 2 * 6 * 6 * 8
+        monkeypatch.setattr(flow, "MAX_BLOCK_BYTES", store)
+        kept = integrate_forward(KERNEL, sys0, controls)
+        assert kept.blocks.shape == (5, 2, 6, 6)
+        assert integrate_forward(KERNEL, sys0, controls, keep_blocks=False).blocks is None
+        monkeypatch.setattr(flow, "MAX_BLOCK_BYTES", store - 1)
+        over = integrate_forward(KERNEL, sys0, controls)
+        assert over.blocks is None
+        # K a and the batched reduction differ only in summation order
+        span = np.abs(kept.positions).max()
+        assert np.abs(over.positions - kept.positions).max() <= 1e-14 * span
+        assert over.energy == pytest.approx(kept.energy, rel=1e-13)
+        grad_kept = obj.gradient(controls, trajectory=kept)
+        grad_over = obj.gradient(controls, trajectory=over)
+        assert np.abs(grad_over - grad_kept).max() <= 1e-12 * np.abs(grad_kept).max()
+        # optimize runs the same over budget
+        result = optimize(obj, max_iters=5)
+        monkeypatch.undo()
+        within = optimize(obj, max_iters=5)
+        assert result.trajectory.blocks is None
+        assert result.value == pytest.approx(within.value, rel=1e-10)
 
     def test_with_value_consistency(self):
         rng = np.random.default_rng(4)
@@ -191,3 +241,22 @@ class TestOptimize:
         final = integrate_forward(KERNEL, sys0, result.controls)
         assert np.array_equal(result.trajectory.positions, final.positions)
         assert result.trajectory.energy == final.energy
+
+    def test_at_most_one_trajectory_keeps_kernel_blocks(self, monkeypatch):
+        made = []
+
+        def recording_forward(*args):
+            # every earlier pass is gone or has released its blocks
+            for ref in made:
+                traj = ref()
+                assert traj is None or traj.blocks is None
+            traj = integrate_forward(*args)
+            made.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(registration, "integrate_forward", recording_forward)
+        sys0 = random_system(np.random.default_rng(13))
+        result = optimize(Objective(KERNEL, sys0, num_steps=6), max_iters=25)
+        assert result.line_search_halvings > 0
+        assert len(made) == result.forward_passes
+        assert result.trajectory.blocks is None
