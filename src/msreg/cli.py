@@ -30,7 +30,6 @@ from .flow import (
     LandmarkSystem,
     bounding_box,
     integrate_forward,
-    inverse_map,
     log_jacobian,
     make_grid,
     residual_maps,
@@ -265,13 +264,11 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
     # the transports need the positions only
     trajectory = integrate_forward(kernel, system, controls, keep_blocks=False)
     grid_pts, grid_shape, spacing = make_grid(bbox, config["grid"]["size"])
-    folded_cells = {}
     deformations = []
     for scale in export_scales:
         field = transport_grid(kernel, trajectory, system, scale, grid_pts, grid_shape)
-        deformations.append(field.mapped)
         log_jacobian(field, spacing)
-        folded_cells[f"{scale:g}"] = int(field.folded.sum())
+        deformations.append(field)
         path = root / f"deformation_{scale:g}.csv"
         field.save_csv(path)
         files.append(path)
@@ -287,31 +284,26 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
             svg_path = root / f"shapes_{scale:g}.svg"
             _write_svg(svg_path, contours, bbox)
             files.append(svg_path)
-    grid_transports = len(deformations)
-    # the first residual is the first deformation
     residuals = residual_maps(
         kernel, trajectory, system, export_scales, grid_pts, grid_shape,
-        first=deformations[0],
+        deformations=deformations,
     )
-    grid_transports += 2 * len(residuals) - 2
+    # compose the residuals as written: each must start where the last ended
+    composed = grid_pts
     for field in residuals:
-        log_jacobian(field, spacing)
+        if not np.array_equal(field.source, composed):
+            raise RuntimeError(f"residual {field.scale:g} does not start where the last ended")
+        composed = field.mapped
         path = root / f"residual_{field.scale:g}.csv"
         field.save_csv(path)
         files.append(path)
-    # reconstruction check: composing all residuals, starting from the
-    # first deformation, should reproduce the last deformation
-    composed = deformations[0]
-    for prev, scale in zip(export_scales[:-1], export_scales[1:]):
-        pulled = inverse_map(kernel, trajectory, system, prev, composed).mapped
-        composed = transport_grid(kernel, trajectory, system, scale, pulled).mapped
-        grid_transports += 2
-    recon_err = float(np.abs(composed - deformations[-1]).max())
+    recon_err = float(np.abs(composed - deformations[-1].mapped).max())
     summary = {
         "reconstruction_sup_error": recon_err,
-        "folded_cells": folded_cells,
+        "folded_cells": {f"{f.scale:g}": int(f.folded.sum()) for f in deformations},
+        "min_jacobian": {f"{f.scale:g}": f.min_jacobian for f in deformations},
         "grid": {"size": config["grid"]["size"], "bbox": list(bbox)},
-        "grid_transports": grid_transports,
+        "grid_transports": len(deformations),
     }
     path = root / "fields_summary.json"
     with open(path, "w") as fh:
@@ -396,6 +388,10 @@ def main(argv=None):
         return EXIT_CONFIG
     except (IntegrationError, ArithmeticError, RuntimeError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"numerical failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
     files.append(root / "config.json")
     config.save(root / "config.json")

@@ -4,7 +4,9 @@ The reduced dynamics move a finite set of landmarks, each attached to a base
 scale, under the velocity field induced by the kernel and the control
 vectors.  Arbitrary grid points can then be transported at any query scale,
 forward or backward in time, to obtain per-scale deformations, inverse maps,
-inter-scale residuals, and log-Jacobian fields.
+inter-scale residuals, and log-Jacobian fields.  The residuals need no
+inverse map: each is sampled where the previous scale's deformation sent the
+grid, so composing them telescopes exactly.
 """
 
 import csv
@@ -261,6 +263,7 @@ class DeformationField:
     grid_shape: tuple = None
     log_jac: np.ndarray = None
     folded: np.ndarray = None
+    min_jacobian: float = None
 
     @property
     def displacement(self):
@@ -308,35 +311,39 @@ def transport_grid(kernel, trajectory, system, lam, grid_points, grid_shape=None
 
 
 def inverse_map(kernel, trajectory, system, lam, grid_points, grid_shape=None):
-    """Transport grid points backward in time under the negated velocity,
-    approximating the inverse deformation at scale lam."""
+    """Transport grid points backward in time under the negated velocity:
+    an approximation of the inverse deformation at scale lam, not the exact
+    inverse of the forward Euler map, which is an open ROADMAP item."""
     mapped = _transport(kernel, trajectory, system, lam, grid_points, reverse=True)
     return DeformationField(float(lam), np.asarray(grid_points, float), mapped, grid_shape)
 
 
 def residual_maps(kernel, trajectory, system, node_scales, grid_points, grid_shape=None,
-                  first=None):
-    """Inter-scale residuals rho_k = psi_{r_k} o (psi_{r_{k-1}})^{-1} on a grid,
-    with the identity below the first node; composing them reconstructs the
-    deformation at any node.
+                  deformations=None):
+    """Inter-scale residuals rho_k = psi_k o psi_{k-1}^{-1} (psi_0 the
+    identity), each sampled where psi_{k-1} sent the grid: rho_k maps
+    psi_{k-1}(g) to psi_k(g), so their composition telescopes to psi_n
+    exactly, with no inverse map.
 
-    `first`, if given, is the grid already transported at node_scales[0];
-    it is reused as the first residual.  n nodes take 2n - 1 transports, one
-    fewer with `first`.
-    """
-    fields = []
+    `deformations`, if given, are the grid transported at each node, so no
+    transport is made; otherwise n nodes take n transports.  Deformations
+    with log-Jacobians give each residual log det D psi_k - log det D
+    psi_{k-1} at the same grid index (the chain rule), NaN where either
+    scale folds."""
     grid_points = np.asarray(grid_points, dtype=float)
-    prev_scale = None
-    for scale in node_scales:
-        if prev_scale is None:
-            mapped = first if first is not None else _transport(
-                kernel, trajectory, system, scale, grid_points
-            )
-        else:
-            pulled = _transport(kernel, trajectory, system, prev_scale, grid_points, reverse=True)
-            mapped = _transport(kernel, trajectory, system, scale, pulled)
-        fields.append(DeformationField(float(scale), grid_points, mapped, grid_shape))
-        prev_scale = scale
+    if deformations is None:
+        deformations = [
+            transport_grid(kernel, trajectory, system, scale, grid_points, grid_shape)
+            for scale in node_scales
+        ]
+    fields = []
+    source, prev_log_jac = grid_points, 0.0
+    for scale, deformation in zip(node_scales, deformations):
+        field = DeformationField(float(scale), source, deformation.mapped, grid_shape)
+        if deformation.log_jac is not None:
+            field.log_jac = deformation.log_jac - prev_log_jac
+        fields.append(field)
+        source, prev_log_jac = deformation.mapped, deformation.log_jac
     return fields
 
 
@@ -369,13 +376,14 @@ def log_jacobian(field, spacing):
 
     Central differences in the interior, one-sided at the boundary.  Cells
     with nonpositive determinant (folding) are flagged and get NaN.
-    Returns the field with log_jac and folded filled in.
+    Returns the field with log_jac, folded and min_jacobian (the smallest
+    determinant, nonpositive where cells fold) filled in.
     """
     det = jacobian_determinant(field, spacing)
     folded = det <= 0
-    log_jac = np.where(folded, np.nan, np.log(np.where(folded, 1.0, det)))
-    field.log_jac = log_jac
+    field.log_jac = np.where(folded, np.nan, np.log(np.where(folded, 1.0, det)))
     field.folded = folded
+    field.min_jacobian = float(det.min())
     return field
 
 

@@ -418,11 +418,63 @@ class TestExportFields:
             assert (root / f"deformation_{scale}.csv").exists()
             assert (root / f"residual_{scale}.csv").exists()
         summary = json.loads((root / "fields_summary.json").read_text())
-        assert summary["reconstruction_sup_error"] < 1.0
+        # the written residuals compose to the last deformation exactly
+        assert summary["reconstruction_sup_error"] == 0.0
         assert set(summary["folded_cells"]) == {"0.1", "2"}
         lines = (root / "deformation_0.1.csv").read_text().strip().splitlines()
         assert lines[0] == "x,y,psi_x,psi_y,log_jac"
         assert len(lines) == 1 + 10 * 10
+
+        def table(name):
+            return np.loadtxt(root / name, delimiter=",", skiprows=1)
+
+        deformations = {s: table(f"deformation_{s}.csv") for s in ("0.1", "2")}
+        assert np.array_equal(table("residual_0.1.csv"), deformations["0.1"], equal_nan=True)
+        # later residuals start on the previous deformed grid, and their
+        # log-Jacobian is the chain-rule difference
+        residual = table("residual_2.csv")
+        assert np.array_equal(residual[:, :2], deformations["0.1"][:, 2:4])
+        assert np.array_equal(residual[:, 2:4], deformations["2"][:, 2:4])
+        log_jac = deformations["2"][:, 4] - deformations["0.1"][:, 4]
+        assert np.array_equal(residual[:, 4], log_jac, equal_nan=True)
+        # the smallest Jacobian determinant of each deformation
+        for scale, rows in deformations.items():
+            assert summary["folded_cells"][scale] == 0
+            assert summary["min_jacobian"][scale] == pytest.approx(
+                np.exp(rows[:, 4].min()), rel=1e-12
+            )
+
+    def test_export_never_inverts_a_map(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "register"]) == EXIT_OK
+        capsys.readouterr()
+        transport = flow._transport
+
+        def forward_only(kernel, trajectory, system, lam, points, reverse=False):
+            assert not reverse, "backward transport"
+            return transport(kernel, trajectory, system, lam, points)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inverse_map called")
+
+        monkeypatch.setattr(flow, "_transport", forward_only)
+        monkeypatch.setattr(flow, "inverse_map", forbidden)
+        assert main(["--config", str(path), "export-fields", "--svg"]) == EXIT_OK
+
+    def test_out_of_memory_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "register"]) == EXIT_OK
+        capsys.readouterr()
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(flow, "_transport", exhausted)
+        assert main(["--config", str(path), "export-fields"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical failure: out of memory: Unable to allocate 1.00 TiB for an array\n"
+        )
 
     def test_export_with_explicit_controls_and_svg(self, tmp_path, capsys):
         path = write_config(tmp_path, DIRAC_CONFIG)
@@ -518,7 +570,7 @@ class TestExportFields:
         monkeypatch.setattr(flow, "_transport", counting_transport)
         assert main(["--config", str(path), "export-fields", "--svg"]) == EXIT_OK
         grid_transports = transported.count(grid_cells)
-        assert grid_transports == 5 * len(export_scales) - 4
+        assert grid_transports == len(export_scales)
         summary = json.loads((root / "fields_summary.json").read_text())
         assert summary["grid_transports"] == grid_transports
 

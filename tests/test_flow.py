@@ -264,21 +264,42 @@ class TestTransport:
         assert errs[40] < errs[20] < errs[10]
         assert errs[40] <= 0.05
 
-    def test_residual_fields_match_public_transports(self):
+    def test_residual_fields_match_public_transports(self, monkeypatch):
         sys0, traj = self.make_case(seed=14)
         pts = np.random.default_rng(15).normal(size=(10, 2))
         node_scales = [0.1, 0.7, 1.4, 2.0]
         fields = residual_maps(KERNEL, traj, sys0, node_scales, pts)
         assert [f.scale for f in fields] == node_scales
-        # first residual is the plain forward transport at the first node
-        direct0 = transport_grid(KERNEL, traj, sys0, node_scales[0], pts)
-        assert np.abs(fields[0].mapped - direct0.mapped).max() <= 1e-12
-        # each later residual pulls back at the previous node, then pushes
-        # forward at the current one
-        for prev, f in zip(node_scales[:-1], fields[1:]):
-            pulled = inverse_map(KERNEL, traj, sys0, prev, pts)
-            pushed = transport_grid(KERNEL, traj, sys0, f.scale, pulled.mapped)
-            assert np.abs(f.mapped - pushed.mapped).max() <= 1e-12
+        # the first residual starts on the grid; each later one starts where
+        # the previous one ended, so their composition telescopes
+        assert np.array_equal(fields[0].source, pts)
+        for prev, f in zip(fields[:-1], fields[1:]):
+            assert np.array_equal(f.source, prev.mapped)
+        for f in fields:
+            direct = transport_grid(KERNEL, traj, sys0, f.scale, pts)
+            assert np.abs(f.mapped - direct.mapped).max() <= 1e-12
+        # given the deformations, the residuals take no transport of their
+        # own, and their log-Jacobians follow the chain rule
+        deformations = [transport_grid(KERNEL, traj, sys0, s, pts) for s in node_scales]
+        for k, d in enumerate(deformations):
+            d.log_jac = np.random.default_rng(16 + k).normal(size=len(pts))
+        deformations[1].log_jac[3] = np.nan  # a folded cell at the second node
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("_transport called")
+
+        monkeypatch.setattr(flow, "_transport", forbidden)
+        again = residual_maps(
+            KERNEL, traj, sys0, node_scales, pts, deformations=deformations
+        )
+        for f, g in zip(fields, again):
+            assert np.array_equal(f.source, g.source)
+            assert np.array_equal(f.mapped, g.mapped)
+        assert np.array_equal(again[0].log_jac, deformations[0].log_jac)
+        for k in range(1, len(node_scales)):
+            diff = deformations[k].log_jac - deformations[k - 1].log_jac
+            assert np.array_equal(again[k].log_jac, diff, equal_nan=True)
+        assert np.isnan(again[1].log_jac[3]) and np.isnan(again[2].log_jac[3])
 
     def test_velocity_paths_never_form_the_kernel_matrix(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -361,7 +382,7 @@ class TestJacobian:
         assert field.folded.any()
         assert np.isnan(field.log_jac[field.folded]).all()
         dets = jacobian_determinant(field, spacing)
-        assert dets.min() < 0
+        assert field.min_jacobian == dets.min() < 0
 
     def test_requires_structured_grid(self):
         field = DeformationField(1.0, np.zeros((3, 2)), np.zeros((3, 2)))
