@@ -54,8 +54,8 @@ MINIMUM = {
 
 # Upper bounds on the sizes a run allocates, so that a huge value is a config
 # error rather than a MemoryError.  Validation allocates the uniform ladder's
-# nodes, and the Lebesgue spectral table grows with their square.  In both
-# tables "shapes.num" stands for each template's and target's point count.
+# nodes.  In both tables "shapes.num" stands for each template's and target's
+# point count.
 MAXIMUM = {
     "ladder.num_nodes": 1000,
     "kernel.num_basis": 200,
@@ -64,6 +64,11 @@ MAXIMUM = {
     "grid.size": 1024,
     "shapes.num": 10000,
 }
+
+
+# The Lebesgue spectral table holds (ladder nodes)^2 * kernel.num_frequencies
+# floats; this caps it at 1 GiB, for a uniform ladder and an explicit one.
+MAX_SPECTRAL_FLOATS = 2**27
 
 
 class ConfigError(ValueError):
@@ -208,6 +213,12 @@ class ExperimentConfig:
             # the fitted kernel holds the ladder nodes only
             for scale in export_scales:
                 _require_node(ladder, scale, "export scale")
+            floats = ladder.nodes.size**2 * data["kernel"]["num_frequencies"]
+            if floats > MAX_SPECTRAL_FLOATS:
+                raise ConfigError(
+                    f"spectral table of {floats} floats (ladder nodes squared times "
+                    f"kernel.num_frequencies) exceeds {MAX_SPECTRAL_FLOATS}"
+                )
         weight = data["weight"]
         if not weight > 0:
             raise ConfigError(f"weight must be positive, got {weight!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
-from scipy.sparse import csc_matrix
+from scipy.sparse import bmat, identity
 
 from .flow import kernel_matrix
 from .ladder import node_index
@@ -64,56 +64,80 @@ class HankelBasis:
 class _MinimaxModel:
     """A persistent HiGHS model of the minimax LP over one design matrix A.
 
-    Over (beta, t >= 0) it minimises t subject to three ranged row blocks,
+    Over (beta free, t >= 0, w, e) it minimises t subject to three row
+    blocks with constant bounds,
 
-        target <= A beta + t,   A beta - t <= target,   lower <= A beta <= upper,
+        A beta - w + t >= 0,   A beta - w - t <= 0,   A beta - e = 0,
 
-    so a diagonal fit (lower = 0) and an off-diagonal fit (|A beta| <= c) are
-    two bound patterns on one constraint matrix.  Between solves only the
-    row bounds change, so each solve restarts the dual simplex from the last
-    optimal basis, which stays dual feasible (Huangfu & Hall, Math. Prog.
-    Comp. 2018).
+    where the columns w are fixed at the target and lower <= e <= upper.  So
+    a diagonal fit (lower = 0) and an off-diagonal fit (|A beta| <= c) are
+    two bound patterns on the same 2J columns.  The model is passed to HiGHS
+    once; each solve changes those column bounds in one call and reruns the
+    dual simplex from the live basis and factorisation (Huangfu & Hall,
+    Math. Prog. Comp. 2018).
+
+    A beta stays in the first two blocks: with e there instead, A enters the
+    matrix once, but the residual is then bounded only through equality
+    rows that hold to the solver's tolerance, and near-interpolating fits
+    come back with coefficients near 1e15 and residuals far above the LP's t.
     """
 
     def __init__(self, design):
         self.design = design
         nj, nq = design.shape
-        t_column = np.repeat([1.0, -1.0, 0.0], nj)[:, None]
-        matrix = csc_matrix(np.hstack([np.vstack([design] * 3), t_column]))
+        ones, eye = np.ones((nj, 1)), identity(nj)
+        matrix = bmat(
+            [
+                [design, ones, -eye, None],
+                [design, -ones, -eye, None],
+                [design, None, None, -eye],
+            ],
+            format="csc",
+        )
+        free = np.full(nj, np.inf)
         lp = HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = nq + 1
+        lp.num_col_ = lp.a_matrix_.num_col_ = nq + 1 + 2 * nj
         lp.num_row_ = lp.a_matrix_.num_row_ = 3 * nj
-        lp.col_cost_ = np.r_[np.zeros(nq), 1.0]
-        lp.col_lower_ = np.r_[np.full(nq, -np.inf), 0.0]
-        lp.col_upper_ = np.full(nq + 1, np.inf)
+        lp.col_cost_ = np.r_[np.zeros(nq), 1.0, np.zeros(2 * nj)]
+        lp.col_lower_ = np.r_[np.full(nq, -np.inf), 0.0, np.zeros(2 * nj)]
+        lp.col_upper_ = np.r_[np.full(nq, np.inf), np.inf, np.zeros(2 * nj)]
+        lp.row_lower_ = np.r_[np.zeros(nj), -free, np.zeros(nj)]
+        lp.row_upper_ = np.r_[free, np.zeros(2 * nj)]
         lp.a_matrix_.format_ = MatrixFormat.kColwise
         lp.a_matrix_.start_ = matrix.indptr
         lp.a_matrix_.index_ = matrix.indices
         lp.a_matrix_.value_ = matrix.data
-        self._lp = lp
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
-        self._basis = None  # the last optimal basis
+        # Presolve would run on the first solve only, the one without a
+        # basis.  On this form it removes the fixed w columns, and on a
+        # near-interpolating table postsolve returned coefficients of 1e6
+        # whose true residual was 80 times the LP's t.
+        self._highs.setOptionValue("presolve", "off")
+        self._highs.passModel(lp)
+        # the w and e columns, whose bounds carry every per-solve quantity
+        self._bounded = np.arange(nq + 1, nq + 1 + 2 * nj, dtype=np.int32)
         self.solves = 0
         self.iterations = 0
         self.cold_retries = 0
 
     def solve(self, target, lower, upper):
-        """(beta, t) for these row bounds, or None unless HiGHS reports optimal."""
-        free = np.full(target.size, np.inf)
-        self._lp.row_lower_ = np.concatenate([target, -free, lower])
-        self._lp.row_upper_ = np.concatenate([free, target, upper])
+        """(beta, t) for these bounds, or None unless HiGHS reports optimal."""
         highs = self._highs
-        highs.passModel(self._lp)
-        if self._basis is not None:
-            highs.setBasis(self._basis)
+        highs.changeColsBounds(
+            self._bounded.size,
+            self._bounded,
+            np.concatenate([target, lower]),
+            np.concatenate([target, upper]),
+        )
         highs.run()
         self.solves += 1
-        self.iterations += highs.getInfo().simplex_iteration_count
+        # a run that stops with an error reports -1 iterations
+        self.iterations += max(highs.getInfo().simplex_iteration_count, 0)
         if highs.getModelStatus() != HighsModelStatus.kOptimal:
             return None
-        self._basis = highs.getBasis()
-        x = np.array(highs.getSolution().col_value)
+        nq = self.design.shape[1]
+        x = np.array(highs.getSolution().col_value[: nq + 1])
         return x[:-1], float(x[-1])
 
 
@@ -303,24 +327,20 @@ class KernelTable(MixtureKernel):
         return cls(scales, beta, HankelBasis(taus, dim))
 
     def save_csv(self, path):
+        m, q = self.scales.size, self.basis.size
+        scales = [str(s) for s in self.scales]
+        taus = [str(tau) for tau in self.basis.taus]
+        beta = self.beta.reshape(m * m, q).tolist()
+        rows = (
+            (k, l, qi, scales[k], scales[l], taus[qi], value)
+            for k in range(m)
+            for l in range(m)
+            for qi, value in enumerate(beta[k * m + l])
+        )
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "l", "q", "scale_k", "scale_l", "tau_q", "beta"])
-            m, q = self.scales.size, self.basis.size
-            for k in range(m):
-                for l in range(m):
-                    for qi in range(q):
-                        writer.writerow(
-                            [
-                                k,
-                                l,
-                                qi,
-                                self.scales[k],
-                                self.scales[l],
-                                self.basis.taus[qi],
-                                self.beta[k, l, qi],
-                            ]
-                        )
+            writer.writerows(rows)
 
     def save_report(self, path):
         with open(path, "w") as fh:
@@ -364,6 +384,8 @@ def fit_kernel_table(spectral_table, num_basis=20):
             residuals[k, l] = residuals[l, k] = np.abs(spectrum - target).max()
             margins[k, l] = margins[l, k] = (cj - np.abs(spectrum)).min()
     peaks = np.abs(values).max(axis=2)
+    # sum |beta| / |sum beta|: how many digits a kernel value at r = 0 loses
+    cancellation = np.abs(beta).sum(axis=2) / np.maximum(np.abs(beta.sum(axis=2)), 1e-300)
     report = {
         "num_scales": int(m),
         "num_basis": int(basis.size),
@@ -373,6 +395,7 @@ def fit_kernel_table(spectral_table, num_basis=20):
         "min_offdiagonal_margin": float(
             margins[~np.eye(m, dtype=bool)].min() if m > 1 else 0.0
         ),
+        "max_cancellation_ratio": float(cancellation.max()),
         "residuals": residuals.tolist(),
         "lp_solves": model.solves,
         "simplex_iterations": model.iterations,

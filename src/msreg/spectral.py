@@ -63,49 +63,60 @@ class SpectralGrid:
         return cls(np.linspace(0.0, 4.0 / (np.pi * s1), num), dim)
 
 
-def _assemble_coefficients(ladder, sigma, xi, dim):
-    """Tridiagonal coefficients (lower, diag, upper) at one frequency."""
+def _assemble_coefficients(ladder, sigma, xis, dim):
+    """Tridiagonal coefficients (lower, diag, upper) at every frequency.
+
+    `lower` has shape (n,) since it does not depend on the frequency;
+    `diag` (n+1, J) and `upper` (n, J) carry the frequencies on the last axis.
+    """
     nodes = ladder.nodes
     rho = ladder.widths  # length n
     n = rho.size
     # chi_k lives on interval k (scale nodes[k]); psi[k] = chi_k / chi_{k+1},
     # and psi[n-1] = 1 because the last node reuses the last interval's chi
-    psi = np.append(psi_gaussian(nodes[:-2], nodes[1:-1], xi, dim), 1.0)
-    coth = _coth(sigma * rho)
+    psi = np.ones((n, xis.size))
+    psi[:-1] = psi_gaussian(nodes[:-2, None], nodes[1:-1, None], xis, dim)
+    coth = _coth(sigma * rho)[:, None]
     isnh = _inv_sinh(sigma * rho)
-    diag = np.empty(n + 1)
+    diag = np.empty((n + 1, xis.size))
     diag[0] = -sigma * coth[0]
     diag[1:n] = -sigma * (coth[1:] + coth[:-1] * psi[:-1])
     diag[n] = -sigma * coth[n - 1]
-    return sigma * isnh, diag, sigma * psi * isnh
+    return sigma * isnh, diag, sigma * psi * isnh[:, None]
 
 
-def _thomas(lower, diag, upper):
-    """Thomas algorithm for the right-hand side -I, one column per source
-    node.  The assembled systems are column diagonally dominant, so
-    elimination without pivoting is stable; a vanishing pivot is still
-    reported."""
-    n1 = diag.size
-    rhs = -np.eye(n1)
-    cp = np.empty(n1 - 1)
-    dp = np.empty((n1, n1))
-    piv = diag[0]
-    if piv == 0.0:
-        raise ArithmeticError("singular pivot in tridiagonal solve")
-    cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    for k in range(1, n1):
-        piv = diag[k] - lower[k - 1] * cp[k - 1]
-        if piv == 0.0:
-            raise ArithmeticError(f"singular pivot at row {k}")
-        if k < n1 - 1:
-            cp[k] = upper[k] / piv
-        dp[k] = (rhs[k] - lower[k - 1] * dp[k - 1]) / piv
-    x = np.empty_like(dp)
-    x[-1] = dp[-1]
+def _thomas(lower, diag, upper, out):
+    """Thomas algorithm for the right-hand side -I at every frequency.
+
+    Sweeps the nodes with all frequencies on the last axis and writes the
+    solution into `out`, shape (node, source node, frequency).  The assembled
+    systems are column diagonally dominant, so elimination without pivoting
+    is stable; a vanishing pivot is still reported, at the first frequency
+    that has one.
+    """
+    n1 = diag.shape[0]
+    cp = np.empty((n1 - 1, diag.shape[1]))
+    singular = np.zeros(diag.shape[1], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        piv = diag[0]
+        singular |= piv == 0.0
+        cp[0] = upper[0] / piv
+        out[0] = -0.0  # rhs_0 = -e_0, signed zeros as in -I
+        out[0, 0] = -1.0
+        out[0] /= piv
+        for k in range(1, n1):
+            piv = diag[k] - lower[k - 1] * cp[k - 1]
+            singular |= piv == 0.0
+            if k < n1 - 1:
+                cp[k] = upper[k] / piv
+            # (rhs_k - lower_{k-1} * dp_{k-1}) / piv, with rhs_k = -e_k
+            np.multiply(out[k - 1], -lower[k - 1], out=out[k])
+            out[k, k] -= 1.0
+            out[k] /= piv
+    if singular.any():
+        raise ArithmeticError(f"solver failure at frequency index {np.argmax(singular)}")
     for k in range(n1 - 2, -1, -1):
-        x[k] = dp[k] - cp[k] * x[k + 1]
-    return x
+        out[k] -= cp[k] * out[k + 1]
 
 
 @dataclass
@@ -157,24 +168,19 @@ class SpectralTable:
 def compute_spectral_table(ladder, sigma, grid):
     """Solve the per-frequency systems for every source node.
 
-    For each frequency the coefficients are assembled once and factored
-    against the full set of unit sources; spectral values are recovered as
-    h_k = g_k * kappa_hat_k (h_{n+1} uses the last interval's spectrum).
+    The coefficients of every frequency are assembled at once and one
+    tridiagonal sweep solves them against the full set of unit sources;
+    spectral values are recovered as h_k = g_k * kappa_hat_k (h_{n+1} uses
+    the last interval's spectrum).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     nodes = ladder.nodes
     n1 = nodes.size
     values = np.empty((n1, n1, grid.xis.size))
+    _thomas(*_assemble_coefficients(ladder, sigma, grid.xis, grid.dim), values)
     # per-node recovery spectra: interval scale r_k for k < n, r_n for the
     # last node (right-closure of the last interval)
     rec_scales = np.concatenate((nodes[:-1], [nodes[-2]]))
-    for j, xi in enumerate(grid.xis):
-        lower, diag, upper = _assemble_coefficients(ladder, sigma, xi, grid.dim)
-        try:
-            g = _thomas(lower, diag, upper)
-        except ArithmeticError as err:
-            raise ArithmeticError(f"solver failure at frequency index {j}") from err
-        khat = kappa_hat_gaussian(rec_scales, xi, grid.dim)
-        values[:, :, j] = g * khat[:, None]
+    values *= kappa_hat_gaussian(rec_scales[:, None], grid.xis, grid.dim)[:, None, :]
     return SpectralTable(ladder, sigma, grid, values)

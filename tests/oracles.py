@@ -68,6 +68,53 @@ def dense_spectral_solve(nodes, sigma, xi, dim=2):
     return np.linalg.solve(mat, rhs)
 
 
+def per_frequency_spectral_table(nodes, sigma, xis, dim=2):
+    """Spectral values (node, source node, frequency), one frequency at a
+    time: the g-substituted tridiagonal system of each frequency assembled
+    alone and solved by a scalar Thomas sweep against the unit sources -I.
+
+    The arithmetic is the library's operation for operation, so the batched
+    solver must match it bitwise.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    rho = np.diff(nodes)
+    n = rho.size
+    n1 = n + 1
+    coth = np.cosh(sigma * rho) / np.sinh(sigma * rho)
+    isnh = 1.0 / np.sinh(sigma * rho)
+    rec = np.concatenate((nodes[:-1], [nodes[-2]]))
+    values = np.empty((n1, n1, len(xis)))
+    for j, xi in enumerate(xis):
+        xi = np.asarray(xi, dtype=float)
+        prev, cur = nodes[:-2], nodes[1:-1]
+        psi = (cur / prev) ** dim * np.exp(-2.0 * np.pi**2 * (cur**2 - prev**2) * xi**2)
+        psi = np.append(psi, 1.0)
+        lower, upper = sigma * isnh, sigma * psi * isnh
+        diag = np.empty(n1)
+        diag[0] = -sigma * coth[0]
+        diag[1:n] = -sigma * (coth[1:] + coth[:-1] * psi[:-1])
+        diag[n] = -sigma * coth[n - 1]
+        rhs = -np.eye(n1)
+        cp = np.empty(n1 - 1)
+        dp = np.empty((n1, n1))
+        cp[0] = upper[0] / diag[0]
+        dp[0] = rhs[0] / diag[0]
+        for k in range(1, n1):
+            piv = diag[k] - lower[k - 1] * cp[k - 1]
+            if k < n1 - 1:
+                cp[k] = upper[k] / piv
+            dp[k] = (rhs[k] - lower[k - 1] * dp[k - 1]) / piv
+        g = np.empty_like(dp)
+        g[-1] = dp[-1]
+        for k in range(n1 - 2, -1, -1):
+            g[k] = dp[k] - cp[k] * g[k + 1]
+        khat = (2.0 * np.pi * rec**2) ** (dim / 2.0) * np.exp(
+            -2.0 * np.pi**2 * rec**2 * xi**2
+        )
+        values[:, :, j] = g * khat[:, None]
+    return values
+
+
 def central_difference_gradient(func, x, h=1e-6):
     """Central finite differences of a scalar function of a flat array."""
     x = np.asarray(x, dtype=float)

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process via main()."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from msreg.cli import (
     build_kernel,
     main,
 )
-from msreg.config import DEFAULTS, ExperimentConfig
+from msreg.config import DEFAULTS, MAX_SPECTRAL_FLOATS, ConfigError, ExperimentConfig
 from msreg.kernel_fit import HankelBasis, KernelTable
 from msreg.registration import Objective
 
@@ -170,6 +171,41 @@ class TestArgumentHandling:
         # no run directory, inside output_dir or anywhere a name could lead
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert not list(tmp_path.parent.glob("x-*"))
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [
+            pytest.param({"s1": 0.1, "s2": 2.0, "num_nodes": 1000}, id="uniform"),
+            pytest.param(
+                {"s1": 0.1, "s2": 2.0, "num_nodes": 6,
+                 "nodes": np.linspace(0.1, 2.0, 5000).tolist()},
+                id="explicit",
+            ),
+        ],
+    )
+    def test_oversized_spectral_table_is_a_config_error(self, tmp_path, capsys, ladder):
+        # 1000^2 nodes x 8192 frequencies would be a 65.5 GB spectral table
+        kernel = dict(SMALL_CONFIG["kernel"], num_frequencies=8192)
+        path = write_config(tmp_path, dict(SMALL_CONFIG, ladder=ladder, kernel=kernel))
+        tracemalloc.start()
+        try:
+            code = main(["--config", str(path), "fit-kernel"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert "spectral table" in capsys.readouterr().err
+        assert peak < 2**24
+
+    def test_spectral_table_cap_is_inclusive(self):
+        # 512^2 nodes x 512 frequencies is exactly MAX_SPECTRAL_FLOATS
+        data = dict(SMALL_CONFIG, kernel=dict(SMALL_CONFIG["kernel"], num_frequencies=512))
+        data["ladder"] = {"s1": 0.1, "s2": 2.0, "num_nodes": 512}
+        assert 512**3 == MAX_SPECTRAL_FLOATS
+        ExperimentConfig(data)
+        data["ladder"] = {"s1": 0.1, "s2": 2.0, "num_nodes": 513}
+        with pytest.raises(ConfigError, match="spectral table"):
+            ExperimentConfig(data)
 
     def test_fuzzed_overrides_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
                                                          capsys):
@@ -328,9 +364,10 @@ class TestFitKernel:
     def test_solver_failure_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
         assemble = spectral._assemble_coefficients
 
-        def singular_above_zero(ladder, sigma, xi, dim):
-            lower, diag, upper = assemble(ladder, sigma, xi, dim)
-            return lower, diag if xi == 0.0 else np.zeros_like(diag), upper
+        def singular_above_zero(ladder, sigma, xis, dim):
+            lower, diag, upper = assemble(ladder, sigma, xis, dim)
+            diag[:, xis > 0.0] = 0.0
+            return lower, diag, upper
 
         monkeypatch.setattr(spectral, "_assemble_coefficients", singular_above_zero)
         path = write_config(tmp_path, SMALL_CONFIG)

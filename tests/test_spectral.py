@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msreg import spectral
 from msreg.ladder import ScaleLadder
 from msreg.spectral import (
     SpectralGrid,
@@ -17,6 +18,7 @@ from oracles import (
     adaptive_simpson,
     chi_gaussian,
     dense_spectral_solve,
+    per_frequency_spectral_table,
 )
 
 
@@ -83,6 +85,42 @@ class TestAgainstDenseOracle:
             assert np.abs(table.values[:, :, j] - dense).max() <= 1e-10 * max(
                 np.abs(dense).max(), 1.0
             )
+
+
+class TestAgainstPerFrequencyLoop:
+    """The sweep over all frequencies at once is the per-frequency loop,
+    bit for bit."""
+
+    def test_experiment_ladder_is_bitwise_equal(self, experiment_spectral):
+        table = experiment_spectral
+        ref = per_frequency_spectral_table(
+            table.ladder.nodes, table.sigma, table.grid.xis, table.dim
+        )
+        assert table.values.tobytes() == ref.tobytes()
+
+    def test_uneven_explicit_ladder_is_bitwise_equal(self):
+        nodes = np.array([0.05, 0.06, 0.2, 0.21, 0.5, 1.3, 1.35, 4.0])
+        grid = SpectralGrid.default(nodes[0], num=97, dim=3)
+        table = compute_spectral_table(ScaleLadder(nodes), 1.7, grid)
+        ref = per_frequency_spectral_table(nodes, 1.7, grid.xis, dim=3)
+        assert table.values.tobytes() == ref.tobytes()
+
+    def test_singular_pivot_names_the_first_singular_frequency(self, small_ladder,
+                                                              monkeypatch):
+        assemble = spectral._assemble_coefficients
+
+        def singular(ladder, sigma, xis, dim):
+            lower, diag, upper = assemble(ladder, sigma, xis, dim)
+            diag[0, 7] = 0.0  # the first pivot, at frequency 7
+            # the fourth pivot is diag[3] - lower[2] * upper[2] / (third pivot):
+            # zero at an earlier frequency
+            upper[2, 5] = diag[3, 5] = 0.0
+            return lower, diag, upper
+
+        monkeypatch.setattr(spectral, "_assemble_coefficients", singular)
+        grid = SpectralGrid(np.linspace(0.0, 3.0, 10))
+        with pytest.raises(ArithmeticError, match="at frequency index 5$"):
+            compute_spectral_table(small_ladder, 1.0, grid)
 
 
 class TestTableProperties:
