@@ -70,6 +70,11 @@ MAXIMUM = {
 # floats; this caps it at 1 GiB, for a uniform ladder and an explicit one.
 MAX_SPECTRAL_FLOATS = 2**27
 
+# The square landmark Gram and its derivative hold P^2 floats each, and the
+# gradient's coordinate differences P^2 d, with P the total landmark count
+# over all shapes; this caps P^2 at 1 GiB of floats (P <= 11585).
+MAX_GRAM_FLOATS = 2**27
+
 
 class ConfigError(ValueError):
     pass
@@ -222,6 +227,7 @@ class ExperimentConfig:
         weight = data["weight"]
         if not weight > 0:
             raise ConfigError(f"weight must be positive, got {weight!r}")
+        num_points = 0
         for entry in data["shapes"]:
             if "scale" not in entry or "template" not in entry or "target" not in entry:
                 raise ConfigError("each shape entry needs scale, template, target")
@@ -234,6 +240,12 @@ class ExperimentConfig:
             if template.shape != target.shape:
                 raise ConfigError(
                     f"template/target point counts differ at scale {entry['scale']}"
+                )
+            num_points += template.shape[0]
+            if num_points**2 > MAX_GRAM_FLOATS:
+                raise ConfigError(
+                    f"landmark Gram of {num_points}^2 floats (total landmarks squared) "
+                    f"exceeds {MAX_GRAM_FLOATS}"
                 )
         backend = data["kernel"]["backend"]
         if backend == "dirac_closed_form" and not isinstance(measure, DiracMeasure):

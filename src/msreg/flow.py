@@ -9,7 +9,6 @@ inverse map: each is sampled where the previous scale's deformation sent the
 grid, so composing them telescopes exactly.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,35 +80,32 @@ def _scale_runs(scales):
     return [(a, b, scales[a]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _squared_distances(Xi, Xj):
-    """u[p, q] = |Xi[p] - Xj[q]|^2, summed one coordinate at a time."""
-    u = np.zeros((Xi.shape[0], Xj.shape[0]))
-    for d in range(Xi.shape[1]):
-        delta = np.subtract.outer(Xi[:, d], Xj[:, d])
-        u += delta * delta
-    return u
-
-
 def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=False):
     """The block loop behind `kernel_matrix` and `kernel_velocity`.
 
-    With u the squared distances between the rows Xi and the columns Xj,
-    yields for each block between a run of equal row scale and a run of
+    Yields for each block between a run of equal row scale and a run of
     equal column scale, and for each row chunk of that block,
     (rows, cols, w, a, expo) with the mixture slice (w, a) of the block and
-    expo[t, r, c] = exp(-a[t] * u[rows, cols][r, c]), laid out term-major
-    so that both reductions over the terms t are single BLAS calls.  `expo` lives in
-    one buffer of about CHUNK_ELEMENTS elements that the next chunk
-    overwrites.  This is a lazy kernel reduction in the manner of KeOps
-    (Charlier et al., JMLR 2021): no (rows x cols x terms) tensor of the
-    whole block is ever formed.
+    expo[t, r, c] = exp(-a[t] * u[r, c]), where u[r, c] = |Xi[rows][r] -
+    Xj[cols][c]|^2.  `expo` is laid out term-major so that both reductions
+    over the terms t are single BLAS calls.  Each chunk computes its own u,
+    one coordinate at a time (u = delta_0^2, then u += delta_d^2), and
+    multiplies it by every rate as one contiguous (terms x rows * cols)
+    pass.  u and `expo` live in two buffers of at most about CHUNK_ELEMENTS
+    elements each, allocated once per call and overwritten by the next
+    chunk; the coordinate differences use the `expo` buffer before the
+    exponentials overwrite it.  This is a lazy kernel reduction in the
+    manner of KeOps (Charlier et al., JMLR 2021): neither the rows x cols
+    distances nor a (rows x cols x terms) tensor of a whole block is ever
+    formed.
 
     With upper_only the columns must be the rows, and only the blocks whose
     column run starts at or after their row run are yielded, for a caller
     that mirrors the symmetric rest.
     """
-    u = _squared_distances(Xi, Xj)
-    buf = np.empty(0)
+    rows_t = Xi.T[:, :, None]  # each row coordinate as a column
+    cols_t = Xj.T.copy()  # contiguous coordinates of the columns
+    buf = ubuf = np.empty(0)
     runs_i = _scale_runs(scales_i)
     runs_j = runs_i if upper_only else _scale_runs(scales_j)
     for i0, i1, si in runs_i:
@@ -118,15 +114,30 @@ def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=False):
                 continue
             w, a = kernel.slice(si, sj)
             neg_a = -a[:, None, None]
-            per_row = a.size * (j1 - j0)
+            width = j1 - j0
+            per_row = a.size * width
             step = min(max(1, CHUNK_ELEMENTS // per_row), i1 - i0)
             if buf.size < step * per_row:
                 buf = np.empty(step * per_row)
+            if ubuf.size < step * width:
+                ubuf = np.empty(step * width)
+            u_rows = ubuf[: step * width].reshape(step, width)
+            delta_rows = buf[: step * width].reshape(step, width)
+            first, rest = cols_t[0, j0:j1], cols_t[1:, j0:j1]
             cols = slice(j0, j1)
             for r0 in range(i0, i1, step):
                 rows = slice(r0, min(r0 + step, i1))
-                expo = buf[: (rows.stop - r0) * per_row].reshape(a.size, -1, j1 - j0)
-                np.multiply(neg_a, u[rows, cols], out=expo)
+                num = rows.stop - r0
+                u, delta = u_rows[:num], delta_rows[:num]
+                np.subtract(rows_t[0, rows], first, out=u)
+                np.multiply(u, u, out=u)
+                for xi, xj in zip(rows_t[1:, rows], rest):
+                    np.subtract(xi, xj, out=delta)
+                    np.multiply(delta, delta, out=delta)
+                    u += delta
+                expo = buf[: num * per_row].reshape(a.size, num, width)
+                # u and expo are contiguous, so each term is one rows * cols loop
+                np.multiply(neg_a, u, out=expo)
                 np.exp(expo, out=expo)
                 yield rows, cols, w, a, expo
 
@@ -134,11 +145,11 @@ def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=False):
 def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
     """Scalar kernel matrix K[p, q] = kappa(scale_p, scale_q, |x_p - x_q|).
 
-    With deriv=True, also returns dK/du where u is the squared distance,
-    and the coordinate differences x_p - x_q.  Each row chunk of
-    `_exponential_chunks` is reduced over the mixture terms by one gemv.
-    Without columns the matrix is the square Gram of Xi, and each block
-    above the block diagonal is copied, transposed, below it.
+    With deriv=True, returns (K, dK/du) where u is the squared distance;
+    `coordinate_differences` gives the x_p - x_q that the chain rule needs.
+    Each row chunk of `_exponential_chunks` is reduced over the mixture
+    terms by one gemv.  Without columns the matrix is the square Gram of Xi,
+    and each block above the block diagonal is copied, transposed, below it.
     """
     square = scales_j is None
     if square:
@@ -156,9 +167,16 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
         if square and cols.start >= rows.stop:  # strictly above the diagonal
             for mat in mats:
                 mat[cols, rows] = mat[rows, cols].T
-    if deriv:
-        return kmat, dmat, Xi[:, None, :] - Xj[None, :, :]
-    return kmat
+    return mats if deriv else kmat
+
+
+def coordinate_differences(X):
+    """diff[p, q] = X[p] - X[q], filled one coordinate at a time so that
+    each pass runs over a whole row of q."""
+    diff = np.empty((X.shape[0], X.shape[0], X.shape[1]))
+    for d in range(X.shape[1]):
+        np.subtract.outer(X[:, d], X[:, d], out=diff[..., d])
+    return diff
 
 
 def kernel_velocity(kernel, scales_i, Xi, scales_j, Xj, C):
@@ -242,7 +260,7 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
             vel = kernel_velocity(kernel, scales, pos, scales, pos, controls[i])
         else:
             kmat, dmat = blocks[i]
-            kmat[...], dmat[...], _ = kernel_matrix(kernel, scales, pos, deriv=True)
+            kmat[...], dmat[...] = kernel_matrix(kernel, scales, pos, deriv=True)
             vel = kmat @ controls[i]
         sq = np.einsum("pd,pd->", controls[i], vel)
         step_norms[i] = sq
@@ -273,18 +291,18 @@ class DeformationField:
         return float(np.abs(self.displacement).max())
 
     def save_csv(self, path):
-        columns = [self.source, self.mapped]
+        """x, y, psi_x, psi_y, log_jac rows with CRLF line ends; each float
+        is spelled by repr (as str(np.float64) does, NaN as nan), and an
+        absent log-Jacobian leaves its column empty."""
+        columns = [*self.source.T, *self.mapped.T]
         if self.log_jac is not None:
             columns.append(self.log_jac.ravel())
-        # repr(float) spells every float64 as str(np.float64) does
-        rows = np.column_stack(columns).tolist()
+        texts = [map(repr, column.tolist()) for column in columns]
         if self.log_jac is None:
-            for row in rows:
-                row.append("")
+            texts.append([""] * self.source.shape[0])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "psi_x", "psi_y", "log_jac"])
-            writer.writerows(rows)
+            fh.write("x,y,psi_x,psi_y,log_jac\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*texts))
 
 
 def _transport(kernel, trajectory, system, lam, points, reverse=False):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import integrate_forward, kernel_matrix
+from .flow import coordinate_differences, integrate_forward, kernel_matrix
 
 
 @dataclass
@@ -62,10 +62,10 @@ class Objective:
             pos = trajectory.positions[i]
             ctrl = trajectory.controls[i]
             if blocks is None:
-                kmat, dmat, diff = kernel_matrix(self.kernel, scales, pos, deriv=True)
+                kmat, dmat = kernel_matrix(self.kernel, scales, pos, deriv=True)
             else:
                 kmat, dmat = blocks[i]
-                diff = pos[:, None, :] - pos[None, :, :]
+            diff = coordinate_differences(pos)
             grad[i] = dt * kmat.dot(costate + ctrl)
             # position gradient of b^T K(x) a is
             #   2 sum_q dK/du (x_p - x_q) (b_p.a_q + a_p.b_q)

@@ -194,3 +194,68 @@ class SpectralKernelEvaluator:
         r = np.asarray(r, dtype=float)
         integrand = khat * xis * j0(2.0 * np.pi * np.multiply.outer(r, xis))
         return 2.0 * np.pi * np.trapezoid(integrand, xis, axis=-1)
+
+
+def squared_distances(Xi, Xj):
+    """u[p, q] = |Xi[p] - Xj[q]|^2, summed one coordinate at a time."""
+    u = np.zeros((Xi.shape[0], Xj.shape[0]))
+    for d in range(Xi.shape[1]):
+        delta = np.subtract.outer(Xi[:, d], Xj[:, d])
+        u += delta * delta
+    return u
+
+
+def whole_matrix_chunks(kernel, scales_i, Xi, scales_j, Xj, chunk_elements, upper_only=False):
+    """The kernel block loop over a precomputed whole distance matrix: u of
+    all rows x columns first, then for each block between runs of equal row
+    and column scale, and each row chunk of at most about chunk_elements
+    terms x pairs, expo[t] = exp(-a[t] * u[rows, cols]).  The chunks
+    partition the blocks exactly as `msreg.flow` does, so its reductions
+    see the same operands and may be compared bit for bit."""
+
+    def runs(scales):
+        cuts = [0] + [k for k in range(1, scales.size) if scales[k] != scales[k - 1]]
+        return [(a, b, scales[a]) for a, b in zip(cuts, cuts[1:] + [scales.size])
+                if scales.size]
+
+    u = squared_distances(Xi, Xj)
+    for i0, i1, si in runs(scales_i):
+        for j0, j1, sj in runs(scales_j):
+            if upper_only and j0 < i0:
+                continue
+            w, a = kernel.slice(si, sj)
+            per_row = a.size * (j1 - j0)
+            step = min(max(1, chunk_elements // per_row), i1 - i0)
+            cols = slice(j0, j1)
+            for r0 in range(i0, i1, step):
+                rows = slice(r0, min(r0 + step, i1))
+                expo = np.exp(-a[:, None, None] * u[rows, cols])
+                yield rows, cols, w, a, expo
+
+
+def whole_matrix_kernel(kernel, scales_i, Xi, scales_j, Xj, chunk_elements, deriv=False,
+                        square=False):
+    """K (and dK/du) reduced from `whole_matrix_chunks` by one gemv per chunk;
+    with square, only the blocks on and above the diagonal are evaluated and
+    each one strictly above is mirrored below it."""
+    kmat = np.empty((Xi.shape[0], Xj.shape[0]))
+    dmat = np.empty_like(kmat)
+    chunks = whole_matrix_chunks(kernel, scales_i, Xi, scales_j, Xj, chunk_elements, square)
+    for rows, cols, w, a, expo in chunks:
+        flat = expo.reshape(a.size, -1)
+        kmat[rows, cols] = (w @ flat).reshape(expo.shape[1:])
+        dmat[rows, cols] = -((w * a) @ flat).reshape(expo.shape[1:])
+        if square and cols.start >= rows.stop:
+            kmat[cols, rows] = kmat[rows, cols].T
+            dmat[cols, rows] = dmat[rows, cols].T
+    return (kmat, dmat) if deriv else kmat
+
+
+def whole_matrix_velocity(kernel, scales_i, Xi, scales_j, Xj, C, chunk_elements):
+    """V = K C reduced from `whole_matrix_chunks` by one batched GEMM per chunk."""
+    vel = np.zeros((Xi.shape[0], C.shape[1]))
+    for rows, cols, w, a, expo in whole_matrix_chunks(
+        kernel, scales_i, Xi, scales_j, Xj, chunk_elements
+    ):
+        vel[rows] += np.matmul(expo, w[:, None, None] * C[None, cols]).sum(0)
+    return vel

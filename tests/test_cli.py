@@ -19,7 +19,13 @@ from msreg.cli import (
     build_kernel,
     main,
 )
-from msreg.config import DEFAULTS, MAX_SPECTRAL_FLOATS, ConfigError, ExperimentConfig
+from msreg.config import (
+    DEFAULTS,
+    MAX_GRAM_FLOATS,
+    MAX_SPECTRAL_FLOATS,
+    ConfigError,
+    ExperimentConfig,
+)
 from msreg.kernel_fit import HankelBasis, KernelTable
 from msreg.registration import Objective
 
@@ -206,6 +212,34 @@ class TestArgumentHandling:
         data["ladder"] = {"s1": 0.1, "s2": 2.0, "num_nodes": 513}
         with pytest.raises(ConfigError, match="spectral table"):
             ExperimentConfig(data)
+
+    @staticmethod
+    def circles(*counts):
+        return [
+            {"scale": 0.1, "template": {"type": "circle", "num": num},
+             "target": {"type": "circle", "num": num, "radius": 1.1}}
+            for num in counts
+        ]
+
+    def test_oversized_landmark_gram_is_a_config_error(self, tmp_path, capsys):
+        # 20000 landmarks would need Grams of 3.2 GB each
+        path = write_config(tmp_path, dict(SMALL_CONFIG, shapes=self.circles(10000, 10000)))
+        tracemalloc.start()
+        try:
+            code = main(["--config", str(path), "register"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert "landmark Gram" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert peak < 2**24
+
+    def test_landmark_gram_cap_is_inclusive(self):
+        assert 11585**2 <= MAX_GRAM_FLOATS < 11586**2
+        ExperimentConfig(dict(SMALL_CONFIG, shapes=self.circles(10000, 1585)))
+        with pytest.raises(ConfigError, match="landmark Gram"):
+            ExperimentConfig(dict(SMALL_CONFIG, shapes=self.circles(10000, 1586)))
 
     def test_fuzzed_overrides_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
                                                          capsys):

@@ -1,6 +1,7 @@
 """Flow integration, grid transport, and Jacobian diagnostics."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from msreg.flow import (
     IntegrationError,
     LandmarkSystem,
     bounding_box,
+    coordinate_differences,
     integrate_forward,
     inverse_map,
     jacobian_determinant,
@@ -23,6 +25,7 @@ from msreg.flow import (
 )
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.scale_kernels import DiracPiecewiseKernel, GaussianScaleFamily
+from oracles import whole_matrix_kernel, whole_matrix_velocity
 
 LADDER = ScaleLadder.uniform(0.1, 2.0, 20)
 KERNEL = DiracPiecewiseKernel(DiracMeasure(0.5), GaussianScaleFamily(LADDER))
@@ -91,7 +94,8 @@ class TestKernelMatrix:
         rows = scales_i.size
         xi = rng.normal(scale=0.5, size=(rows, 2))
         xj = rng.normal(scale=0.5, size=(scales_j.size, 2))
-        kmat, dmat, diff = kernel_matrix(kernel, scales_i, xi, scales_j, xj, deriv=True)
+        kmat, dmat = kernel_matrix(kernel, scales_i, xi, scales_j, xj, deriv=True)
+        diff = coordinate_differences(np.vstack([xi, xj]))[:rows, rows:]
         slices = {(s, t): kernel.slice(s, t) for s in (lo, hi) for t in (lo, hi)}
         if rows > 100:
             # the first run's block against a column run spans two row chunks
@@ -124,8 +128,9 @@ class TestKernelMatrix:
         x = rng.normal(scale=0.5, size=(scales.size, 2))
         square = kernel_matrix(kernel, scales, x, deriv=True)
         rect = kernel_matrix(kernel, scales, x, scales, x, deriv=True)
-        assert np.array_equal(square[2], rect[2])
-        u = np.sum(rect[2] ** 2, axis=-1)
+        diff = coordinate_differences(x)
+        assert np.array_equal(diff, x[:, None, :] - x[None, :, :])
+        u = np.sum(diff**2, axis=-1)
         bounds = np.cumsum((0,) + runs)
         blocks = [slice(b0, b1) for b0, b1 in zip(bounds[:-1], bounds[1:])]
         for b, rows in enumerate(blocks):
@@ -146,7 +151,8 @@ class TestKernelMatrix:
         xj = rng.normal(size=(3, 2))
         si = np.full(4, 0.4)
         sj = np.full(3, 1.3)
-        kmat, dmat, diff = kernel_matrix(KERNEL, si, xi, sj, xj, deriv=True)
+        kmat, dmat = kernel_matrix(KERNEL, si, xi, sj, xj, deriv=True)
+        diff = coordinate_differences(np.vstack([xi, xj]))[:4, 4:]
         assert kmat.shape == (4, 3) and dmat.shape == (4, 3)
         assert diff.shape == (4, 3, 2)
         # dmat is d/du of the mixture; check against finite differences
@@ -163,6 +169,75 @@ class TestKernelMatrix:
         sys0 = two_scale_system(rng)
         kmat = kernel_matrix(KERNEL, sys0.point_scales, sys0.points)
         assert np.abs(kmat - kmat.T).max() <= 1e-13
+
+
+class TestAgainstWholeMatrixOracle:
+    """Bit for bit the block loop over a precomputed whole distance matrix
+    (`tests/oracles.py`), which the per-chunk distances replaced."""
+
+    # (row run lengths, column run lengths, dimension); the runs alternate
+    # between the two ladder ends
+    CASES = {
+        "uneven_runs": ((7, 130, 3, 41), (5, 1, 9), 2),
+        "rows_off_the_chunk": ((1001, 301), (400, 13), 2),
+        "wide_columns": ((3, 2), (5000,), 2),
+        "three_dims": ((40, 9, 23), (6, 11), 3),
+        "zero_rows": ((0,), (5, 4), 2),
+    }
+
+    @staticmethod
+    def make_case(ends, runs_i, runs_j, dim, seed):
+        lo, hi = ends
+        rng = np.random.default_rng(seed)
+        scales_i = np.array([hi, lo] * 4)[: len(runs_i)].repeat(runs_i)
+        scales_j = np.array([lo, hi] * 4)[: len(runs_j)].repeat(runs_j)
+        xi = rng.normal(scale=0.5, size=(scales_i.size, dim))
+        xj = rng.normal(scale=0.5, size=(scales_j.size, dim))
+        return scales_i, xi, scales_j, xj, rng.normal(size=(scales_j.size, dim))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_kernel_matrix_and_velocity_are_bitwise_the_oracle(self, mixture, case):
+        kernel, ends = mixture
+        runs_i, runs_j, dim = self.CASES[case]
+        si, xi, sj, xj, controls = self.make_case(ends, runs_i, runs_j, dim, len(case))
+        if case == "rows_off_the_chunk":
+            # the first block spans several row chunks, the last one partial
+            step = flow.CHUNK_ELEMENTS // (kernel.slice(si[0], sj[0])[1].size * runs_j[0])
+            assert runs_i[0] > step and runs_i[0] % step
+        chunk = flow.CHUNK_ELEMENTS
+        for deriv in (False, True):
+            rect = kernel_matrix(kernel, si, xi, sj, xj, deriv=deriv)
+            ref = whole_matrix_kernel(kernel, si, xi, sj, xj, chunk, deriv=deriv)
+            square = kernel_matrix(kernel, si, xi, deriv=deriv)
+            ref_square = whole_matrix_kernel(kernel, si, xi, si, xi, chunk, deriv=deriv,
+                                             square=True)
+            for got, want in ((rect, ref), (square, ref_square)):
+                got, want = (got, want) if deriv else ((got,), (want,))
+                assert len(got) == len(want)
+                for mat, ref_mat in zip(got, want):
+                    assert mat.shape == ref_mat.shape
+                    assert np.array_equal(mat, ref_mat)
+        vel = kernel_velocity(kernel, si, xi, sj, xj, controls)
+        assert np.array_equal(vel, whole_matrix_velocity(kernel, si, xi, sj, xj, controls, chunk))
+
+    def test_large_grid_velocity_stays_in_chunk_sized_memory(self, small_kernel):
+        # 65536 grid points x 60 landmarks: one distance matrix alone would
+        # be 31 MB; the velocity itself is 1 MB
+        rng = np.random.default_rng(7)
+        grid = make_grid((-1.0, 1.0, -1.0, 1.0), 256)[0]
+        scales = np.full(grid.shape[0], 0.25)
+        landmark_scales = np.repeat([0.1, 1.0], 30)
+        landmarks = rng.normal(scale=0.5, size=(60, 2))
+        controls = rng.normal(size=(60, 2))
+        tracemalloc.start()
+        try:
+            vel = kernel_velocity(small_kernel, scales, grid, landmark_scales, landmarks,
+                                  controls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vel.shape == grid.shape and np.all(np.isfinite(vel))
+        assert peak < 4 * 2**20
 
 
 class TestVelocity:
