@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import MAX_GRAM_FLOATS, ConfigError, ExperimentConfig
 from .flow import (
     DeformationField,
     IntegrationError,
@@ -219,6 +219,12 @@ def _load_controls(path):
         )
     if controls.ndim != 3 or controls.shape[1:] != points.shape:
         raise ConfigError(f"controls {path}: controls must have shape (T, P, d)")
+    # the forward pass forms the P x P landmark Gram, as register does
+    if scales.size**2 > MAX_GRAM_FLOATS:
+        raise ConfigError(
+            f"controls {path}: landmark Gram of {scales.size}^2 floats exceeds "
+            f"{MAX_GRAM_FLOATS}"
+        )
     return LandmarkSystem(scales, points, targets, weight), controls
 
 
@@ -284,10 +290,7 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
             svg_path = root / f"shapes_{scale:g}.svg"
             _write_svg(svg_path, contours, bbox)
             files.append(svg_path)
-    residuals = residual_maps(
-        kernel, trajectory, system, export_scales, grid_pts, grid_shape,
-        deformations=deformations,
-    )
+    residuals = residual_maps(grid_pts, deformations)
     # compose the residuals as written: each must start where the last ended
     composed = grid_pts
     for field in residuals:

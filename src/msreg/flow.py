@@ -67,9 +67,9 @@ class LandmarkSystem:
 CHUNK_ELEMENTS = 1 << 16
 
 # Largest store of per-step landmark Grams (T x 2 x P x P floats) that a
-# forward pass keeps for the adjoint.  A bigger store is not kept: the forward
-# pass then forms no Gram, and the reverse sweep evaluates one per step, so
-# memory does not grow with the step count.
+# forward pass keeps for the adjoint.  A bigger store is not kept: each step
+# then forms its Gram K alone and drops it, and the reverse sweep evaluates
+# K and dK/du again per step, so memory does not grow with the step count.
 MAX_BLOCK_BYTES = 32 << 20
 
 
@@ -80,24 +80,23 @@ def _scale_runs(scales):
     return [(a, b, scales[a]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=False):
-    """The block loop behind `kernel_matrix` and `kernel_velocity`.
+def _kernel_blocks(kernel, scales_i, Xi, scales_j, Xj, deriv=False, upper_only=False):
+    """The one kernel evaluation loop, behind `kernel_matrix` and
+    `kernel_velocity`.
 
-    Yields for each block between a run of equal row scale and a run of
-    equal column scale, and for each row chunk of that block,
-    (rows, cols, w, a, expo) with the mixture slice (w, a) of the block and
-    expo[t, r, c] = exp(-a[t] * u[r, c]), where u[r, c] = |Xi[rows][r] -
-    Xj[cols][c]|^2.  `expo` is laid out term-major so that both reductions
-    over the terms t are single BLAS calls.  Each chunk computes its own u,
-    one coordinate at a time (u = delta_0^2, then u += delta_d^2), and
-    multiplies it by every rate as one contiguous (terms x rows * cols)
-    pass.  u and `expo` live in two buffers of at most about CHUNK_ELEMENTS
-    elements each, allocated once per call and overwritten by the next
-    chunk; the coordinate differences use the `expo` buffer before the
-    exponentials overwrite it.  This is a lazy kernel reduction in the
-    manner of KeOps (Charlier et al., JMLR 2021): neither the rows x cols
-    distances nor a (rows x cols x terms) tensor of a whole block is ever
-    formed.
+    Yields (rows, cols, K), or with deriv (rows, cols, K, dK/du) where u is
+    the squared distance, for each row chunk of each block between a run of
+    equal row scale and a run of equal column scale.  With the mixture
+    slice (w, a) of the block, each chunk computes u one coordinate at a
+    time, expo[t] = exp(-a[t] * u) term-major as one contiguous pass, and
+    reduces over the terms with one gemv each: K = w @ expo, dK/du =
+    -((w * a) @ expo).  u and `expo` live in two buffers of about
+    CHUNK_ELEMENTS elements, allocated once per call: the coordinate
+    differences use the `expo` buffer before the exponentials overwrite it,
+    and K takes the u buffer after, so a caller must use each block before
+    the next.  This is a lazy kernel reduction in the manner of KeOps
+    (Charlier et al., JMLR 2021): no rows x cols array of a whole block and
+    no (rows x cols x terms) tensor is ever formed.
 
     With upper_only the columns must be the rows, and only the blocks whose
     column run starts at or after their row run are yielded, for a caller
@@ -139,7 +138,15 @@ def _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=False):
                 # u and expo are contiguous, so each term is one rows * cols loop
                 np.multiply(neg_a, u, out=expo)
                 np.exp(expo, out=expo)
-                yield rows, cols, w, a, expo
+                flat = expo.reshape(a.size, -1)
+                # K takes the u buffer, whose values the exponentials consumed;
+                # np.dot gives the bits of `w @ flat`, and a one-term mixture
+                # costs it a scaled copy where matmul is about 3x slower
+                np.dot(w, flat, out=u.reshape(-1))
+                if deriv:
+                    yield rows, cols, u, -np.dot(w * a, flat).reshape(num, width)
+                else:
+                    yield rows, cols, u
 
 
 def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
@@ -147,27 +154,22 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
 
     With deriv=True, returns (K, dK/du) where u is the squared distance;
     `coordinate_differences` gives the x_p - x_q that the chain rule needs.
-    Each row chunk of `_exponential_chunks` is reduced over the mixture
-    terms by one gemv.  Without columns the matrix is the square Gram of Xi,
-    and each block above the block diagonal is copied, transposed, below it.
+    The matrix is a scatter of the blocks of `_kernel_blocks`.  Without
+    columns it is the square Gram of Xi, and each block above the block
+    diagonal is copied, transposed, below it.
     """
     square = scales_j is None
     if square:
         scales_j, Xj = scales_i, Xi
-    kmat = np.empty((Xi.shape[0], Xj.shape[0]))
-    dmat = np.empty_like(kmat) if deriv else None
-    mats = (kmat, dmat) if deriv else (kmat,)
-    chunks = _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj, upper_only=square)
-    for rows, cols, w, a, expo in chunks:
-        flat = expo.reshape(a.size, -1)
-        shape = expo.shape[1:]
-        kmat[rows, cols] = (w @ flat).reshape(shape)
-        if deriv:
-            dmat[rows, cols] = -((w * a) @ flat).reshape(shape)
-        if square and cols.start >= rows.stop:  # strictly above the diagonal
-            for mat in mats:
-                mat[cols, rows] = mat[rows, cols].T
-    return mats if deriv else kmat
+    mats = [np.empty((Xi.shape[0], Xj.shape[0])) for _ in range(1 + deriv)]
+    for rows, cols, *blocks in _kernel_blocks(
+        kernel, scales_i, Xi, scales_j, Xj, deriv=deriv, upper_only=square
+    ):
+        for mat, block in zip(mats, blocks):
+            mat[rows, cols] = block
+            if square and cols.start >= rows.stop:  # strictly above the diagonal
+                mat[cols, rows] = block.T
+    return tuple(mats) if deriv else mats[0]
 
 
 def coordinate_differences(X):
@@ -180,14 +182,11 @@ def coordinate_differences(X):
 
 
 def kernel_velocity(kernel, scales_i, Xi, scales_j, Xj, C):
-    """Velocity V[p] = sum_q K[p, q] C[q] without forming K.
-
-    Each row chunk of `_exponential_chunks` is reduced by one batched GEMM
-    against the term-weighted vectors w[t] * C[q], then summed over terms.
-    """
+    """Velocity V[p] = sum_q K[p, q] C[q] without forming K: each block of
+    `_kernel_blocks` is applied to its columns' vectors as it comes."""
     vel = np.zeros((Xi.shape[0], C.shape[1]))
-    for rows, cols, w, a, expo in _exponential_chunks(kernel, scales_i, Xi, scales_j, Xj):
-        vel[rows] += np.matmul(expo, w[:, None, None] * C[None, cols]).sum(0)
+    for rows, cols, kmat in _kernel_blocks(kernel, scales_i, Xi, scales_j, Xj):
+        vel[rows] += kmat @ C[cols]
     return vel
 
 
@@ -229,12 +228,11 @@ class IntegrationError(RuntimeError):
 def integrate_forward(kernel, system, controls, keep_blocks=True):
     """Explicit Euler integration of the landmark dynamics.
 
-    With keep_blocks, and while the store fits MAX_BLOCK_BYTES, each step
-    evaluates the landmark Gram K and dK/du once, moves the landmarks by
-    K a, and keeps both matrices on the trajectory for the adjoint.
-    Otherwise each step forms no Gram and moves the landmarks by
-    `kernel_velocity`.  Accumulates the control energy
-    0.5 * sum_i dt * a^T K(x(t_i)) a.
+    Each step evaluates the landmark Gram K once and moves the landmarks
+    by K a.  With keep_blocks, and while the store fits MAX_BLOCK_BYTES,
+    the step also evaluates dK/du and keeps both matrices on the trajectory
+    for the adjoint; the store changes memory only, never a value.
+    Accumulates the control energy 0.5 * sum_i dt * a^T K(x(t_i)) a.
     """
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 3 or controls.shape[1:] != system.points.shape:
@@ -257,11 +255,11 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
     for i in range(num_steps):
         pos = positions[i]
         if blocks is None:
-            vel = kernel_velocity(kernel, scales, pos, scales, pos, controls[i])
+            kmat = kernel_matrix(kernel, scales, pos)
         else:
             kmat, dmat = blocks[i]
             kmat[...], dmat[...] = kernel_matrix(kernel, scales, pos, deriv=True)
-            vel = kmat @ controls[i]
+        vel = kmat @ controls[i]
         sq = np.einsum("pd,pd->", controls[i], vel)
         step_norms[i] = sq
         energy += 0.5 * dt * sq
@@ -336,28 +334,21 @@ def inverse_map(kernel, trajectory, system, lam, grid_points, grid_shape=None):
     return DeformationField(float(lam), np.asarray(grid_points, float), mapped, grid_shape)
 
 
-def residual_maps(kernel, trajectory, system, node_scales, grid_points, grid_shape=None,
-                  deformations=None):
+def residual_maps(grid_points, deformations):
     """Inter-scale residuals rho_k = psi_k o psi_{k-1}^{-1} (psi_0 the
-    identity), each sampled where psi_{k-1} sent the grid: rho_k maps
-    psi_{k-1}(g) to psi_k(g), so their composition telescopes to psi_n
-    exactly, with no inverse map.
-
-    `deformations`, if given, are the grid transported at each node, so no
-    transport is made; otherwise n nodes take n transports.  Deformations
-    with log-Jacobians give each residual log det D psi_k - log det D
-    psi_{k-1} at the same grid index (the chain rule), NaN where either
-    scale folds."""
-    grid_points = np.asarray(grid_points, dtype=float)
-    if deformations is None:
-        deformations = [
-            transport_grid(kernel, trajectory, system, scale, grid_points, grid_shape)
-            for scale in node_scales
-        ]
+    identity) of `deformations`, the grid transported at each node scale.
+    Each is sampled where psi_{k-1} sent the grid: rho_k maps psi_{k-1}(g)
+    to psi_k(g), so their composition telescopes to psi_n exactly, with no
+    inverse map and no transport of their own.  Deformations with
+    log-Jacobians give each residual log det D psi_k - log det D psi_{k-1}
+    at the same grid index (the chain rule), NaN where either scale
+    folds."""
     fields = []
-    source, prev_log_jac = grid_points, 0.0
-    for scale, deformation in zip(node_scales, deformations):
-        field = DeformationField(float(scale), source, deformation.mapped, grid_shape)
+    source, prev_log_jac = np.asarray(grid_points, dtype=float), 0.0
+    for deformation in deformations:
+        field = DeformationField(
+            deformation.scale, source, deformation.mapped, deformation.grid_shape
+        )
         if deformation.log_jac is not None:
             field.log_jac = deformation.log_jac - prev_log_jac
         fields.append(field)

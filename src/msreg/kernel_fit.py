@@ -56,9 +56,7 @@ class HankelBasis:
     def spectral(self, xi):
         """Matrix h_hat_q(xi_j), shape (len(xi), Q); strictly positive."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return np.stack(
-            [kappa_hat_gaussian(tau, xi, self.dim) for tau in self.taus], axis=-1
-        )
+        return kappa_hat_gaussian(self.taus, xi[:, None], self.dim)
 
 
 class _MinimaxModel:
@@ -295,11 +293,6 @@ class KernelTable(MixtureKernel):
         if key not in self._slices:
             self._slices[key] = self.beta[self.index_of(lam), self.index_of(mu)], self._rates
         return self._slices[key]
-
-    def spectrum(self, lam1, lam2, xis):
-        """Fitted spectral profile at the given frequencies."""
-        row = self.beta[self.index_of(lam1), self.index_of(lam2)]
-        return self.basis.spectral(xis).dot(row)
 
     def save_binary(self, path):
         m, q = self.scales.size, self.basis.size

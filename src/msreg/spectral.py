@@ -150,20 +150,6 @@ class SpectralTable:
             self.grid.xis.astype("<f8").tofile(fh)
             np.ascontiguousarray(self.values, dtype="<f8").tofile(fh)
 
-    @classmethod
-    def load_binary(cls, path):
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError("not a spectral table file")
-            header = fh.read(struct.calcsize("<iiiid"))
-            version, dim, n, nxi, sigma = struct.unpack("<iiiid", header)
-            if version != _VERSION:
-                raise ValueError(f"unsupported version {version}")
-            nodes = np.fromfile(fh, dtype="<f8", count=n + 1)
-            xis = np.fromfile(fh, dtype="<f8", count=nxi)
-            values = np.fromfile(fh, dtype="<f8").reshape(n + 1, n + 1, nxi)
-        return cls(ScaleLadder(nodes), sigma, SpectralGrid(xis, dim), values)
-
 
 def compute_spectral_table(ladder, sigma, grid):
     """Solve the per-frequency systems for every source node.

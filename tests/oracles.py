@@ -7,6 +7,8 @@ code paths.
 """
 
 import itertools
+import struct
+from pathlib import Path
 
 import numpy as np
 from scipy.special import j0
@@ -252,10 +254,26 @@ def whole_matrix_kernel(kernel, scales_i, Xi, scales_j, Xj, chunk_elements, deri
 
 
 def whole_matrix_velocity(kernel, scales_i, Xi, scales_j, Xj, C, chunk_elements):
-    """V = K C reduced from `whole_matrix_chunks` by one batched GEMM per chunk."""
+    """V = K C from `whole_matrix_chunks`, each chunk reduced over the terms
+    first by one gemv and then applied to its columns' vectors."""
     vel = np.zeros((Xi.shape[0], C.shape[1]))
     for rows, cols, w, a, expo in whole_matrix_chunks(
         kernel, scales_i, Xi, scales_j, Xj, chunk_elements
     ):
-        vel[rows] += np.matmul(expo, w[:, None, None] * C[None, cols]).sum(0)
+        flat = expo.reshape(a.size, -1)
+        vel[rows] += (w @ flat).reshape(expo.shape[1:]) @ C[cols]
     return vel
+
+
+def read_spectral_table(path):
+    """Fields of a `SpectralTable.save_binary` file, read by its layout: the
+    magic, a little-endian (version, dim, n, J, sigma) header, then the n + 1
+    nodes, the J frequencies and the (n + 1, n + 1, J) values as float64."""
+    blob = Path(path).read_bytes()
+    header = struct.Struct("<4siiiid")
+    magic, version, dim, n, nxi, sigma = header.unpack_from(blob)
+    data = np.frombuffer(blob, dtype="<f8", offset=header.size)
+    nodes, xis = data[: n + 1], data[n + 1 : n + 1 + nxi]
+    values = data[n + 1 + nxi :].reshape(n + 1, n + 1, nxi)
+    return {"magic": magic, "version": version, "dim": dim, "sigma": sigma,
+            "nodes": nodes, "xis": xis, "values": values}

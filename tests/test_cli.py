@@ -241,6 +241,33 @@ class TestArgumentHandling:
         with pytest.raises(ConfigError, match="landmark Gram"):
             ExperimentConfig(dict(SMALL_CONFIG, shapes=self.circles(10000, 1586)))
 
+    def test_oversized_controls_file_is_a_config_error(self, tmp_path, capsys):
+        # a controls file is capped like the config's shapes: the forward
+        # pass of 11586 landmarks would form Grams of 1.07 GB each
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        num = 11586
+        points = [[k / num, (k % 2) / num] for k in range(num)]
+        controls = {
+            "point_scales": [0.1] * num,
+            "points": points,
+            "targets": points,
+            "weight": 1.0,
+            "controls": [[[0.0, 0.0]] * num],
+        }
+        controls_path = tmp_path / "controls.json"
+        controls_path.write_text(json.dumps(controls))
+        args = ["--config", str(path), "export-fields", "--controls", str(controls_path)]
+        tracemalloc.start()
+        try:
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert "landmark Gram" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*/deformation_*.csv"))
+        assert peak < 2**24
+
     def test_fuzzed_overrides_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
                                                          capsys):
         path = write_config(tmp_path, DIRAC_CONFIG)

@@ -343,19 +343,8 @@ class TestTransport:
         sys0, traj = self.make_case(seed=14)
         pts = np.random.default_rng(15).normal(size=(10, 2))
         node_scales = [0.1, 0.7, 1.4, 2.0]
-        fields = residual_maps(KERNEL, traj, sys0, node_scales, pts)
-        assert [f.scale for f in fields] == node_scales
-        # the first residual starts on the grid; each later one starts where
-        # the previous one ended, so their composition telescopes
-        assert np.array_equal(fields[0].source, pts)
-        for prev, f in zip(fields[:-1], fields[1:]):
-            assert np.array_equal(f.source, prev.mapped)
-        for f in fields:
-            direct = transport_grid(KERNEL, traj, sys0, f.scale, pts)
-            assert np.abs(f.mapped - direct.mapped).max() <= 1e-12
-        # given the deformations, the residuals take no transport of their
-        # own, and their log-Jacobians follow the chain rule
         deformations = [transport_grid(KERNEL, traj, sys0, s, pts) for s in node_scales]
+        assert all(f.log_jac is None for f in residual_maps(pts, deformations))
         for k, d in enumerate(deformations):
             d.log_jac = np.random.default_rng(16 + k).normal(size=len(pts))
         deformations[1].log_jac[3] = np.nan  # a folded cell at the second node
@@ -363,18 +352,23 @@ class TestTransport:
         def forbidden(*args, **kwargs):
             raise AssertionError("_transport called")
 
+        # the residuals take no transport of their own
         monkeypatch.setattr(flow, "_transport", forbidden)
-        again = residual_maps(
-            KERNEL, traj, sys0, node_scales, pts, deformations=deformations
-        )
-        for f, g in zip(fields, again):
-            assert np.array_equal(f.source, g.source)
-            assert np.array_equal(f.mapped, g.mapped)
-        assert np.array_equal(again[0].log_jac, deformations[0].log_jac)
+        fields = residual_maps(pts, deformations)
+        assert [f.scale for f in fields] == node_scales
+        # the first residual starts on the grid; each later one starts where
+        # the previous one ended, so their composition telescopes
+        assert np.array_equal(fields[0].source, pts)
+        for prev, f in zip(fields[:-1], fields[1:]):
+            assert np.array_equal(f.source, prev.mapped)
+        for f, d in zip(fields, deformations):
+            assert np.array_equal(f.mapped, d.mapped)
+        # their log-Jacobians follow the chain rule
+        assert np.array_equal(fields[0].log_jac, deformations[0].log_jac)
         for k in range(1, len(node_scales)):
             diff = deformations[k].log_jac - deformations[k - 1].log_jac
-            assert np.array_equal(again[k].log_jac, diff, equal_nan=True)
-        assert np.isnan(again[1].log_jac[3]) and np.isnan(again[2].log_jac[3])
+            assert np.array_equal(fields[k].log_jac, diff, equal_nan=True)
+        assert np.isnan(fields[1].log_jac[3]) and np.isnan(fields[2].log_jac[3])
 
     def test_velocity_paths_never_form_the_kernel_matrix(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -384,9 +378,9 @@ class TestTransport:
         sys0, traj = self.make_case(seed=19)
         monkeypatch.setattr(flow, "kernel_matrix", forbidden)
         pts = np.random.default_rng(20).normal(size=(7, 2))
-        fields = residual_maps(KERNEL, traj, sys0, [0.1, 2.0], pts)
-        direct = transport_grid(KERNEL, traj, sys0, 2.0, pts)
-        assert len(fields) == 2 and np.all(np.isfinite(direct.mapped))
+        fields = [transport_grid(KERNEL, traj, sys0, s, pts) for s in (0.1, 2.0)]
+        back = inverse_map(KERNEL, traj, sys0, 2.0, pts)
+        assert all(np.all(np.isfinite(f.mapped)) for f in fields + [back])
 
     def test_translation_equivariance(self):
         sys0, traj = self.make_case(seed=16)

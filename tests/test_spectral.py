@@ -7,7 +7,6 @@ from msreg import spectral
 from msreg.ladder import ScaleLadder
 from msreg.spectral import (
     SpectralGrid,
-    SpectralTable,
     compute_spectral_table,
     kappa_hat_gaussian,
     psi_gaussian,
@@ -19,6 +18,7 @@ from oracles import (
     chi_gaussian,
     dense_spectral_solve,
     per_frequency_spectral_table,
+    read_spectral_table,
 )
 
 
@@ -164,18 +164,13 @@ class TestPersistence:
     def test_binary_round_trip(self, small_spectral, tmp_path):
         path = tmp_path / "table.msks"
         small_spectral.save_binary(path)
-        loaded = SpectralTable.load_binary(path)
-        assert loaded.sigma == small_spectral.sigma
-        assert loaded.dim == small_spectral.dim
-        assert np.array_equal(loaded.ladder.nodes, small_spectral.ladder.nodes)
-        assert np.array_equal(loaded.grid.xis, small_spectral.grid.xis)
-        assert np.array_equal(loaded.values, small_spectral.values)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            SpectralTable.load_binary(path)
+        loaded = read_spectral_table(path)
+        assert (loaded["magic"], loaded["version"]) == (spectral._MAGIC, spectral._VERSION)
+        assert loaded["sigma"] == small_spectral.sigma
+        assert loaded["dim"] == small_spectral.dim
+        assert np.array_equal(loaded["nodes"], small_spectral.ladder.nodes)
+        assert np.array_equal(loaded["xis"], small_spectral.grid.xis)
+        assert np.array_equal(loaded["values"], small_spectral.values)
 
 
 class TestEvaluator:
