@@ -273,33 +273,31 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
     deformations = []
     for scale in export_scales:
         field = transport_grid(kernel, trajectory, system, scale, grid_pts, grid_shape)
-        log_jacobian(field, spacing)
-        deformations.append(field)
-        path = root / f"deformation_{scale:g}.csv"
-        field.save_csv(path)
-        files.append(path)
+        deformations.append(log_jacobian(field, spacing))
         if svg:
+            # every landmark in one transport, drawn per base scale
+            warped = transport_grid(kernel, trajectory, system, scale, system.points).mapped
             contours = []
             for base in system.base_scales:
                 mask = system.point_scales == base
-                warped = transport_grid(
-                    kernel, trajectory, system, scale, system.points[mask]
-                ).mapped
-                contours.append((warped, "steelblue"))
-                contours.append((system.targets[mask], "tomato"))
+                contours += [(warped[mask], "steelblue"), (system.targets[mask], "tomato")]
             svg_path = root / f"shapes_{scale:g}.svg"
             _write_svg(svg_path, contours, bbox)
             files.append(svg_path)
-    residuals = residual_maps(grid_pts, deformations)
-    # compose the residuals as written: each must start where the last ended
-    composed = grid_pts
-    for field in residuals:
-        if not np.array_equal(field.source, composed):
-            raise RuntimeError(f"residual {field.scale:g} does not start where the last ended")
-        composed = field.mapped
-        path = root / f"residual_{field.scale:g}.csv"
-        field.save_csv(path)
-        files.append(path)
+    # a scale's two files share its deformed grid, which the next residual
+    # starts from, so each array is spelled once; the texts of the grid and
+    # of the last deformed grid are all that is kept from scale to scale
+    composed, grid_text, previous = grid_pts, (), ()
+    for deformation, residual in zip(deformations, residual_maps(grid_pts, deformations)):
+        # compose the residuals as written: each must start where the last ended
+        if not np.array_equal(residual.source, composed):
+            raise RuntimeError(f"residual {residual.scale:g} does not start where the last ended")
+        composed = residual.mapped
+        paths = [root / f"{kind}_{residual.scale:g}.csv" for kind in ("deformation", "residual")]
+        own = deformation.save_csv(paths[0], grid_text)
+        grid_text = own[:1]
+        previous = residual.save_csv(paths[1], own + previous)[1:]
+        files += paths
     recon_err = float(np.abs(composed - deformations[-1].mapped).max())
     summary = {
         "reconstruction_sup_error": recon_err,

@@ -46,7 +46,8 @@ MINIMUM = {
     "time_steps": 1,
     "optimizer.max_iters": 0,
     "optimizer.memory": 1,
-    "grid.size": 2,
+    # the Jacobian's second-order one-sided differences take 3 points per axis
+    "grid.size": 3,
     "grid.margin": 0,
     "seed": 0,
     "shapes.num": 1,

@@ -72,6 +72,11 @@ CHUNK_ELEMENTS = 1 << 16
 # K and dK/du again per step, so memory does not grow with the step count.
 MAX_BLOCK_BYTES = 32 << 20
 
+# Rows of a CSV file spelled at a time: the Python floats and row strings
+# alive at once stay this few, whatever the grid size, and a spelled array
+# is kept as a few long strings rather than a string per row.
+CSV_ROWS = 1024
+
 
 def _scale_runs(scales):
     """Maximal runs of equal scale as (start, stop, scale)."""
@@ -80,73 +85,106 @@ def _scale_runs(scales):
     return [(a, b, scales[a]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _kernel_blocks(kernel, scales_i, Xi, scales_j, Xj, deriv=False, upper_only=False):
-    """The one kernel evaluation loop, behind `kernel_matrix` and
-    `kernel_velocity`.
+class KernelBlocks:
+    """The one kernel evaluation loop, set up once for fixed row and column
+    scales and then run at any positions: `kernel_matrix`, the forward pass
+    and every transport evaluate the kernel here.
 
-    Yields (rows, cols, K), or with deriv (rows, cols, K, dK/du) where u is
-    the squared distance, for each row chunk of each block between a run of
-    equal row scale and a run of equal column scale.  With the mixture
-    slice (w, a) of the block, each chunk computes u one coordinate at a
-    time, expo[t] = exp(-a[t] * u) term-major as one contiguous pass, and
-    reduces over the terms with one gemv each: K = w @ expo, dK/du =
-    -((w * a) @ expo).  u and `expo` live in two buffers of about
-    CHUNK_ELEMENTS elements, allocated once per call: the coordinate
-    differences use the `expo` buffer before the exponentials overwrite it,
-    and K takes the u buffer after, so a caller must use each block before
-    the next.  This is a lazy kernel reduction in the manner of KeOps
-    (Charlier et al., JMLR 2021): no rows x cols array of a whole block and
-    no (rows x cols x terms) tensor is ever formed.
+    The set-up, done once per forward pass or transport and reused by all
+    its steps, finds the runs of equal row scale and of equal column scale,
+    takes the mixture slice (w, a) of each block between a row run and a
+    column run, sizes its row chunks, and allocates the two buffers of
+    about CHUNK_ELEMENTS elements that every chunk of every step reuses.
 
-    With upper_only the columns must be the rows, and only the blocks whose
-    column run starts at or after their row run are yielded, for a caller
-    that mirrors the symmetric rest.
+    Calling it at row positions Xi and column positions Xj yields (rows,
+    cols, K), or with deriv (rows, cols, K, dK/du) where u is the squared
+    distance, for each row chunk of each block.  Each chunk computes u one
+    coordinate at a time, expo[t] = exp(-a[t] * u) term-major as one
+    contiguous pass, and reduces over the terms with one gemv each: K =
+    w @ expo, dK/du = -((w * a) @ expo).  The coordinate differences use
+    the `expo` buffer before the exponentials overwrite it, and K takes the
+    u buffer after, so a caller must use each block before the next.  This
+    is a lazy kernel reduction in the manner of KeOps (Charlier et al.,
+    JMLR 2021): no rows x cols array of a whole block and no (rows x cols x
+    terms) tensor is ever formed.
+
+    Without column scales the blocks are those of the square Gram of the
+    rows: only the blocks whose column run starts at or after their row run
+    are yielded, for a caller that mirrors the symmetric rest.
     """
-    rows_t = Xi.T[:, :, None]  # each row coordinate as a column
-    cols_t = Xj.T.copy()  # contiguous coordinates of the columns
-    buf = ubuf = np.empty(0)
-    runs_i = _scale_runs(scales_i)
-    runs_j = runs_i if upper_only else _scale_runs(scales_j)
-    for i0, i1, si in runs_i:
-        for j0, j1, sj in runs_j:
-            if upper_only and j0 < i0:
-                continue
-            w, a = kernel.slice(si, sj)
-            neg_a = -a[:, None, None]
-            width = j1 - j0
-            per_row = a.size * width
-            step = min(max(1, CHUNK_ELEMENTS // per_row), i1 - i0)
-            if buf.size < step * per_row:
-                buf = np.empty(step * per_row)
-            if ubuf.size < step * width:
-                ubuf = np.empty(step * width)
-            u_rows = ubuf[: step * width].reshape(step, width)
-            delta_rows = buf[: step * width].reshape(step, width)
-            first, rest = cols_t[0, j0:j1], cols_t[1:, j0:j1]
-            cols = slice(j0, j1)
-            for r0 in range(i0, i1, step):
-                rows = slice(r0, min(r0 + step, i1))
+
+    def __init__(self, kernel, scales_i, scales_j=None):
+        self.square = scales_j is None
+        runs_i = _scale_runs(scales_i)
+        runs_j = runs_i if self.square else _scale_runs(scales_j)
+        self.shape = (scales_i.size, (scales_i if self.square else scales_j).size)
+        blocks, size, u_size = [], 0, 0
+        for i0, i1, si in runs_i:
+            for j0, j1, sj in runs_j:
+                if self.square and j0 < i0:
+                    continue
+                w, a = kernel.slice(si, sj)
+                width = j1 - j0
+                step = min(max(1, CHUNK_ELEMENTS // (a.size * width)), i1 - i0)
+                starts = range(i0, i1, step)
+                blocks.append((starts, i1, slice(j0, j1), w, w * a, -a[:, None, None]))
+                size = max(size, step * width * a.size)
+                u_size = max(u_size, step * width)
+        self._blocks = blocks
+        self._buf = np.empty(size)
+        self._ubuf = np.empty(u_size)
+
+    def __call__(self, Xi, Xj=None, deriv=False):
+        rows_t = Xi.T[:, :, None]  # each row coordinate as a column
+        cols_t = (Xi if Xj is None else Xj).T.copy()  # contiguous column coordinates
+        buf, ubuf = self._buf, self._ubuf
+        for starts, i1, cols, w, wa, neg_a in self._blocks:
+            width = cols.stop - cols.start
+            first, rest = cols_t[0, cols], cols_t[1:, cols]
+            for r0 in starts:
+                rows = slice(r0, min(r0 + starts.step, i1))
                 num = rows.stop - r0
-                u, delta = u_rows[:num], delta_rows[:num]
+                u = ubuf[: num * width].reshape(num, width)
+                delta = buf[: num * width].reshape(num, width)
                 np.subtract(rows_t[0, rows], first, out=u)
                 np.multiply(u, u, out=u)
                 for xi, xj in zip(rows_t[1:, rows], rest):
                     np.subtract(xi, xj, out=delta)
                     np.multiply(delta, delta, out=delta)
                     u += delta
-                expo = buf[: num * per_row].reshape(a.size, num, width)
+                expo = buf[: neg_a.size * num * width].reshape(neg_a.size, num, width)
                 # u and expo are contiguous, so each term is one rows * cols loop
                 np.multiply(neg_a, u, out=expo)
                 np.exp(expo, out=expo)
-                flat = expo.reshape(a.size, -1)
+                flat = expo.reshape(neg_a.size, -1)
                 # K takes the u buffer, whose values the exponentials consumed;
                 # np.dot gives the bits of `w @ flat`, and a one-term mixture
                 # costs it a scaled copy where matmul is about 3x slower
                 np.dot(w, flat, out=u.reshape(-1))
                 if deriv:
-                    yield rows, cols, u, -np.dot(w * a, flat).reshape(num, width)
+                    yield rows, cols, u, -np.dot(wa, flat).reshape(num, width)
                 else:
                     yield rows, cols, u
+
+    def matrix(self, Xi, Xj=None, deriv=False):
+        """K, or with deriv (K, dK/du), scattered from the blocks; the square
+        Gram copies each block above the block diagonal, transposed, below
+        it."""
+        mats = [np.empty(self.shape) for _ in range(1 + deriv)]
+        for rows, cols, *blocks in self(Xi, Xj, deriv):
+            for mat, block in zip(mats, blocks):
+                mat[rows, cols] = block
+                if self.square and cols.start >= rows.stop:  # strictly above the diagonal
+                    mat[cols, rows] = block.T
+        return tuple(mats) if deriv else mats[0]
+
+    def velocity(self, Xi, Xj, C):
+        """Velocity V[p] = sum_q K[p, q] C[q] without forming K: each block is
+        applied to its columns' vectors as it comes."""
+        vel = np.zeros((Xi.shape[0], C.shape[1]))
+        for rows, cols, kmat in self(Xi, Xj):
+            vel[rows] += kmat @ C[cols]
+        return vel
 
 
 def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
@@ -154,22 +192,10 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
 
     With deriv=True, returns (K, dK/du) where u is the squared distance;
     `coordinate_differences` gives the x_p - x_q that the chain rule needs.
-    The matrix is a scatter of the blocks of `_kernel_blocks`.  Without
-    columns it is the square Gram of Xi, and each block above the block
-    diagonal is copied, transposed, below it.
+    Without columns it is the square Gram of Xi.  One call sets up its own
+    `KernelBlocks`; a caller evaluating many steps sets one up itself.
     """
-    square = scales_j is None
-    if square:
-        scales_j, Xj = scales_i, Xi
-    mats = [np.empty((Xi.shape[0], Xj.shape[0])) for _ in range(1 + deriv)]
-    for rows, cols, *blocks in _kernel_blocks(
-        kernel, scales_i, Xi, scales_j, Xj, deriv=deriv, upper_only=square
-    ):
-        for mat, block in zip(mats, blocks):
-            mat[rows, cols] = block
-            if square and cols.start >= rows.stop:  # strictly above the diagonal
-                mat[cols, rows] = block.T
-    return tuple(mats) if deriv else mats[0]
+    return KernelBlocks(kernel, scales_i, scales_j).matrix(Xi, Xj, deriv)
 
 
 def coordinate_differences(X):
@@ -179,15 +205,6 @@ def coordinate_differences(X):
     for d in range(X.shape[1]):
         np.subtract.outer(X[:, d], X[:, d], out=diff[..., d])
     return diff
-
-
-def kernel_velocity(kernel, scales_i, Xi, scales_j, Xj, C):
-    """Velocity V[p] = sum_q K[p, q] C[q] without forming K: each block of
-    `_kernel_blocks` is applied to its columns' vectors as it comes."""
-    vel = np.zeros((Xi.shape[0], C.shape[1]))
-    for rows, cols, kmat in _kernel_blocks(kernel, scales_i, Xi, scales_j, Xj):
-        vel[rows] += kmat @ C[cols]
-    return vel
 
 
 @dataclass
@@ -228,10 +245,11 @@ class IntegrationError(RuntimeError):
 def integrate_forward(kernel, system, controls, keep_blocks=True):
     """Explicit Euler integration of the landmark dynamics.
 
-    Each step evaluates the landmark Gram K once and moves the landmarks
-    by K a.  With keep_blocks, and while the store fits MAX_BLOCK_BYTES,
-    the step also evaluates dK/du and keeps both matrices on the trajectory
-    for the adjoint; the store changes memory only, never a value.
+    Each step evaluates the landmark Gram K once, with one `KernelBlocks`
+    set up for the whole pass, and moves the landmarks by K a.  With
+    keep_blocks, and while the store fits MAX_BLOCK_BYTES, the step also
+    evaluates dK/du and keeps both matrices on the trajectory for the
+    adjoint; the store changes memory only, never a value.
     Accumulates the control energy 0.5 * sum_i dt * a^T K(x(t_i)) a.
     """
     controls = np.asarray(controls, dtype=float)
@@ -251,14 +269,14 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
         # 2T small matrices would leave the heap larger at its next peak
         blocks = np.empty(block_shape)
     energy = 0.0
-    scales = system.point_scales
+    gram = KernelBlocks(kernel, system.point_scales)
     for i in range(num_steps):
         pos = positions[i]
         if blocks is None:
-            kmat = kernel_matrix(kernel, scales, pos)
+            kmat = gram.matrix(pos)
         else:
             kmat, dmat = blocks[i]
-            kmat[...], dmat[...] = kernel_matrix(kernel, scales, pos, deriv=True)
+            kmat[...], dmat[...] = gram.matrix(pos, deriv=True)
         vel = kmat @ controls[i]
         sq = np.einsum("pd,pd->", controls[i], vel)
         step_norms[i] = sq
@@ -288,31 +306,50 @@ class DeformationField:
     def sup_displacement(self):
         return float(np.abs(self.displacement).max())
 
-    def save_csv(self, path):
+    def save_csv(self, path, spelled=()):
         """x, y, psi_x, psi_y, log_jac rows with CRLF line ends; each float
         is spelled by repr (as str(np.float64) does, NaN as nan), and an
-        absent log-Jacobian leaves its column empty."""
-        columns = [*self.source.T, *self.mapped.T]
-        if self.log_jac is not None:
-            columns.append(self.log_jac.ravel())
-        texts = [map(repr, column.tolist()) for column in columns]
-        if self.log_jac is None:
-            texts.append([""] * self.source.shape[0])
+        absent log-Jacobian leaves its column empty.
+
+        Spelling is most of the cost, and fields share point arrays (each
+        residual starts on the previous scale's deformed grid), so `spelled`
+        takes the (array, text) pairs that earlier calls returned: a point
+        array of this field found there, by identity, is not spelled again,
+        so it must not have changed since.  Returns the pairs of this
+        field's source and mapped points.
+        """
+        known = {id(array): text for array, text in spelled}
+        arrays = (self.source, self.mapped, self.log_jac)
+        texts = [known.get(id(array)) or _spell(array, len(self.source)) for array in arrays]
         with open(path, "w", newline="") as fh:
             fh.write("x,y,psi_x,psi_y,log_jac\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*texts))
+            for chunks in zip(*texts):
+                rows = zip(*(chunk.split("\n") for chunk in chunks))
+                fh.writelines(f"{a},{b},{c}\r\n" for a, b, c in rows)
+        return tuple(zip(arrays[:2], texts[:2]))
+
+
+def _spell(array, rows):
+    """The text of an array of `rows` rows, one string per CSV_ROWS rows:
+    each row is its floats by repr, comma-joined, and the rows are joined
+    by newlines.  Without an array every row is empty."""
+    starts = range(0, rows, CSV_ROWS)
+    if array is None:
+        return ["\n" * (min(rows - r0, CSV_ROWS) - 1) for r0 in starts]
+    values = np.reshape(array, (rows, -1))
+    return [
+        "\n".join(map(",".join, zip(*(map(repr, column) for column in chunk.T.tolist()))))
+        for chunk in (values[r0 : r0 + CSV_ROWS] for r0 in starts)
+    ]
 
 
 def _transport(kernel, trajectory, system, lam, points, reverse=False):
     pts = np.array(points, dtype=float, copy=True)
     dt = trajectory.dt
-    scales = np.full(pts.shape[0], float(lam))
+    blocks = KernelBlocks(kernel, np.full(pts.shape[0], float(lam)), system.point_scales)
     steps = range(trajectory.num_steps)
     for i in (reversed(steps) if reverse else steps):
-        vel = kernel_velocity(
-            kernel, scales, pts, system.point_scales, trajectory.positions[i],
-            trajectory.controls[i],
-        )
+        vel = blocks.velocity(pts, trajectory.positions[i], trajectory.controls[i])
         pts += (-dt if reverse else dt) * vel
         if not np.all(np.isfinite(pts)):
             raise IntegrationError(i)

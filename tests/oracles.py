@@ -6,6 +6,7 @@ vertex enumeration, inverse Hankel quadrature) rather than reusing library
 code paths.
 """
 
+import csv
 import itertools
 import struct
 from pathlib import Path
@@ -277,3 +278,15 @@ def read_spectral_table(path):
     values = data[n + 1 + nxi :].reshape(n + 1, n + 1, nxi)
     return {"magic": magic, "version": version, "dim": dim, "sigma": sigma,
             "nodes": nodes, "xis": xis, "values": values}
+
+
+def write_field_csv(path, field):
+    """A `DeformationField` as a row-by-row `csv.writer` of its numpy values:
+    each grid point, its image and its log-Jacobian (empty when absent)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "psi_x", "psi_y", "log_jac"])
+        for i in range(field.source.shape[0]):
+            row = list(field.source[i]) + list(field.mapped[i])
+            row.append("" if field.log_jac is None else field.log_jac.ravel()[i])
+            writer.writerow(row)

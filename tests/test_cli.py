@@ -28,6 +28,7 @@ from msreg.config import (
 )
 from msreg.kernel_fit import HankelBasis, KernelTable
 from msreg.registration import Objective
+from oracles import write_field_csv
 
 SMALL_CONFIG = {
     "name": "cli-test",
@@ -122,6 +123,7 @@ class TestArgumentHandling:
                 id="shape_scale_type",
             ),
             pytest.param(DIRAC_CONFIG, "measure.s0=5", id="s0_off_ladder"),
+            pytest.param(SMALL_CONFIG, "grid.size=2", id="grid_size_2"),
             pytest.param(SMALL_CONFIG, "grid.size=1", id="grid_size_1"),
             pytest.param(SMALL_CONFIG, "grid.size=0", id="grid_size_0"),
             pytest.param(SMALL_CONFIG, "grid.size=2.5", id="grid_size_float"),
@@ -268,10 +270,8 @@ class TestArgumentHandling:
         assert not list((tmp_path / "out").glob("*/deformation_*.csv"))
         assert peak < 2**24
 
-    def test_fuzzed_overrides_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
-                                                         capsys):
-        path = write_config(tmp_path, DIRAC_CONFIG)
-
+    @staticmethod
+    def known_paths():
         def dotted(node, prefix=""):
             for key, val in node.items():
                 yield prefix + key
@@ -281,7 +281,35 @@ class TestArgumentHandling:
         # output_dir is left out: a drawn string would put run directories
         # wherever it points
         known = [p for p in dotted(DEFAULTS) if p != "output_dir"]
-        known += ["ladder.nodes", "measure.s0"]
+        return known + ["ladder.nodes", "measure.s0"]
+
+    @staticmethod
+    def fuzz(tmp_path, tmp_path_factory, capsys, assignments, verbs, exits, max_examples):
+        """Every verb, run in turn on the Dirac config with one or two drawn
+        --set overrides, ends in one of `exits`."""
+        path = write_config(tmp_path, DIRAC_CONFIG)
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+        @given(st.lists(assignments, min_size=1, max_size=2))
+        def run(overrides):
+            args = ["--config", str(path)]
+            for item in overrides:
+                args += ["--set", item]
+            for verb in verbs:
+                assert main(args + verb) in exits, verb
+            capsys.readouterr()
+
+        # hypothesis caches constants and unicode tables even with no database
+        set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+        try:
+            run()
+        finally:
+            set_hypothesis_home_dir(None)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+    def test_fuzzed_overrides_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
+                                                         capsys):
+        known = self.known_paths()
         misspelt = ["optimiser.max_iters", "ladder.num_node", "grids.size", "Seed",
                     "measure.s00", "kernel.basis", ""]
         through = ["time_steps.x", "shapes.0.scale", "name.first", "export_scales.0",
@@ -300,23 +328,31 @@ class TestArgumentHandling:
         values = (numbers | numbers | documents).map(json.dumps) | st.text(max_size=8)
         paths = st.sampled_from(known) | st.sampled_from(known + misspelt + through)
         assignments = st.builds("{}={}".format, paths, values)
+        self.fuzz(tmp_path, tmp_path_factory, capsys, assignments, [["fit-kernel"]],
+                  (EXIT_OK, EXIT_CONFIG), max_examples=400)
 
-        @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-        @given(st.lists(assignments, min_size=1, max_size=2))
-        def run(overrides):
-            args = ["--config", str(path)]
-            for item in overrides:
-                args += ["--set", item]
-            assert main(args + ["fit-kernel"]) in (EXIT_OK, EXIT_CONFIG)
-            capsys.readouterr()
+    def test_fuzzed_register_and_export_end_in_a_documented_code(self, tmp_path,
+                                                                   tmp_path_factory, capsys):
+        # validation comes before any verb and the test above fuzzes it, so
+        # these draws aim at configs that pass it: known paths and numbers,
+        # with the sizes of the work (steps, grid, iterations, nodes, basis,
+        # frequencies) small enough that an example takes milliseconds
+        sizes = {"time_steps", "grid.size", "optimizer.max_iters", "ladder.num_nodes",
+                 "kernel.num_basis", "kernel.num_frequencies"}
+        numbers = st.integers(-3, 30) | st.floats() | st.floats(0.0, 3.0)
+        values = numbers | st.lists(numbers, min_size=1, max_size=3) | st.sampled_from(
+            ["all", "dirac", "lebesgue", "fitted", "dirac_closed_form"]
+        )
+        small = st.integers(-1, 12)
 
-        # hypothesis caches constants and unicode tables even with no database
-        set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
-        try:
-            run()
-        finally:
-            set_hypothesis_home_dir(None)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+        def assignment(path):
+            drawn = small if path in sizes else values
+            return drawn.map(lambda value: f"{path}={json.dumps(value)}")
+
+        assignments = st.sampled_from(self.known_paths()).flatmap(assignment)
+        self.fuzz(tmp_path, tmp_path_factory, capsys, assignments,
+                  [["register"], ["export-fields", "--svg"]],
+                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=150)
 
     @pytest.mark.parametrize(
         "verb",
@@ -403,16 +439,18 @@ class TestFitKernel:
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CONFIG)
-        assert main(["--config", str(path), "fit-kernel"]) == EXIT_OK
-        root = run_dir_of(capsys)
-        first = {
-            f.name: f.read_bytes() for f in root.iterdir() if f.is_file()
-        }
-        assert main(["--config", str(path), "fit-kernel"]) == EXIT_OK
-        root2 = run_dir_of(capsys)
+        runs = []
+        for _ in range(2):
+            for verb in (["fit-kernel"], ["register"], ["export-fields", "--svg"]):
+                assert main(["--config", str(path), *verb]) == EXIT_OK
+            root = run_dir_of(capsys)
+            runs.append((root, {f.name: f.read_bytes() for f in root.iterdir()}))
+        (root, first), (root2, second) = runs
         assert root2 == root
+        assert "shapes_2.svg" in first and "residual_2.csv" in first
+        assert second.keys() == first.keys()
         for name, blob in first.items():
-            assert (root / name).read_bytes() == blob, name
+            assert second[name] == blob, name
 
     def test_starved_basis_trips_the_threshold(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CONFIG)
@@ -542,6 +580,47 @@ class TestExportFields:
                 np.exp(rows[:, 4].min()), rel=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "data",
+        [dict(DIRAC_CONFIG, export_scales=[0.1, 0.48, 2.0]), SMALL_CONFIG],
+        ids=["dirac", "fitted"],
+    )
+    def test_csv_files_are_the_fields_written_row_by_row(self, tmp_path, capsys, monkeypatch,
+                                                         data):
+        path = write_config(tmp_path, data)
+        assert main(["--config", str(path), "register"]) == EXIT_OK
+        capsys.readouterr()
+        # spelled a few rows at a time, so that rows cross chunk boundaries
+        monkeypatch.setattr(flow, "CSV_ROWS", 7)
+        assert main(["--config", str(path), "export-fields", "--svg"]) == EXIT_OK
+        root = run_dir_of(capsys)
+        # the fields again, from the library, and a plain writer of their values
+        config = ExperimentConfig.load(root / "config.json")
+        blob = json.loads((root / "controls.json").read_text())
+        system = flow.LandmarkSystem(
+            blob["point_scales"], blob["points"], blob["targets"], blob["weight"]
+        )
+        kernel = build_kernel(config)[0]
+        trajectory = flow.integrate_forward(kernel, system, np.asarray(blob["controls"]))
+        bbox = flow.bounding_box(np.vstack([system.points, system.targets]),
+                                 config["grid"]["margin"])
+        grid, shape, spacing = flow.make_grid(bbox, config["grid"]["size"])
+        deformations = [
+            flow.log_jacobian(flow.transport_grid(kernel, trajectory, system, s, grid, shape),
+                              spacing)
+            for s in config.export_scales(config.ladder())
+        ]
+        residuals = flow.residual_maps(grid, deformations)
+        written = sorted(p.name for p in root.glob("*_*.csv"))
+        assert len(written) == 2 * len(deformations)
+        for kind, fields in (("deformation", deformations), ("residual", residuals)):
+            for field in fields:
+                name = f"{kind}_{field.scale:g}.csv"
+                write_field_csv(tmp_path / name, field)
+                assert (root / name).read_bytes() == (tmp_path / name).read_bytes(), name
+                written.remove(name)
+        assert written == []
+
     def test_export_never_inverts_a_map(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, DIRAC_CONFIG)
         assert main(["--config", str(path), "register"]) == EXIT_OK
@@ -669,6 +748,9 @@ class TestExportFields:
         assert main(["--config", str(path), "export-fields", "--svg"]) == EXIT_OK
         grid_transports = transported.count(grid_cells)
         assert grid_transports == len(export_scales)
+        # every landmark of every base scale moves in one transport per scale
+        assert transported.count(system.num_points) == len(export_scales)
+        assert len(transported) == 2 * len(export_scales)
         summary = json.loads((root / "fields_summary.json").read_text())
         assert summary["grid_transports"] == grid_transports
 

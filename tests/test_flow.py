@@ -1,6 +1,5 @@
 """Flow integration, grid transport, and Jacobian diagnostics."""
 
-import csv
 import tracemalloc
 
 import numpy as np
@@ -10,6 +9,7 @@ from msreg import flow
 from msreg.flow import (
     DeformationField,
     IntegrationError,
+    KernelBlocks,
     LandmarkSystem,
     bounding_box,
     coordinate_differences,
@@ -17,7 +17,6 @@ from msreg.flow import (
     inverse_map,
     jacobian_determinant,
     kernel_matrix,
-    kernel_velocity,
     log_jacobian,
     make_grid,
     residual_maps,
@@ -25,7 +24,7 @@ from msreg.flow import (
 )
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.scale_kernels import DiracPiecewiseKernel, GaussianScaleFamily
-from oracles import whole_matrix_kernel, whole_matrix_velocity
+from oracles import whole_matrix_kernel, whole_matrix_velocity, write_field_csv
 
 LADDER = ScaleLadder.uniform(0.1, 2.0, 20)
 KERNEL = DiracPiecewiseKernel(DiracMeasure(0.5), GaussianScaleFamily(LADDER))
@@ -116,7 +115,7 @@ class TestKernelMatrix:
                 assert dmat[p, q] == pytest.approx(dref, rel=1e-12, abs=tol * a.max())
         # the fused reduction agrees with the matrix it never forms
         controls = rng.normal(size=(scales_j.size, 2))
-        vel = kernel_velocity(kernel, scales_i, xi, scales_j, xj, controls)
+        vel = KernelBlocks(kernel, scales_i, scales_j).velocity(xi, xj, controls)
         bound = 1e-13 * term_sums.dot(np.abs(controls))
         assert np.all(np.abs(vel - kmat.dot(controls)) <= bound)
 
@@ -217,7 +216,7 @@ class TestAgainstWholeMatrixOracle:
                 for mat, ref_mat in zip(got, want):
                     assert mat.shape == ref_mat.shape
                     assert np.array_equal(mat, ref_mat)
-        vel = kernel_velocity(kernel, si, xi, sj, xj, controls)
+        vel = KernelBlocks(kernel, si, sj).velocity(xi, xj, controls)
         assert np.array_equal(vel, whole_matrix_velocity(kernel, si, xi, sj, xj, controls, chunk))
 
     def test_large_grid_velocity_stays_in_chunk_sized_memory(self, small_kernel):
@@ -231,8 +230,8 @@ class TestAgainstWholeMatrixOracle:
         controls = rng.normal(size=(60, 2))
         tracemalloc.start()
         try:
-            vel = kernel_velocity(small_kernel, scales, grid, landmark_scales, landmarks,
-                                  controls)
+            blocks = KernelBlocks(small_kernel, scales, landmark_scales)
+            vel = blocks.velocity(grid, landmarks, controls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -486,7 +485,9 @@ class TestDeformationFieldIO:
         field = DeformationField(0.5, pts, mapped, grid_shape=shape)
         return log_jacobian(field, spacing)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self, tmp_path, monkeypatch):
+        # 16 rows spelled 5 at a time: three whole chunks and a partial one
+        monkeypatch.setattr(flow, "CSV_ROWS", 5)
         # one case with a log-Jacobian holding NaN, -0.0 and 1e16, one without
         for with_log_jac in (True, False):
             field = self.small_field()
@@ -496,21 +497,28 @@ class TestDeformationFieldIO:
             else:
                 field.log_jac = None
             path = tmp_path / f"field_{with_log_jac}.csv"
-            field.save_csv(path)
+            spelled = field.save_csv(path)
             lines = path.read_text().strip().splitlines()
             assert lines[0] == "x,y,psi_x,psi_y,log_jac"
             assert len(lines) == 17
             assert lines[1].split(",")[2] == "-0.0"
             # byte for byte what a row-by-row writer of the numpy values gives
             reference = tmp_path / f"reference_{with_log_jac}.csv"
-            with open(reference, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y", "psi_x", "psi_y", "log_jac"])
-                for i in range(field.source.shape[0]):
-                    row = list(field.source[i]) + list(field.mapped[i])
-                    row.append("" if field.log_jac is None else field.log_jac.ravel()[i])
-                    writer.writerow(row)
+            write_field_csv(reference, field)
             assert path.read_bytes() == reference.read_bytes()
+            # the texts of its points, which a field sharing them reuses
+            assert [id(array) for array, _ in spelled] == [id(field.source), id(field.mapped)]
+            swapped = DeformationField(field.scale, field.mapped, field.source,
+                                       field.grid_shape, field.log_jac)
+            spelling, spell = [], flow._spell
+            monkeypatch.setattr(flow, "_spell",
+                                lambda *args: spelling.append(args) or spell(*args))
+            swapped.save_csv(tmp_path / "swapped.csv", spelled)
+            monkeypatch.setattr(flow, "_spell", spell)
+            # only the log-Jacobian is spelled again
+            assert len(spelling) == 1 and spelling[0][0] is field.log_jac
+            write_field_csv(reference, swapped)
+            assert (tmp_path / "swapped.csv").read_bytes() == reference.read_bytes()
 
     def test_displacement(self):
         field = self.small_field()

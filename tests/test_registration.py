@@ -102,7 +102,8 @@ class TestGradient:
         def forbidden(*args, **kwargs):
             raise AssertionError("kernel evaluated")
 
-        monkeypatch.setattr(flow, "_kernel_blocks", forbidden)
+        # every kernel evaluation runs a `KernelBlocks`
+        monkeypatch.setattr(flow.KernelBlocks, "__call__", forbidden)
         assert np.array_equal(obj.gradient(controls, trajectory=traj), fresh)
         assert traj.blocks is None  # the sweep consumed them
         monkeypatch.undo()
