@@ -71,9 +71,9 @@ MAXIMUM = {
 # floats; this caps it at 1 GiB, for a uniform ladder and an explicit one.
 MAX_SPECTRAL_FLOATS = 2**27
 
-# The square landmark Gram and its derivative hold P^2 floats each, and the
-# gradient's coordinate differences P^2 d, with P the total landmark count
-# over all shapes; this caps P^2 at 1 GiB of floats (P <= 11585).
+# The square landmark Gram, its derivative and the gradient's coefficient
+# matrix hold P^2 floats each, with P the total landmark count over all
+# shapes; this caps P^2 at 1 GiB of floats (P <= 11585).
 MAX_GRAM_FLOATS = 2**27
 
 

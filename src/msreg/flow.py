@@ -191,20 +191,11 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
     """Scalar kernel matrix K[p, q] = kappa(scale_p, scale_q, |x_p - x_q|).
 
     With deriv=True, returns (K, dK/du) where u is the squared distance;
-    `coordinate_differences` gives the x_p - x_q that the chain rule needs.
+    the caller applies the chain rule dK/dx_p = 2 dK/du (x_p - x_q).
     Without columns it is the square Gram of Xi.  One call sets up its own
     `KernelBlocks`; a caller evaluating many steps sets one up itself.
     """
     return KernelBlocks(kernel, scales_i, scales_j).matrix(Xi, Xj, deriv)
-
-
-def coordinate_differences(X):
-    """diff[p, q] = X[p] - X[q], filled one coordinate at a time so that
-    each pass runs over a whole row of q."""
-    diff = np.empty((X.shape[0], X.shape[0], X.shape[1]))
-    for d in range(X.shape[1]):
-        np.subtract.outer(X[:, d], X[:, d], out=diff[..., d])
-    return diff
 
 
 @dataclass

@@ -40,8 +40,10 @@ class HankelBasis:
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
         object.__setattr__(self, "taus", taus)
-        if np.any(taus <= 0):
-            raise ValueError("basis widths must be positive")
+        if taus.size == 0:
+            raise ValueError("the basis needs at least one width")
+        if not np.all((taus > 0) & np.isfinite(taus)):
+            raise ValueError("basis widths must be positive and finite")
 
     @classmethod
     def log_spaced(cls, s1, s2, num=20, dim=2):
@@ -311,9 +313,13 @@ class KernelTable(MixtureKernel):
             version, dim, m, q = struct.unpack("<iiii", fh.read(16))
             if version != _VERSION:
                 raise ValueError(f"unsupported version {version}")
+            if m < 1 or q < 1:
+                raise ValueError("the table needs at least one scale and one basis term")
             scales = np.fromfile(fh, dtype="<f8", count=m)
             taus = np.fromfile(fh, dtype="<f8", count=q)
             beta = np.fromfile(fh, dtype="<f8").reshape(m, m, q)
+        if not (np.all(np.isfinite(scales)) and np.all(np.isfinite(beta))):
+            raise ValueError("scales and coefficients must be finite")
         # the landmark Gram mirrors its blocks above the diagonal
         if not np.array_equal(beta, beta.transpose(1, 0, 2)):
             raise ValueError("coefficients are not symmetric in the scale pair")

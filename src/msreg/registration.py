@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import coordinate_differences, integrate_forward, kernel_matrix
+from .flow import integrate_forward, kernel_matrix
 
 
 @dataclass
@@ -36,7 +36,7 @@ class Objective:
         match = self.system.weight * float(np.einsum("pd,pd->", mismatch, mismatch))
         return trajectory.energy + match, trajectory.energy, match
 
-    def gradient(self, controls, with_value=False, trajectory=None):
+    def gradient(self, controls, trajectory=None):
         """Exact gradient of the discretized objective with respect to every
         control vector, by reverse sweep through the Euler steps.
 
@@ -48,7 +48,6 @@ class Objective:
         """
         if trajectory is None:
             trajectory = integrate_forward(self.kernel, self.system, controls)
-        value, energy, match = self._score(trajectory)
         system = self.system
         scales = system.point_scales
         blocks = trajectory.blocks
@@ -65,16 +64,16 @@ class Objective:
                 kmat, dmat = kernel_matrix(self.kernel, scales, pos, deriv=True)
             else:
                 kmat, dmat = blocks[i]
-            diff = coordinate_differences(pos)
             grad[i] = dt * kmat.dot(costate + ctrl)
-            # position gradient of b^T K(x) a is
-            #   2 sum_q dK/du (x_p - x_q) (b_p.a_q + a_p.b_q)
+            # position gradient of b^T K(x) a is 2 sum_q c_pq (x_p - x_q) with
+            # c = dK/du * (b_p.a_q + a_p.b_q), that is 2 (x_p sum_q c_pq -
+            # (c x)_p); x relative to the centroid keeps the two terms as
+            # small as the differences, whatever the translation
             cross = costate.dot(ctrl.T)
             coeff = dmat * (cross + cross.T + ctrl.dot(ctrl.T))
-            costate = costate + 2.0 * dt * np.einsum("pq,pqd->pd", coeff, diff)
+            rel = pos - pos.mean(0)
+            costate = costate + 2.0 * dt * (rel * coeff.sum(1)[:, None] - coeff.dot(rel))
         trajectory.blocks = None
-        if with_value:
-            return grad, value, energy, match
         return grad
 
 
@@ -112,8 +111,9 @@ def optimize(
 
     Stops on relative objective decrease < tol or gradient sup-norm < tol.
     A failed line search returns the best iterate with a warning flag; a
-    starting value or gradient that is not finite (say, an overflowing
-    match weight) raises FloatingPointError.
+    starting value that is not finite (say, an overflowing match weight)
+    raises FloatingPointError before any sweep, and so does a starting
+    gradient that is not finite after it.
     Each accepted line-search point's forward pass feeds its gradient, so
     the run takes one forward pass plus one per line-search evaluation.
     The gradient releases a trajectory's kernel blocks, and a rejected
@@ -128,17 +128,17 @@ def optimize(
     shape = controls.shape
     x = controls.ravel()
     trajectory = integrate_forward(objective.kernel, system, controls)
-    grad, value, energy, match = objective.gradient(
-        controls, with_value=True, trajectory=trajectory
-    )
-    g = grad.ravel()
+    value, energy, match = objective._score(trajectory)
+    if not np.isfinite(value):
+        raise FloatingPointError("initial objective value is not finite")
+    g = objective.gradient(controls, trajectory=trajectory).ravel()
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError("initial gradient is not finite")
     history = [(value, energy, match, 0.0)]
     s_mem, y_mem = [], []
     result = OptimizeResult(
         controls, value, energy, match, history, forward_passes=1, gradient_passes=1
     )
-    if not (np.isfinite(value) and np.all(np.isfinite(g))):
-        raise FloatingPointError("initial objective value or gradient is not finite")
     for _ in range(max_iters):
         if np.abs(g).max() < tol:
             result.converged = True

@@ -290,3 +290,26 @@ def write_field_csv(path, field):
             row = list(field.source[i]) + list(field.mapped[i])
             row.append("" if field.log_jac is None else field.log_jac.ravel()[i])
             writer.writerow(row)
+
+
+def difference_form_gradient(kernel, system, trajectory):
+    """The adjoint's reverse sweep with each position gradient contracted
+    from the P x P x d coordinate differences: sum_q c_pq (x_p - x_q) as one
+    einsum over x[:, None] - x[None], and each step's K and dK/du from
+    `whole_matrix_kernel` rather than the trajectory's blocks."""
+    scales = system.point_scales
+    num_steps = trajectory.controls.shape[0]
+    dt = 1.0 / num_steps
+    grad = np.empty_like(trajectory.controls)
+    costate = 2.0 * system.weight * (trajectory.positions[-1] - system.targets)
+    for i in range(num_steps - 1, -1, -1):
+        pos, ctrl = trajectory.positions[i], trajectory.controls[i]
+        kmat, dmat = whole_matrix_kernel(
+            kernel, scales, pos, scales, pos, 1 << 16, deriv=True, square=True
+        )
+        grad[i] = dt * kmat.dot(costate + ctrl)
+        cross = costate.dot(ctrl.T)
+        coeff = dmat * (cross + cross.T + ctrl.dot(ctrl.T))
+        diff = pos[:, None, :] - pos[None, :, :]
+        costate = costate + 2.0 * dt * np.einsum("pq,pqd->pd", coeff, diff)
+    return grad

@@ -1,7 +1,9 @@
 """Command-line interface, exercised in process via main()."""
 
 import json
+import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +373,12 @@ class TestArgumentHandling:
                          id="table_foreign"),
             pytest.param(["register", "--kernel-table", "{tmp}/asymmetric.bin"],
                          id="table_asymmetric"),
+            pytest.param(["register", "--kernel-table", "{tmp}/no_terms.bin"],
+                         id="table_no_terms"),
+            pytest.param(["register", "--kernel-table", "{tmp}/nan_width.bin"],
+                         id="table_nan_width"),
+            pytest.param(["register", "--kernel-table", "{tmp}/inf_coefficient.bin"],
+                         id="table_inf_coefficient"),
             pytest.param(["register", "--kernel-table", "{tmp}/table.bin"],
                          id="table_lacks_shape_scale"),
             pytest.param(["export-fields", "--kernel-table", "{tmp}/table.bin",
@@ -405,6 +413,18 @@ class TestArgumentHandling:
         beta = np.arange(8.0).reshape(2, 2, 2)
         asymmetric = KernelTable(np.array([0.1, 2.0]), beta, HankelBasis(np.array([0.5, 1.0])))
         asymmetric.save_binary(tmp_path / "asymmetric.bin")
+        # symmetric tables of both shape scales that `save_binary` cannot
+        # write, since their basis or coefficients are invalid
+        inf_beta = np.ones((2, 2, 2))
+        inf_beta[0, 0, 1] = np.inf
+        for name, taus, beta in (
+            ("no_terms", [], np.ones((2, 2, 0))),
+            ("nan_width", [0.5, np.nan], np.ones((2, 2, 2))),
+            ("inf_coefficient", [0.5, 1.0], inf_beta),
+        ):
+            header = struct.pack("<4siiii", b"MSKT", 1, 2, 2, len(taus))
+            values = np.concatenate([[0.1, 2.0], taus, beta.ravel()]).astype("<f8")
+            (tmp_path / f"{name}.bin").write_bytes(header + values.tobytes())
         args = [arg.format(tmp=tmp_path) for arg in verb]
         assert main(["--config", str(path)] + args) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -507,23 +527,27 @@ class TestRegister:
         assert summary["value"] < first_value
 
     @pytest.mark.parametrize(
-        "radius",
+        "radius, swept",
         [
             # the match term fits in a double but its gradient overflows
-            pytest.param(1.15, id="gradient_overflows"),
-            # the match term itself overflows
-            pytest.param(3.0, id="value_overflows"),
+            pytest.param(1.15, True, id="gradient_overflows"),
+            # the match term itself overflows, so no sweep runs on it
+            pytest.param(3.0, False, id="value_overflows"),
         ],
     )
-    def test_overflowing_weight_is_a_numerical_error(self, tmp_path, capsys, radius):
+    def test_overflowing_weight_is_a_numerical_error(self, tmp_path, capsys, radius, swept):
         shapes = [
             dict(group, target=dict(group["target"], radius=radius))
             for group in DIRAC_CONFIG["shapes"]
         ]
         path = write_config(tmp_path, dict(DIRAC_CONFIG, shapes=shapes))
-        code = main(["--config", str(path), "--set", "weight=1e308", "register"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--config", str(path), "--set", "weight=1e308", "register"])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+        if not swept:
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_register_with_prefit_kernel_table(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CONFIG)

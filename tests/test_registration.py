@@ -11,10 +11,17 @@ from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.registration import Objective, optimize
 from msreg.scale_kernels import DiracPiecewiseKernel, GaussianScaleFamily
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, difference_form_gradient
 
 LADDER = ScaleLadder.uniform(0.1, 2.0, 20)
 KERNEL = DiracPiecewiseKernel(DiracMeasure(0.5), GaussianScaleFamily(LADDER))
+
+
+def experiment_case():
+    """60 landmarks split between scales 0.1 and 2.0 and 16 steps of seeded
+    controls."""
+    rng = np.random.default_rng(11)
+    return random_system(rng, num=30), 0.3 * rng.normal(size=(16, 60, 2))
 
 
 def random_system(rng, num=3, weight=1.0):
@@ -148,15 +155,24 @@ class TestGradient:
         assert dropped.energy == kept.energy
         assert np.array_equal(dropped.step_norms, kept.step_norms)
 
-    def test_with_value_consistency(self):
-        rng = np.random.default_rng(4)
-        sys0 = random_system(rng)
-        obj = Objective(KERNEL, sys0, num_steps=5)
-        controls = 0.3 * rng.normal(size=(5, 6, 2))
-        grad, value, energy, match = obj.gradient(controls, with_value=True)
-        value2, energy2, match2 = obj.evaluate(controls)
-        assert (value, energy, match) == (value2, energy2, match2)
-        assert np.array_equal(grad, obj.gradient(controls))
+    @pytest.mark.parametrize("keep_blocks", [True, False], ids=["kept_blocks", "no_blocks"])
+    def test_matches_the_difference_form_oracle(self, experiment_kernel, keep_blocks):
+        sys0, controls = experiment_case()
+        traj = integrate_forward(experiment_kernel, sys0, controls, keep_blocks=keep_blocks)
+        assert (traj.blocks is not None) == keep_blocks
+        ref = difference_form_gradient(experiment_kernel, sys0, traj)
+        grad = Objective(experiment_kernel, sys0, num_steps=16).gradient(controls, trajectory=traj)
+        assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_far_translation_changes_the_gradient_by_rounding_only(self, experiment_kernel):
+        # the sweep contracts about the centroid (drift 6.0e-12 of the sup);
+        # about the origin its two terms grow with the shift and cancel to
+        # a drift of 6.5e-11
+        sys0, controls = experiment_case()
+        far = LandmarkSystem(sys0.point_scales, sys0.points + 1e4, sys0.targets + 1e4)
+        grad = Objective(experiment_kernel, sys0, num_steps=16).gradient(controls)
+        grad_far = Objective(experiment_kernel, far, num_steps=16).gradient(controls)
+        assert np.abs(grad_far - grad).max() <= 2e-11 * np.abs(grad).max()
 
 
 class TestOptimize:
