@@ -26,7 +26,6 @@ import numpy as np
 from .config import MAX_GRAM_FLOATS, ConfigError, ExperimentConfig
 from .flow import (
     DeformationField,
-    IntegrationError,
     LandmarkSystem,
     bounding_box,
     integrate_forward,
@@ -58,13 +57,11 @@ def _run_dir(config):
     return root, digest
 
 
-def _write_manifest(root, digest, files, extra=None):
+def _write_manifest(root, digest, files):
     manifest = {
         "config_hash": digest,
         "files": sorted(str(f.relative_to(root)) for f in files),
     }
-    if extra:
-        manifest.update(extra)
     path = root / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -219,6 +216,11 @@ def _load_controls(path):
         )
     if controls.ndim != 3 or controls.shape[1:] != points.shape:
         raise ConfigError(f"controls {path}: controls must have shape (T, P, d)")
+    for key, values in zip(
+        ("point_scales", "points", "targets", "controls"), (scales, points, targets, controls)
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"controls {path}: {key} holds a value that is not finite")
     # the forward pass forms the P x P landmark Gram, as register does
     if scales.size**2 > MAX_GRAM_FLOATS:
         raise ConfigError(
@@ -387,7 +389,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, ArithmeticError, RuntimeError) as err:
+    except (ArithmeticError, RuntimeError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as err:

@@ -211,7 +211,6 @@ class FlowTrajectory:
     positions: np.ndarray  # (T+1, P, d)
     controls: np.ndarray  # (T, P, d)
     energy: float
-    step_norms: np.ndarray  # ||v(t_i)||^2 at each step
     blocks: np.ndarray = None  # (T, 2, P, P): K and dK/du per step
 
     @property
@@ -252,7 +251,6 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
     dt = 1.0 / num_steps
     positions = np.empty((num_steps + 1,) + system.points.shape)
     positions[0] = system.points
-    step_norms = np.empty(num_steps)
     block_shape = (num_steps, 2) + (system.num_points,) * 2
     blocks = None
     if keep_blocks and 8 * np.prod(block_shape) <= MAX_BLOCK_BYTES:
@@ -269,13 +267,11 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
             kmat, dmat = blocks[i]
             kmat[...], dmat[...] = gram.matrix(pos, deriv=True)
         vel = kmat @ controls[i]
-        sq = np.einsum("pd,pd->", controls[i], vel)
-        step_norms[i] = sq
-        energy += 0.5 * dt * sq
+        energy += 0.5 * dt * np.einsum("pd,pd->", controls[i], vel)
         positions[i + 1] = positions[i] + dt * vel
         if not np.all(np.isfinite(positions[i + 1])):
             raise IntegrationError(i)
-    return FlowTrajectory(positions, controls.copy(), energy, step_norms, blocks)
+    return FlowTrajectory(positions, controls.copy(), energy, blocks)
 
 
 @dataclass

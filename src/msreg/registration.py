@@ -14,6 +14,8 @@ import numpy as np
 
 from .flow import integrate_forward, kernel_matrix
 
+MAX_HALVINGS = 40  # Armijo backtracking halvings before a line search fails
+
 
 @dataclass
 class Objective:
@@ -23,18 +25,13 @@ class Objective:
     system: object
     num_steps: int = 20
 
-    def evaluate(self, controls, return_trajectory=False):
-        """Returns (value, energy, match); deterministic for fixed inputs."""
+    def evaluate(self, controls):
+        """Returns (value, energy, match, trajectory): the forward pass of
+        `controls` and its score; deterministic for fixed inputs."""
         trajectory = integrate_forward(self.kernel, self.system, controls)
-        value, energy, match = self._score(trajectory)
-        if return_trajectory:
-            return value, energy, match, trajectory
-        return value, energy, match
-
-    def _score(self, trajectory):
         mismatch = trajectory.endpoints - self.system.targets
         match = self.system.weight * float(np.einsum("pd,pd->", mismatch, mismatch))
-        return trajectory.energy + match, trajectory.energy, match
+        return trajectory.energy + match, trajectory.energy, match, trajectory
 
     def gradient(self, controls, trajectory=None):
         """Exact gradient of the discretized objective with respect to every
@@ -99,14 +96,7 @@ class OptimizeResult:
         ]
 
 
-def optimize(
-    objective,
-    init_controls=None,
-    max_iters=1000,
-    tol=1e-8,
-    memory=10,
-    max_halvings=40,
-):
+def optimize(objective, init_controls=None, max_iters=1000, tol=1e-8, memory=10):
     """Minimize the registration objective over control trajectories.
 
     Stops on relative objective decrease < tol or gradient sup-norm < tol.
@@ -114,8 +104,9 @@ def optimize(
     starting value that is not finite (say, an overflowing match weight)
     raises FloatingPointError before any sweep, and so does a starting
     gradient that is not finite after it.
-    Each accepted line-search point's forward pass feeds its gradient, so
-    the run takes one forward pass plus one per line-search evaluation.
+    Every forward pass goes through `objective.evaluate`, and each accepted
+    point's pass feeds its gradient, so the run takes one forward pass per
+    evaluation: the start plus one per line-search trial.
     The gradient releases a trajectory's kernel blocks, and a rejected
     trial is dropped before the next trial, so at most one set of blocks is
     alive at a time.
@@ -127,8 +118,7 @@ def optimize(
         controls = np.array(init_controls, dtype=float, copy=True)
     shape = controls.shape
     x = controls.ravel()
-    trajectory = integrate_forward(objective.kernel, system, controls)
-    value, energy, match = objective._score(trajectory)
+    value, energy, match, trajectory = objective.evaluate(controls)
     if not np.isfinite(value):
         raise FloatingPointError("initial objective value is not finite")
     g = objective.gradient(controls, trajectory=trajectory).ravel()
@@ -150,12 +140,12 @@ def optimize(
             descent = -g.dot(g)
         step = 1.0
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             x_new = x + step * direction
             result.forward_passes += 1
             try:
                 value_new, energy_new, match_new, traj_new = objective.evaluate(
-                    x_new.reshape(shape), return_trajectory=True
+                    x_new.reshape(shape)
                 )
             except RuntimeError:
                 value_new = np.inf

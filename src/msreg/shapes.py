@@ -94,7 +94,10 @@ _GENERATORS = {
 
 def generate(spec):
     """Build a point set from a shape spec dict, e.g.
-    {"type": "circle", "num": 30, "radius": 1.0}."""
+    {"type": "circle", "num": 30, "radius": 1.0}.
+
+    `center` and `semi_axes` must be two finite numbers, and the points
+    a nonempty (N, 2) array of finite numbers; otherwise ValueError."""
     spec = dict(spec)
     kind = spec.pop("type")
     try:
@@ -103,5 +106,14 @@ def generate(spec):
         raise ValueError(f"unknown shape type {kind!r}") from None
     for key in ("center", "semi_axes"):
         if key in spec:
+            value = np.asarray(spec[key], dtype=float)
+            if value.shape != (2,) or not np.all(np.isfinite(value)):
+                raise ValueError(f"{key} must be two finite numbers, got {spec[key]!r}")
             spec[key] = tuple(spec[key])
-    return gen(**spec)
+    with np.errstate(all="ignore"):  # the check below reports what overflowed
+        points = np.asarray(gen(**spec), dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2 or not points.size:
+        raise ValueError(f"shape {kind!r} gives points of shape {points.shape}, not (N >= 1, 2)")
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"shape {kind!r} has points that are not finite")
+    return points

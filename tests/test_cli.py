@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process via main()."""
 
+import inspect
 import json
 import struct
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from msreg import flow, spectral
+from msreg import flow, shapes, spectral
 from msreg.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -172,6 +173,44 @@ class TestArgumentHandling:
                 ' "target": {"type": "circle", "num": 0}}]',
                 id="shape_num_zero",
             ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 8, "center": [1]},'
+                ' "target": {"type": "circle", "num": 8}}]',
+                id="shape_center_short",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "ellipse", "num": 8},'
+                ' "target": {"type": "ellipse", "num": 8, "semi_axes": [1]}}]',
+                id="shape_semi_axes_short",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 8,'
+                ' "center": [1, 2, 3]}, "target": {"type": "circle", "num": 8}}]',
+                id="shape_center_long",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 8},'
+                ' "target": {"type": "circle", "num": 8, "radius": NaN}}]',
+                id="shape_radius_nan",
+            ),
+            # a list radius broadcasts: to no point, or to a stack of contours
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 1, "radius": []},'
+                ' "target": {"type": "circle", "num": 1, "radius": []}}]',
+                id="shape_radius_empty",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 3,'
+                ' "radius": [[1], [2]]}, "target": {"type": "circle", "num": 3,'
+                ' "radius": [[1], [2]]}}]',
+                id="shape_radius_nested",
+            ),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, config, override):
@@ -286,18 +325,26 @@ class TestArgumentHandling:
         return known + ["ladder.nodes", "measure.s0"]
 
     @staticmethod
-    def fuzz(tmp_path, tmp_path_factory, capsys, assignments, verbs, exits, max_examples):
+    def fuzz(tmp_path, tmp_path_factory, capsys, assignments, verbs, exits, max_examples,
+             documents=None):
         """Every verb, run in turn on the Dirac config with one or two drawn
-        --set overrides, ends in one of `exits`."""
+        --set overrides, ends in one of `exits`.  With `documents`, an example
+        is a drawn document instead, written to the file that "{controls}" in
+        a verb names."""
         path = write_config(tmp_path, DIRAC_CONFIG)
+        controls = tmp_path_factory.mktemp("controls") / "controls.json"
 
         @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
-        @given(st.lists(assignments, min_size=1, max_size=2))
-        def run(overrides):
+        @given(st.lists(assignments, min_size=1, max_size=2) if documents is None else documents)
+        def run(example):
             args = ["--config", str(path)]
-            for item in overrides:
-                args += ["--set", item]
+            if documents is None:
+                for item in example:
+                    args += ["--set", item]
+            else:
+                controls.write_text(json.dumps(example))
             for verb in verbs:
+                verb = [arg.format(controls=controls) for arg in verb]
                 assert main(args + verb) in exits, verb
             capsys.readouterr()
 
@@ -356,6 +403,92 @@ class TestArgumentHandling:
                   [["register"], ["export-fields", "--svg"]],
                   (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=150)
 
+    def test_fuzzed_shape_specs_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
+                                                            capsys):
+        # each generator's parameters, and one type that names none
+        params = {
+            kind: list(inspect.signature(getattr(shapes, kind)).parameters)
+            for kind in ("circle", "ellipse", "bumpy_ellipse", "flower", "schematic_human")
+        }
+        params["spiral"] = ["num", "center", "radius"]
+        numbers = st.integers(-3, 40) | st.floats(-3.0, 3.0) | st.sampled_from(
+            [np.nan, np.inf, -np.inf, 1e308, -1e308, True, False]
+        )
+        # fixed strings: `st.text` would rebuild hypothesis's unicode tables
+        words = st.sampled_from(["", "a", "1", "1.5", "NaN", "circle"])
+        values = numbers | st.lists(numbers, max_size=3) | words
+        pairs = st.lists(numbers, max_size=3) | numbers | words
+
+        def spec(kind):
+            drawn = {name: pairs if name in ("center", "semi_axes") else values
+                     for name in params[kind]}
+            return st.fixed_dictionaries({"type": st.just(kind)}, optional=drawn)
+
+        def entry(kind):
+            return st.fixed_dictionaries(
+                {"scale": st.just(0.1), "template": spec(kind), "target": spec(kind)}
+            )
+
+        assignments = st.sampled_from(sorted(params)).flatmap(entry).map(
+            lambda drawn: f"shapes={json.dumps([drawn])}"
+        )
+        self.fuzz(tmp_path, tmp_path_factory, capsys, assignments, [["fit-kernel"]],
+                  (EXIT_OK, EXIT_CONFIG), max_examples=80)
+
+    def test_fuzzed_controls_files_end_in_a_documented_code(self, tmp_path,
+                                                              tmp_path_factory, capsys):
+        finite = st.floats(-2.0, 2.0)
+        edges = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1.0, 0.0, True])
+        words = st.sampled_from(["", "a", "0.1", "NaN"])
+        junk = st.none() | words | edges | st.lists(finite, max_size=2)
+
+        def array(shape, numbers):
+            drawn = numbers
+            for size in reversed(shape):
+                drawn = st.lists(drawn, min_size=size, max_size=size)
+            return drawn
+
+        def document(sizes):
+            steps, num = sizes
+            return st.fixed_dictionaries({
+                "point_scales": array((num,), st.sampled_from([0.1, 2.0, 0.5])),
+                "points": array((num, 2), finite),
+                "targets": array((num, 2), finite),
+                "controls": array((steps, num, 2), finite),
+                "weight": finite,
+            })
+
+        def spoil(drawn):
+            # a well-formed document with at most one key dropped, replaced
+            # by junk, nested one level deeper, cut short, or with its first
+            # number replaced by an edge value
+            doc, key, how, edge, other = drawn
+            if how == "drop":
+                del doc[key]
+            elif how == "junk":
+                doc[key] = other
+            elif how == "nest":
+                doc[key] = [doc[key]]
+            elif how == "cut" and isinstance(doc[key], list):
+                doc[key] = doc[key][:-1]
+            elif how == "edge":
+                node, index = doc, key
+                while isinstance(node[index], list) and node[index]:
+                    node, index = node[index], 0
+                node[index] = edge
+            return doc
+
+        documents = st.tuples(
+            st.tuples(st.integers(1, 2), st.integers(1, 3)).flatmap(document),
+            st.sampled_from(["controls", "points", "targets", "point_scales", "weight"]),
+            st.sampled_from(["keep", "edge", "junk", "nest", "cut", "drop"]),
+            edges,
+            junk,
+        ).map(spoil)
+        self.fuzz(tmp_path, tmp_path_factory, capsys, None,
+                  [["export-fields", "--controls", "{controls}"]],
+                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=70, documents=documents)
+
     @pytest.mark.parametrize(
         "verb",
         [
@@ -369,6 +502,12 @@ class TestArgumentHandling:
                          id="controls_points_1d"),
             pytest.param(["export-fields", "--controls", "{tmp}/scales_2d.json"],
                          id="controls_scales_2d"),
+            pytest.param(["export-fields", "--controls", "{tmp}/nan_control.json"],
+                         id="controls_nan_control"),
+            pytest.param(["export-fields", "--controls", "{tmp}/inf_point.json"],
+                         id="controls_inf_point"),
+            pytest.param(["export-fields", "--controls", "{tmp}/nan_target.json"],
+                         id="controls_nan_target"),
             pytest.param(["register", "--kernel-table", "{tmp}/foreign.bin"],
                          id="table_foreign"),
             pytest.param(["register", "--kernel-table", "{tmp}/asymmetric.bin"],
@@ -405,6 +544,14 @@ class TestArgumentHandling:
             ("scales_2d", {"point_scales": [[0.1]]}),
         ):
             (tmp_path / f"{name}.json").write_text(json.dumps(dict(controls, **changes)))
+        # well shaped, with one value that is not finite
+        non_finite = {
+            "nan_control": {"controls": [[[np.nan, 0.0]]]},
+            "inf_point": {"points": [[np.inf, 0.0]]},
+            "nan_target": {"targets": [[0.1, np.nan]]},
+        }
+        for name, changes in non_finite.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(dict(controls, **changes)))
         del controls["point_scales"]
         (tmp_path / "no_scales.json").write_text(json.dumps(controls))
         (tmp_path / "foreign.bin").write_bytes(b"XXXX" + b"\x00" * 32)
@@ -427,7 +574,12 @@ class TestArgumentHandling:
             (tmp_path / f"{name}.bin").write_bytes(header + values.tobytes())
         args = [arg.format(tmp=tmp_path) for arg in verb]
         assert main(["--config", str(path)] + args) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        for name, changes in non_finite.items():
+            if args[-1].endswith(f"/{name}.json"):
+                (key,) = changes
+                assert f"{key} holds a value that is not finite" in err
 
 
 class TestFitKernel:

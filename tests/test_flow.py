@@ -274,13 +274,20 @@ class TestIntegrateForward:
         with pytest.raises(ValueError):
             integrate_forward(KERNEL, sys0, np.zeros((0, 8, 2)))
 
-    def test_energy_matches_quadrature_of_step_norms(self):
+    def test_energy_is_the_quadrature_of_the_oracle_grams(self):
+        # 0.5 dt sum_i a_i^T K(x_i) a_i, with each K recomputed by the
+        # whole-matrix oracle at the stored positions
         rng = np.random.default_rng(8)
         sys0 = two_scale_system(rng)
         controls = 0.3 * rng.normal(size=(6, 8, 2))
         traj = integrate_forward(KERNEL, sys0, controls)
-        assert traj.energy == pytest.approx(0.5 * traj.dt * traj.step_norms.sum())
-        assert np.all(traj.step_norms >= 0)
+        scales = sys0.point_scales
+        terms = []
+        for pos, ctrl in zip(traj.positions[:-1], controls):
+            kmat = whole_matrix_kernel(KERNEL, scales, pos, scales, pos, 1 << 16)
+            terms.append(np.sum(ctrl * (kmat @ ctrl)))
+        assert min(terms) > 0.0
+        assert traj.energy == pytest.approx(0.5 * traj.dt * sum(terms), rel=1e-12)
 
     def test_euler_self_convergence(self):
         rng = np.random.default_rng(9)

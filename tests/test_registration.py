@@ -36,8 +36,9 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         sys0 = random_system(rng, weight=1.5)
         obj = Objective(KERNEL, sys0, num_steps=5)
-        value, energy, match = obj.evaluate(sys0.zero_controls(5))
-        assert energy == 0.0
+        value, energy, match, traj = obj.evaluate(sys0.zero_controls(5))
+        assert energy == 0.0 == traj.energy
+        assert np.array_equal(traj.endpoints, sys0.points)
         ref = 1.5 * np.sum((sys0.points - sys0.targets) ** 2)
         assert match == pytest.approx(ref)
         assert value == pytest.approx(ref)
@@ -47,11 +48,11 @@ class TestEvaluate:
         pts = rng.normal(size=(4, 2))
         sys0 = LandmarkSystem(np.full(4, 0.5), pts, pts.copy())
         obj = Objective(KERNEL, sys0, num_steps=4)
-        value, energy, match = obj.evaluate(sys0.zero_controls(4))
+        value, energy, match, _ = obj.evaluate(sys0.zero_controls(4))
         assert value == 0.0
         # any nonzero control costs energy
         controls = 0.1 * rng.normal(size=(4, 4, 2))
-        value2, _, _ = obj.evaluate(controls)
+        value2, _, _, _ = obj.evaluate(controls)
         assert value2 > 0.0
 
     def test_deterministic(self):
@@ -59,7 +60,23 @@ class TestEvaluate:
         sys0 = random_system(rng)
         obj = Objective(KERNEL, sys0, num_steps=6)
         controls = rng.normal(size=(6, 6, 2))
-        assert obj.evaluate(controls) == obj.evaluate(controls)
+        first, second = obj.evaluate(controls), obj.evaluate(controls)
+        assert first[:3] == second[:3]
+        assert np.array_equal(first[3].positions, second[3].positions)
+
+    def test_scores_its_own_forward_pass(self):
+        rng = np.random.default_rng(4)
+        sys0 = random_system(rng, weight=0.7)
+        obj = Objective(KERNEL, sys0, num_steps=6)
+        controls = 0.3 * rng.normal(size=(6, 6, 2))
+        value, energy, match, traj = obj.evaluate(controls)
+        ref = integrate_forward(KERNEL, sys0, controls)
+        assert np.array_equal(traj.positions, ref.positions)
+        assert np.array_equal(traj.controls, controls)
+        assert traj.blocks.shape == (6, 2, 6, 6)  # kept for the gradient
+        assert energy == ref.energy
+        assert match == pytest.approx(0.7 * np.sum((ref.endpoints - sys0.targets) ** 2))
+        assert value == energy + match
 
 
 class TestGradient:
@@ -100,7 +117,7 @@ class TestGradient:
         sys0 = random_system(rng)
         obj = Objective(KERNEL, sys0, num_steps=5)
         controls = 0.3 * rng.normal(size=(5, 6, 2))
-        _, _, _, traj = obj.evaluate(controls, return_trajectory=True)
+        _, _, _, traj = obj.evaluate(controls)
         fresh = obj.gradient(controls)
         blockless = integrate_forward(KERNEL, sys0, controls)
         assert blockless.blocks.shape == (5, 2, 6, 6)
@@ -153,7 +170,6 @@ class TestGradient:
         assert kept.blocks is not None and dropped.blocks is None
         assert np.array_equal(dropped.positions, kept.positions)
         assert dropped.energy == kept.energy
-        assert np.array_equal(dropped.step_norms, kept.step_norms)
 
     @pytest.mark.parametrize("keep_blocks", [True, False], ids=["kept_blocks", "no_blocks"])
     def test_matches_the_difference_form_oracle(self, experiment_kernel, keep_blocks):
@@ -264,7 +280,8 @@ class TestOptimize:
         result = optimize(CountingObjective(KERNEL, sys0, num_steps=6), max_iters=25)
         accepted = len(result.history) - 1
         assert calls["evaluate"] > accepted > 0  # some steps were halved
-        assert calls["forward"] == 1 + calls["evaluate"] == result.forward_passes
+        # the start is scored through `evaluate` like every trial
+        assert calls["forward"] == calls["evaluate"] == result.forward_passes
         assert calls["gradient"] == 1 + accepted == result.gradient_passes
         final = integrate_forward(KERNEL, sys0, result.controls)
         assert np.array_equal(result.trajectory.positions, final.positions)
