@@ -22,7 +22,6 @@ from .ladder import DiracMeasure, LebesgueMeasure, ScaleLadder
 from .registration import Objective, optimize
 from .scale_kernels import (
     DiracPiecewiseKernel,
-    GaussianScaleFamily,
     dirac_kernel,
     gauss_scale_integral,
     sum_dirac_kernel_hat,

@@ -235,6 +235,8 @@ class ExperimentConfig:
             _require_node(ladder, entry["scale"], "shape scale")
             for spec in (entry["template"], entry["target"]):
                 if isinstance(spec, dict) and "num" in spec:
+                    if not _same_type(spec["num"], 0):
+                        raise ConfigError(f"shapes.num must be int, got {spec['num']!r}")
                     _check_range("shapes.num", spec["num"])
             template = shapes.generate(entry["template"])
             target = shapes.generate(entry["target"])

@@ -90,11 +90,17 @@ class KernelBlocks:
     scales and then run at any positions: `kernel_matrix`, the forward pass
     and every transport evaluate the kernel here.
 
+    A kernel is any object whose `slice(lam, mu)` returns the mixture
+    (w, a) of the scale pair: the kernel value at squared distance u is
+    sum_t w[t] exp(-a[t] u).  The arrays may be shared between calls and
+    with the kernel, so they must not be modified.  This loop is the only
+    code that sums a slice.
+
     The set-up, done once per forward pass or transport and reused by all
     its steps, finds the runs of equal row scale and of equal column scale,
-    takes the mixture slice (w, a) of each block between a row run and a
-    column run, sizes its row chunks, and allocates the two buffers of
-    about CHUNK_ELEMENTS elements that every chunk of every step reuses.
+    takes the mixture slice of each block between a row run and a column
+    run, sizes its row chunks, and allocates the two buffers of about
+    CHUNK_ELEMENTS elements that every chunk of every step reuses.
 
     Calling it at row positions Xi and column positions Xj yields (rows,
     cols, K), or with deriv (rows, cols, K, dK/du) where u is the squared
@@ -180,10 +186,14 @@ class KernelBlocks:
 
     def velocity(self, Xi, Xj, C):
         """Velocity V[p] = sum_q K[p, q] C[q] without forming K: each block is
-        applied to its columns' vectors as it comes."""
+        applied to its columns' vectors as it comes, and in the square Gram
+        each block above the block diagonal also stands, transposed, for
+        its mirror below it."""
         vel = np.zeros((Xi.shape[0], C.shape[1]))
         for rows, cols, kmat in self(Xi, Xj):
             vel[rows] += kmat @ C[cols]
+            if self.square and cols.start >= rows.stop:  # strictly above the diagonal
+                vel[cols] += kmat.T @ C[rows]
         return vel
 
 

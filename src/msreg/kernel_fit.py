@@ -12,6 +12,7 @@ epigraph form, on persistent HiGHS models warm-started from pair to pair.
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -22,7 +23,6 @@ from scipy.sparse import bmat, identity
 
 from .flow import kernel_matrix
 from .ladder import node_index
-from .scale_kernels import MixtureKernel
 from .spectral import kappa_hat_gaussian
 
 _MAGIC = b"MSKT"
@@ -269,12 +269,12 @@ def repair_pairwise(row, diag_k, diag_l, design, tol=1e-13):
 
 
 @dataclass
-class KernelTable(MixtureKernel):
+class KernelTable:
     """Fitted kernel coefficients beta_q(s_k, s_l) over a Gaussian basis.
 
-    Evaluation at (lam1, lam2, r) is an O(Q) mixture sum.  Only the fitted
-    ladder scales can be evaluated, since only their beta rows carry the
-    positivity certificate; any other scale raises a lookup error.
+    Each scale pair's slice is the Q-term mixture (beta row, basis rates).
+    Only the fitted ladder scales have a slice, since only their beta rows
+    carry the positivity certificate; any other scale raises a lookup error.
     """
 
     scales: np.ndarray
@@ -315,6 +315,12 @@ class KernelTable(MixtureKernel):
                 raise ValueError(f"unsupported version {version}")
             if m < 1 or q < 1:
                 raise ValueError("the table needs at least one scale and one basis term")
+            # checked before reading, so a header's sizes never size an allocation
+            size, expected = os.fstat(fh.fileno()).st_size, 20 + 8 * (m + q + m * m * q)
+            if size != expected:
+                raise ValueError(
+                    f"{size} bytes, but {m} scales and {q} basis terms take {expected}"
+                )
             scales = np.fromfile(fh, dtype="<f8", count=m)
             taus = np.fromfile(fh, dtype="<f8", count=q)
             beta = np.fromfile(fh, dtype="<f8").reshape(m, m, q)
@@ -323,7 +329,11 @@ class KernelTable(MixtureKernel):
         # the landmark Gram mirrors its blocks above the diagonal
         if not np.array_equal(beta, beta.transpose(1, 0, 2)):
             raise ValueError("coefficients are not symmetric in the scale pair")
-        return cls(scales, beta, HankelBasis(taus, dim))
+        with np.errstate(divide="ignore", over="ignore"):
+            table = cls(scales, beta, HankelBasis(taus, dim))
+        if not np.all(np.isfinite(table._rates)):
+            raise ValueError("a basis width is so small that its rate 1 / (2 tau^2) overflows")
+        return table
 
     def save_csv(self, path):
         m, q = self.scales.size, self.basis.size

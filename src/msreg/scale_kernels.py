@@ -1,56 +1,38 @@
 """Closed-form multiscale kernels for the Dirac scale measure.
 
-Per-scale kernels are Gaussians, either varying continuously with scale or
-held piecewise constant on the ladder intervals.  For a Dirac scale measure
-the scale-space kernel has a closed form built from the integral of the
-per-scale kernels over one window of the scale axis: `DiracPiecewiseKernel`
-takes the piecewise-constant family and feeds the flow engine, and
-`dirac_kernel` integrates the continuous family by its erf closed form.
+Per-scale kernels are Gaussians kappa_s(r) = exp(-r^2 / (2 s^2)), either
+varying continuously with scale or, in the piecewise-constant regime,
+frozen on each ladder interval [r_k, r_{k+1}) at its left node r_k.  For a
+Dirac scale measure the scale-space kernel has a closed form built from
+the integral of the per-scale kernels over one window of the scale axis:
+`DiracPiecewiseKernel` takes the piecewise-constant family and feeds the
+flow engine, and `dirac_kernel` integrates the continuous family by its
+erf closed form.
 `sum_dirac_kernel_hat` is the spectral formula for the sum of two Diracs
 at the ladder ends.
 
 The kernel that feeds the flow engine is represented as a finite mixture
 of spatial Gaussians for each scale pair, so that values and spatial
-derivatives are cheap and exact.
+derivatives are cheap and exact; `flow.KernelBlocks` evaluates it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import DiracMeasure, ScaleLadder
+from .ladder import DiracMeasure
 
 
-@dataclass(frozen=True)
-class GaussianScaleFamily:
-    """Per-scale Gaussian kernels kappa_s(z) = exp(-|z|^2 / (2 s^2)).
-
-    In the piecewise-constant regime the kernel on interval [r_k, r_{k+1})
-    is frozen at the left node scale r_k.
-    """
-
-    ladder: ScaleLadder
-
-    def node_scale(self, lam):
-        """Width of the piecewise-constant kernel governing scale lam."""
-        return float(self.ladder.nodes[self.ladder.interval_index(lam)])
-
-    @staticmethod
-    def kappa(scale, r):
-        return np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * scale**2))
-
-
-def gauss_scale_integral(family, lam1, lam2, r):
+def gauss_scale_integral(ladder, lam1, lam2, r):
     """Integral of exp(-c / mu^2) over mu in [lam1, lam2], with c = r^2 / 2.
 
     Closed form in terms of the error function; the scale kernel varies
-    continuously with mu here (no ladder discretization).
+    continuously with mu here: the ladder only bounds the window.
     """
     if lam2 < lam1:
         raise ValueError("reversed scale bounds")
-    lam1 = family.ladder.clamp(lam1)
-    lam2 = family.ladder.clamp(lam2)
+    lam1 = ladder.clamp(lam1)
+    lam2 = ladder.clamp(lam2)
     if r < 0:
         raise ValueError("distance must be nonnegative")
     c = 0.5 * r * r
@@ -64,16 +46,15 @@ def gauss_scale_integral(family, lam1, lam2, r):
     )
 
 
-def piecewise_weights(family, lam1, lam2):
+def piecewise_weights(ladder, lam1, lam2):
     """Decompose the scale window [lam1, lam2] against the ladder.
 
     Returns (scales, weights) such that the piecewise-constant scale
     integral of the kernel over [lam1, lam2] equals
-    sum_k weights[k] * kappa_{scales[k]}(r) for any distance r.
+    sum_k weights[k] * exp(-r^2 / (2 scales[k]^2)) for any distance r.
     """
     if lam2 < lam1:
         raise ValueError("reversed scale bounds")
-    ladder = family.ladder
     lam1 = ladder.clamp(lam1)
     lam2 = ladder.clamp(lam2)
     if lam1 == lam2:
@@ -105,25 +86,7 @@ def _dirac_window(s0, lam, lam0):
     return sign * orient, min(s0, xc), max(s0, xc)
 
 
-class MixtureKernel:
-    """Scale-pair kernels representable as finite Gaussian mixtures in space.
-
-    Subclasses provide ``slice(lam, mu) -> (weights, rates)`` with
-    value(u) = sum_i weights[i] * exp(-rates[i] * u) at squared distance u.
-    The returned arrays may be shared between calls; callers must not
-    modify them.  Immutable after construction apart from slice memos.
-    """
-
-    def slice(self, lam, mu):
-        raise NotImplementedError
-
-    def __call__(self, lam, mu, r):
-        w, a = self.slice(lam, mu)
-        u = np.asarray(r, dtype=float) ** 2
-        return np.exp(-np.multiply.outer(u, a)).dot(w)
-
-
-class DiracPiecewiseKernel(MixtureKernel):
+class DiracPiecewiseKernel:
     """Closed-form kernel for rho = sigma * delta_{s0}, piecewise family.
 
     value(lam, lam0, r) = kappa_{s0}(r) / sigma
@@ -133,12 +96,12 @@ class DiracPiecewiseKernel(MixtureKernel):
     the constraint v(s0) = K_{s0}(., x0) a / sigma.
     """
 
-    def __init__(self, measure, family):
+    def __init__(self, measure, ladder):
         if not isinstance(measure, DiracMeasure):
             raise TypeError("DiracPiecewiseKernel requires a Dirac scale measure")
-        s0 = family.ladder.clamp(measure.s0)
+        s0 = ladder.clamp(measure.s0)
         self.measure = measure
-        self.family = family
+        self.ladder = ladder
         self._s0 = s0
         self._slices = {}
 
@@ -149,16 +112,16 @@ class DiracPiecewiseKernel(MixtureKernel):
         return self._slices[key]
 
     def _mixture(self, lam, mu):
-        family, measure = self.family, self.measure
-        lam = family.ladder.clamp(lam)
-        lam0 = family.ladder.clamp(mu)
+        ladder, measure = self.ladder, self.measure
+        lam = ladder.clamp(lam)
+        lam0 = ladder.clamp(mu)
         s0 = self._s0
         inv_sigma = 1.0 / measure.sigma
-        scales = [family.node_scale(s0)]
+        scales = [ladder.nodes[ladder.interval_index(s0)]]
         weights = [inv_sigma]
         coeff, lo, hi = _dirac_window(s0, lam, lam0)
         if coeff:
-            ws, ww = piecewise_weights(family, lo, hi)
+            ws, ww = piecewise_weights(ladder, lo, hi)
             scales.extend(ws)
             weights.extend(coeff * inv_sigma * ww)
         scales = np.asarray(scales)
@@ -167,20 +130,19 @@ class DiracPiecewiseKernel(MixtureKernel):
         return weights, rates
 
 
-def dirac_kernel(measure, family, lam, lam0, r):
+def dirac_kernel(measure, ladder, lam, lam0, r):
     """Closed-form Dirac-measure kernel value at (lam, lam0, r), integrating
     the continuously varying Gaussian over the scale window via the erf
     closed form (`DiracPiecewiseKernel` is the piecewise-constant family)."""
     if not isinstance(measure, DiracMeasure):
         raise TypeError("dirac_kernel requires a Dirac scale measure")
-    ladder = family.ladder
     lam = ladder.clamp(lam)
     lam0 = ladder.clamp(lam0)
     s0 = ladder.clamp(measure.s0)
-    value = float(GaussianScaleFamily.kappa(s0, r)) / measure.sigma
+    value = float(np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * s0**2))) / measure.sigma
     coeff, lo, hi = _dirac_window(s0, lam, lam0)
     if coeff:
-        value += coeff / measure.sigma * gauss_scale_integral(family, lo, hi, r)
+        value += coeff / measure.sigma * gauss_scale_integral(ladder, lo, hi, r)
     return value
 
 

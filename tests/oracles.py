@@ -199,6 +199,15 @@ class SpectralKernelEvaluator:
         return 2.0 * np.pi * np.trapezoid(integrand, xis, axis=-1)
 
 
+def mixture_value(kernel, lam, mu, r):
+    """The kernel at scales (lam, mu) and distance(s) r, summed directly from
+    its mixture slice: sum_t w[t] exp(-a[t] r^2), one exp per term and
+    distance, with no blocks, chunks or buffers."""
+    w, a = kernel.slice(lam, mu)
+    u = np.asarray(r, dtype=float) ** 2
+    return np.exp(-np.multiply.outer(u, a)).dot(w)
+
+
 def squared_distances(Xi, Xj):
     """u[p, q] = |Xi[p] - Xj[q]|^2, summed one coordinate at a time."""
     u = np.zeros((Xi.shape[0], Xj.shape[0]))

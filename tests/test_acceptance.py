@@ -14,6 +14,7 @@ from msreg.flow import (
     integrate_forward,
     inverse_map,
     jacobian_determinant,
+    kernel_matrix,
     log_jacobian,
     make_grid,
     transport_grid,
@@ -22,7 +23,6 @@ from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.registration import Objective, optimize
 from msreg.scale_kernels import (
     DiracPiecewiseKernel,
-    GaussianScaleFamily,
     dirac_kernel,
     gauss_scale_integral,
     sum_dirac_kernel_hat,
@@ -110,7 +110,6 @@ class TestCriterion2SpectralSolver:
 
 class TestCriterion3ClosedForms:
     def test_closed_forms_match_quadrature(self, experiment_ladder):
-        family = GaussianScaleFamily(experiment_ladder)
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(100):
@@ -119,7 +118,7 @@ class TestCriterion3ClosedForms:
             sigma = float(rng.uniform(0.5, 2.0))
             r = float(rng.uniform(0.0, 2.5))
             measure = DiracMeasure(s0, sigma)
-            value = dirac_kernel(measure, family, lam, lam0, r)
+            value = dirac_kernel(measure, experiment_ladder, lam, lam0, r)
             xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
             lo, hi = min(s0, xc), max(s0, xc)
             orient = 1.0 if xc >= s0 else -1.0
@@ -130,9 +129,13 @@ class TestCriterion3ClosedForms:
                 np.exp(-(r**2) / (2.0 * s0**2)) + np.sign(lam0 - s0) * orient * window
             ) / sigma
             worst = max(worst, abs(value - ref))
-            pw = DiracPiecewiseKernel(measure, family)(lam, lam0, r)
+            # the piecewise kernel as the flow evaluates it: a 1 x 1 block
+            pw = kernel_matrix(
+                DiracPiecewiseKernel(measure, experiment_ladder),
+                np.array([lam]), np.zeros((1, 2)), np.array([lam0]), np.array([[r, 0.0]]),
+            )[0, 0]
             pw_window = brute_piecewise_integral(experiment_ladder.nodes, lo, hi, r)
-            pw_scale = family.node_scale(s0)
+            pw_scale = experiment_ladder.nodes[experiment_ladder.interval_index(s0)]
             pw_ref = (
                 np.exp(-(r**2) / (2.0 * pw_scale**2))
                 + np.sign(lam0 - s0) * orient * pw_window

@@ -31,6 +31,7 @@ from msreg.config import (
 )
 from msreg.kernel_fit import HankelBasis, KernelTable
 from msreg.registration import Objective
+from msreg.scale_kernels import DiracPiecewiseKernel
 from oracles import write_field_csv
 
 SMALL_CONFIG = {
@@ -175,6 +176,30 @@ class TestArgumentHandling:
             ),
             pytest.param(
                 SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": [1]},'
+                ' "target": {"type": "circle", "num": [1]}}]',
+                id="shape_num_list",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": "a"},'
+                ' "target": {"type": "circle", "num": "a"}}]',
+                id="shape_num_string",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 2.5},'
+                ' "target": {"type": "circle", "num": 2.5}}]',
+                id="shape_num_float",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
+                'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": true},'
+                ' "target": {"type": "circle", "num": true}}]',
+                id="shape_num_bool",
+            ),
+            pytest.param(
+                SMALL_CONFIG,
                 'shapes=[{"scale": 0.1, "template": {"type": "circle", "num": 8, "center": [1]},'
                 ' "target": {"type": "circle", "num": 8}}]',
                 id="shape_center_short",
@@ -213,10 +238,13 @@ class TestArgumentHandling:
             ),
         ],
     )
-    def test_bad_values_are_config_errors(self, tmp_path, capsys, config, override):
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, request, config, override):
         path = write_config(tmp_path, config)
         assert main(["--config", str(path), "--set", override, "register"]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if request.node.callspec.id.startswith("shape_num"):
+            assert "shapes.num must be" in err
         # no run directory, inside output_dir or anywhere a name could lead
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert not list(tmp_path.parent.glob("x-*"))
@@ -326,13 +354,14 @@ class TestArgumentHandling:
 
     @staticmethod
     def fuzz(tmp_path, tmp_path_factory, capsys, assignments, verbs, exits, max_examples,
-             documents=None):
-        """Every verb, run in turn on the Dirac config with one or two drawn
-        --set overrides, ends in one of `exits`.  With `documents`, an example
-        is a drawn document instead, written to the file that "{controls}" in
-        a verb names."""
-        path = write_config(tmp_path, DIRAC_CONFIG)
-        controls = tmp_path_factory.mktemp("controls") / "controls.json"
+             documents=None, config=DIRAC_CONFIG):
+        """Every verb, run in turn on the config (the Dirac one by default)
+        with one or two drawn --set overrides, ends in one of `exits`.  With
+        `documents`, an example is a drawn document instead, written to the
+        file that "{document}" in a verb names: bytes as they are, anything
+        else as JSON."""
+        path = write_config(tmp_path, config)
+        document = tmp_path_factory.mktemp("documents") / "document"
 
         @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
         @given(st.lists(assignments, min_size=1, max_size=2) if documents is None else documents)
@@ -341,10 +370,12 @@ class TestArgumentHandling:
             if documents is None:
                 for item in example:
                     args += ["--set", item]
+            elif isinstance(example, bytes):
+                document.write_bytes(example)
             else:
-                controls.write_text(json.dumps(example))
+                document.write_text(json.dumps(example))
             for verb in verbs:
-                verb = [arg.format(controls=controls) for arg in verb]
+                verb = [arg.format(document=document) for arg in verb]
                 assert main(args + verb) in exits, verb
             capsys.readouterr()
 
@@ -486,8 +517,57 @@ class TestArgumentHandling:
             junk,
         ).map(spoil)
         self.fuzz(tmp_path, tmp_path_factory, capsys, None,
-                  [["export-fields", "--controls", "{controls}"]],
+                  [["export-fields", "--controls", "{document}"]],
                   (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=70, documents=documents)
+
+    def test_fuzzed_kernel_tables_end_in_a_documented_code(self, tmp_path, tmp_path_factory,
+                                                            capsys):
+        # a valid table of the shape scales, 0.1 and 2.0, with 2 basis terms
+        beta = np.array([[[1.0, 0.5], [0.3, 0.1]], [[0.3, 0.1], [1.0, 0.5]]])
+        table = KernelTable(np.array([0.1, 2.0]), beta, HankelBasis(np.array([0.3, 1.0])))
+        table_path = tmp_path_factory.mktemp("table") / "table.bin"
+        table.save_binary(table_path)
+        valid = table_path.read_bytes()
+        values = np.frombuffer(valid, dtype="<f8", offset=20)  # scales, taus, beta
+
+        def mutate(mutations):
+            header = list(struct.unpack_from("<iiii", valid, 4))
+            data, length = values.copy(), len(valid)
+            for kind, index, value in mutations:
+                if kind == "header":
+                    header[index] = value
+                elif kind == "length":
+                    length += value
+                elif kind == "value":
+                    data[index] = -data[index] if value == "negate" else value
+                    if index >= 4:  # beta[k, l, q]: its mirror beta[l, k, q] too
+                        k, l, q = np.unravel_index(index - 4, beta.shape)
+                        data[4 + np.ravel_multi_index((l, k, q), beta.shape)] = data[index]
+                elif kind == "asymmetric":
+                    data[6 + index] += 0.25  # beta[0, 1, index], not beta[1, 0, index]
+                else:  # a scale off the ladder, or off the shapes' scales
+                    data[index] = value
+            blob = valid[:4] + struct.pack("<iiii", *header) + data.astype("<f8").tobytes()
+            return blob[:length].ljust(length, b"\x00")
+
+        # fixed values: `st.text` would rebuild hypothesis's unicode tables
+        mutation = st.one_of(
+            st.tuples(st.just("header"), st.integers(0, 3), st.sampled_from([0, -1, 2**31 - 1])),
+            st.tuples(st.just("length"), st.just(0), st.sampled_from([-9, -8, -1, 1, 8, 16])),
+            st.tuples(
+                st.just("value"),
+                st.integers(0, values.size - 1),
+                st.sampled_from(["negate", 1e300, 5e-324, np.nan, np.inf, -np.inf]),
+            ),
+            st.tuples(st.just("asymmetric"), st.integers(0, 1), st.just(0)),
+            st.tuples(st.just("scale"), st.integers(0, 1), st.sampled_from([0.15, 0.5, 3.0])),
+        )
+        documents = st.lists(mutation, min_size=1, max_size=2).map(mutate)
+        self.fuzz(tmp_path, tmp_path_factory, capsys, None,
+                  [["--set", "optimizer.max_iters=3", "register", "--kernel-table",
+                    "{document}"]],
+                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=80,
+                  documents=documents, config=SMALL_CONFIG)
 
     @pytest.mark.parametrize(
         "verb",
@@ -518,6 +598,10 @@ class TestArgumentHandling:
                          id="table_nan_width"),
             pytest.param(["register", "--kernel-table", "{tmp}/inf_coefficient.bin"],
                          id="table_inf_coefficient"),
+            pytest.param(["register", "--kernel-table", "{tmp}/huge_header.bin"],
+                         id="table_huge_header"),
+            pytest.param(["register", "--kernel-table", "{tmp}/tiny_width.bin"],
+                         id="table_tiny_width"),
             pytest.param(["register", "--kernel-table", "{tmp}/table.bin"],
                          id="table_lacks_shape_scale"),
             pytest.param(["export-fields", "--kernel-table", "{tmp}/table.bin",
@@ -568,12 +652,24 @@ class TestArgumentHandling:
             ("no_terms", [], np.ones((2, 2, 0))),
             ("nan_width", [0.5, np.nan], np.ones((2, 2, 2))),
             ("inf_coefficient", [0.5, 1.0], inf_beta),
+            # a valid width whose rate 1 / (2 tau^2) overflows
+            ("tiny_width", [0.5, 1e-300], np.ones((2, 2, 2))),
         ):
             header = struct.pack("<4siiii", b"MSKT", 1, 2, 2, len(taus))
             values = np.concatenate([[0.1, 2.0], taus, beta.ravel()]).astype("<f8")
             (tmp_path / f"{name}.bin").write_bytes(header + values.tobytes())
+        # a header that claims 2^30 scales, 8 GiB of them, in a 300-byte file
+        header = struct.pack("<4siiii", b"MSKT", 1, 2, 2**30, 1)
+        (tmp_path / "huge_header.bin").write_bytes(header.ljust(300, b"\x00"))
         args = [arg.format(tmp=tmp_path) for arg in verb]
-        assert main(["--config", str(path)] + args) == EXIT_CONFIG
+        tracemalloc.start()
+        try:
+            code = main(["--config", str(path)] + args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert peak < 2**24
         err = capsys.readouterr().err
         assert "config error" in err
         for name, changes in non_finite.items():
@@ -939,3 +1035,35 @@ class TestCheck:
             root = run_dir_of(capsys)
             report = json.loads((root / "check_report.json").read_text())
             assert report["pass"] and report["problems"] == []
+
+    def test_a_slice_skewed_one_way_round_fails_the_symmetry_check(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        exact = DiracPiecewiseKernel.slice
+
+        def skewed(kernel, lam, mu):
+            w, a = exact(kernel, lam, mu)
+            return (w * (1.0 + 1e-9), a) if lam < mu else (w, a)
+
+        monkeypatch.setattr(DiracPiecewiseKernel, "slice", skewed)
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "check"]) == EXIT_THRESHOLD
+        assert "asymmetry" in capsys.readouterr().err
+        (report,) = (tmp_path / "out").glob("*/check_report.json")
+        assert json.loads(report.read_text())["pass"] is False
+
+    def test_an_indefinite_scale_pair_fails_the_positivity_check(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        exact = KernelTable.slice
+        ends = {0.1, 2.0}  # the fitted pair (s_0, s_last) that `check` certifies
+
+        def indefinite(kernel, lam, mu):
+            w, a = exact(kernel, lam, mu)
+            # both orientations alike, so the kernel stays symmetric
+            return (10.0 * w, a) if {lam, mu} == ends else (w, a)
+
+        monkeypatch.setattr(KernelTable, "slice", indefinite)
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["--config", str(path), "check"]) == EXIT_THRESHOLD
+        assert "pairwise positivity" in capsys.readouterr().err
+        (report,) = (tmp_path / "out").glob("*/check_report.json")
+        assert json.loads(report.read_text())["pass"] is False

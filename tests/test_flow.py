@@ -22,11 +22,11 @@ from msreg.flow import (
     transport_grid,
 )
 from msreg.ladder import DiracMeasure, ScaleLadder
-from msreg.scale_kernels import DiracPiecewiseKernel, GaussianScaleFamily
-from oracles import whole_matrix_kernel, whole_matrix_velocity, write_field_csv
+from msreg.scale_kernels import DiracPiecewiseKernel
+from oracles import mixture_value, whole_matrix_kernel, whole_matrix_velocity, write_field_csv
 
 LADDER = ScaleLadder.uniform(0.1, 2.0, 20)
-KERNEL = DiracPiecewiseKernel(DiracMeasure(0.5), GaussianScaleFamily(LADDER))
+KERNEL = DiracPiecewiseKernel(DiracMeasure(0.5), LADDER)
 
 
 def two_scale_system(rng, num=4):
@@ -79,7 +79,7 @@ class TestKernelMatrix:
         for p in range(6):
             for q in range(6):
                 r = np.linalg.norm(sys0.points[p] - sys0.points[q])
-                ref = float(KERNEL(sys0.point_scales[p], sys0.point_scales[q], r))
+                ref = float(mixture_value(KERNEL, sys0.point_scales[p], sys0.point_scales[q], r))
                 assert kmat[p, q] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("row_runs", [(2, 1, 2, 1), (1000, 300, 100, 100)])
@@ -103,7 +103,7 @@ class TestKernelMatrix:
                 r = np.linalg.norm(xi[p] - xj[q])
                 w, a = slices[scales_i[p], scales_j[q]]
                 expo = np.exp(-a * r * r)
-                ref = float(kernel(scales_i[p], scales_j[q], r))
+                ref = float(mixture_value(kernel, scales_i[p], scales_j[q], r))
                 # rounding is relative to the terms, which may cancel
                 term_sums[p, q] = np.dot(np.abs(w), expo)
                 tol = 1e-13 * term_sums[p, q]
@@ -139,6 +139,18 @@ class TestKernelMatrix:
                         err = np.abs(sq[rows, cols] - re[rows, cols])
                         assert np.all(err <= 1e-13 * rate * term_sums)
 
+    @pytest.mark.parametrize("runs", [(5, 5), (3, 400, 2), (700,)])
+    def test_square_velocity_is_the_square_gram_times_the_controls(self, mixture, runs):
+        kernel, (lo, hi) = mixture
+        rng = np.random.default_rng(sum(runs))
+        scales = np.array([lo, hi, lo][: len(runs)]).repeat(runs)
+        x = rng.normal(scale=0.5, size=(scales.size, 2))
+        controls = rng.normal(size=(scales.size, 2))
+        vel = KernelBlocks(kernel, scales).velocity(x, None, controls)
+        kmat = kernel_matrix(kernel, scales, x)
+        bound = 1e-13 * np.abs(kmat).dot(np.abs(controls))
+        assert np.all(np.abs(vel - kmat.dot(controls)) <= bound)
+
     def test_rectangular_and_derivative(self):
         rng = np.random.default_rng(2)
         xi = rng.normal(size=(4, 2))
@@ -152,8 +164,8 @@ class TestKernelMatrix:
         for p in range(4):
             for q in range(3):
                 u = np.sum((xi[p] - xj[q]) ** 2)
-                up = float(KERNEL(0.4, 1.3, np.sqrt(u + h)))
-                dn = float(KERNEL(0.4, 1.3, np.sqrt(max(u - h, 0.0))))
+                up = float(mixture_value(KERNEL, 0.4, 1.3, np.sqrt(u + h)))
+                dn = float(mixture_value(KERNEL, 0.4, 1.3, np.sqrt(max(u - h, 0.0))))
                 assert dmat[p, q] == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-8)
 
     def test_symmetry(self):
@@ -253,7 +265,7 @@ class TestVelocity:
         r = np.linalg.norm(query[0])
         # displacement = dt * K * a with a single step, dt = 1
         assert traj.dt == 1.0
-        assert np.allclose(field.displacement[0], float(KERNEL(0.5, 0.5, r)) * a[0])
+        assert np.allclose(field.displacement[0], float(mixture_value(KERNEL, 0.5, 0.5, r)) * a[0])
 
 
 class TestIntegrateForward:

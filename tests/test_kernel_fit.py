@@ -20,7 +20,7 @@ from msreg.kernel_fit import (
 from msreg.ladder import ScaleLadder
 from msreg.spectral import SpectralGrid, compute_spectral_table
 
-from oracles import SpectralKernelEvaluator, adaptive_simpson, lp_vertex_minimum
+from oracles import SpectralKernelEvaluator, adaptive_simpson, lp_vertex_minimum, mixture_value
 
 
 class TestHankelBasis:
@@ -205,7 +205,7 @@ class TestFitKernelTable:
         scales = small_kernel.scales
         for lam, mu in ((scales[0], scales[0]), (scales[1], scales[3])):
             for r in (0.0, 0.3, 1.0):
-                a = float(small_kernel(lam, mu, r))
+                a = float(mixture_value(small_kernel, lam, mu, r))
                 b = float(ev(lam, mu, r))
                 ref = max(abs(float(ev(lam, lam, 0.0))), abs(b))
                 # loose: the two disagree through quadrature truncation of
@@ -362,7 +362,7 @@ class TestKernelTable:
     def test_zero_distance_is_coefficient_sum(self, small_kernel):
         lam = small_kernel.scales[1]
         k = 1
-        assert float(small_kernel(lam, lam, 0.0)) == pytest.approx(
+        assert float(mixture_value(small_kernel, lam, lam, 0.0)) == pytest.approx(
             small_kernel.beta[k, k].sum()
         )
 
@@ -426,12 +426,11 @@ class TestCertification:
         result = certify_pairwise_positivity(small_kernel, pts, scale_pairs=[(k, l)])
         lams = np.repeat(small_kernel.scales[[k, l]], len(pts))
         coords = np.vstack([pts, pts])
+        dist = np.linalg.norm(coords[:, None] - coords[None], axis=-1)
         gram = np.array(
             [
-                [
-                    float(small_kernel(lams[p], lams[q], np.linalg.norm(coords[p] - coords[q])))
-                    for q in range(len(coords))
-                ]
+                [float(mixture_value(small_kernel, lams[p], lams[q], dist[p, q]))
+                 for q in range(len(coords))]
                 for p in range(len(coords))
             ]
         )

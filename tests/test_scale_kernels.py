@@ -6,42 +6,49 @@ import pytest
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.scale_kernels import (
     DiracPiecewiseKernel,
-    GaussianScaleFamily,
     dirac_kernel,
     gauss_scale_integral,
     piecewise_weights,
     sum_dirac_kernel_hat,
 )
 
-from oracles import adaptive_simpson, brute_piecewise_integral
+from oracles import adaptive_simpson, brute_piecewise_integral, mixture_value
 
 LADDER6 = ScaleLadder.uniform(0.1, 2.0, 20)
-FAMILY6 = GaussianScaleFamily(LADDER6)
+
+
+def gaussian(scale, r):
+    return np.exp(-(r**2) / (2.0 * scale**2))
+
+
+def node_scale(lam):
+    """Width of the piecewise-constant kernel governing scale lam."""
+    return LADDER6.nodes[LADDER6.interval_index(lam)]
 
 
 def piecewise_integral(lam1, lam2, r):
     """Piecewise-constant scale integral over [lam1, lam2] from its weights."""
-    scales, weights = piecewise_weights(FAMILY6, lam1, lam2)
-    return float(np.dot(weights, GaussianScaleFamily.kappa(scales, r)))
+    scales, weights = piecewise_weights(LADDER6, lam1, lam2)
+    return float(np.dot(weights, gaussian(scales, r)))
 
 
 class TestGaussScaleIntegral:
     def test_empty_interval(self):
-        assert gauss_scale_integral(FAMILY6, 0.5, 0.5, 1.3) == 0.0
+        assert gauss_scale_integral(LADDER6, 0.5, 0.5, 1.3) == 0.0
 
     def test_zero_distance_gives_length(self):
-        assert gauss_scale_integral(FAMILY6, 0.1, 2.0, 0.0) == pytest.approx(1.9)
+        assert gauss_scale_integral(LADDER6, 0.1, 2.0, 0.0) == pytest.approx(1.9)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            gauss_scale_integral(FAMILY6, 1.0, 0.2, 0.7)
+            gauss_scale_integral(LADDER6, 1.0, 0.2, 0.7)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            gauss_scale_integral(FAMILY6, 0.2, 1.0, -0.1)
+            gauss_scale_integral(LADDER6, 0.2, 1.0, -0.1)
 
     def test_matches_adaptive_quadrature(self):
-        value = gauss_scale_integral(FAMILY6, 0.2, 1.0, 0.7)
+        value = gauss_scale_integral(LADDER6, 0.2, 1.0, 0.7)
         ref = adaptive_simpson(lambda mu: np.exp(-0.245 / mu**2), 0.2, 1.0)
         assert value == pytest.approx(ref, rel=1e-10)
 
@@ -50,7 +57,7 @@ class TestGaussScaleIntegral:
         for _ in range(30):
             lam1, lam2 = np.sort(rng.uniform(0.1, 2.0, 2))
             r = rng.uniform(0.0, 3.0)
-            value = gauss_scale_integral(FAMILY6, lam1, lam2, r)
+            value = gauss_scale_integral(LADDER6, lam1, lam2, r)
             ref = adaptive_simpson(
                 lambda mu: np.exp(-(r**2) / (2.0 * mu**2)), lam1, lam2
             )
@@ -80,58 +87,59 @@ class TestPiecewiseScaleIntegral:
             assert value == pytest.approx(ref, rel=1e-10, abs=1e-15)
 
     def test_weights_reproduce_integral(self):
-        scales, weights = piecewise_weights(FAMILY6, 0.33, 1.47)
+        scales, weights = piecewise_weights(LADDER6, 0.33, 1.47)
         assert np.all(np.isin(scales, LADDER6.nodes)) and np.all(np.diff(scales) > 0)
         assert np.all(weights > 0) and weights.sum() == pytest.approx(1.47 - 0.33)
         r = 0.8
         direct = brute_piecewise_integral(LADDER6.nodes, 0.33, 1.47, r)
-        assert np.dot(weights, GaussianScaleFamily.kappa(scales, r)) == pytest.approx(direct)
+        assert np.dot(weights, gaussian(scales, r)) == pytest.approx(direct)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            piecewise_weights(FAMILY6, 1.0, 0.2)
+            piecewise_weights(LADDER6, 1.0, 0.2)
 
 
 class TestDiracKernel:
     MEASURE = DiracMeasure(0.5, sigma=2.0)
 
     def test_atom_at_query_collapses_to_leading_term(self):
-        kern = DiracPiecewiseKernel(self.MEASURE, FAMILY6)
+        kern = DiracPiecewiseKernel(self.MEASURE, LADDER6)
         for lam in (0.1, 0.7, 2.0):
-            value = kern(lam, 0.5, 1.1)
-            expected = np.exp(-(1.1**2) / (2.0 * FAMILY6.node_scale(0.5) ** 2)) / 2.0
+            value = mixture_value(kern, lam, 0.5, 1.1)
+            expected = np.exp(-(1.1**2) / (2.0 * node_scale(0.5) ** 2)) / 2.0
             assert value == pytest.approx(expected)
 
     def test_atom_at_coarse_end(self):
         # atom at s2: value = kappa_{s2}(r)/sigma + (1/sigma) int_{max}^{s2}
         measure = DiracMeasure(2.0, sigma=1.5)
         lam, lam0, r = 0.8, 1.3, 0.6
-        value = dirac_kernel(measure, FAMILY6, lam, lam0, r)
+        value = dirac_kernel(measure, LADDER6, lam, lam0, r)
         expected = np.exp(-(r**2) / 8.0) / 1.5 + gauss_scale_integral(
-            FAMILY6, max(lam, lam0), 2.0, r
+            LADDER6, max(lam, lam0), 2.0, r
         ) / 1.5
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_experiment_hand_value(self):
         measure = DiracMeasure(0.1, sigma=1.0)
-        piecewise = DiracPiecewiseKernel(measure, FAMILY6)(2.0, 2.0, 0.0)
-        for value in (piecewise, dirac_kernel(measure, FAMILY6, 2.0, 2.0, 0.0)):
+        piecewise = mixture_value(DiracPiecewiseKernel(measure, LADDER6), 2.0, 2.0, 0.0)
+        for value in (piecewise, dirac_kernel(measure, LADDER6, 2.0, 2.0, 0.0)):
             assert value == pytest.approx(2.9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
-        kern = DiracPiecewiseKernel(self.MEASURE, FAMILY6)
+        kern = DiracPiecewiseKernel(self.MEASURE, LADDER6)
         for _ in range(20):
             lam, lam0 = rng.uniform(0.1, 2.0, 2)
             r = rng.uniform(0.0, 3.0)
-            assert abs(kern(lam, lam0, r) - kern(lam0, lam, r)) <= 1e-12
+            value = mixture_value(kern, lam, lam0, r)
+            assert abs(value - mixture_value(kern, lam0, lam, r)) <= 1e-12
 
     def test_gauss_method_matches_quadrature(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             lam, lam0 = rng.uniform(0.1, 2.0, 2)
             r = rng.uniform(0.0, 2.0)
-            value = dirac_kernel(self.MEASURE, FAMILY6, lam, lam0, r)
+            value = dirac_kernel(self.MEASURE, LADDER6, lam, lam0, r)
             s0 = 0.5
             xc = min(max(lam, min(s0, lam0)), max(s0, lam0))
             lo, hi = min(s0, xc), max(s0, xc)
@@ -146,7 +154,7 @@ class TestDiracKernel:
             assert value == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
     def test_mixture_slice_agrees_with_scalar_path(self):
-        kern = DiracPiecewiseKernel(self.MEASURE, FAMILY6)
+        kern = DiracPiecewiseKernel(self.MEASURE, LADDER6)
         s0, sigma = 0.5, 2.0
         # the last pair puts lam0 on the atom, where the window term vanishes
         for lam, lam0 in ((0.3, 1.7), (1.1, 0.2), (0.5, 0.5)):
@@ -156,27 +164,28 @@ class TestDiracKernel:
             for r in (0.0, 0.4, 1.9):
                 window = brute_piecewise_integral(LADDER6.nodes, lo, hi, r)
                 direct = (
-                    np.exp(-(r**2) / (2.0 * FAMILY6.node_scale(s0) ** 2))
+                    np.exp(-(r**2) / (2.0 * node_scale(s0) ** 2))
                     + np.sign(lam0 - s0) * orient * window
                 ) / sigma
-                assert kern(lam, lam0, r) == pytest.approx(direct)
+                assert mixture_value(kern, lam, lam0, r) == pytest.approx(direct)
 
     def test_monotone_in_distance(self):
-        kern = DiracPiecewiseKernel(self.MEASURE, FAMILY6)
+        kern = DiracPiecewiseKernel(self.MEASURE, LADDER6)
         rs = np.linspace(0.0, 4.0, 60)
         for lam, lam0 in ((0.1, 2.0), (0.7, 0.7), (1.3, 0.4)):
-            vals = kern(lam, lam0, rs)
+            vals = mixture_value(kern, lam, lam0, rs)
             assert np.all(np.diff(vals) <= 1e-14)
 
     def test_gram_positivity(self):
         rng = np.random.default_rng(21)
-        kern = DiracPiecewiseKernel(self.MEASURE, FAMILY6)
+        kern = DiracPiecewiseKernel(self.MEASURE, LADDER6)
         pts = rng.normal(size=(25, 2))
         lams = rng.choice(LADDER6.nodes, size=25)
         gram = np.empty((25, 25))
         for i in range(25):
             for j in range(25):
-                gram[i, j] = kern(lams[i], lams[j], np.linalg.norm(pts[i] - pts[j]))
+                r = np.linalg.norm(pts[i] - pts[j])
+                gram[i, j] = mixture_value(kern, lams[i], lams[j], r)
         eigs = np.linalg.eigvalsh(gram)
         assert eigs[0] >= -1e-8 * eigs[-1]
 
@@ -184,9 +193,9 @@ class TestDiracKernel:
         from msreg.ladder import LebesgueMeasure
 
         with pytest.raises(TypeError):
-            dirac_kernel(LebesgueMeasure(), FAMILY6, 0.5, 0.5, 1.0)
+            dirac_kernel(LebesgueMeasure(), LADDER6, 0.5, 0.5, 1.0)
         with pytest.raises(TypeError):
-            DiracPiecewiseKernel(LebesgueMeasure(), FAMILY6)
+            DiracPiecewiseKernel(LebesgueMeasure(), LADDER6)
 
 
 class TestSumDiracKernelHat:
