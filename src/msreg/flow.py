@@ -77,12 +77,173 @@ MAX_BLOCK_BYTES = 32 << 20
 # is kept as a few long strings rather than a string per row.
 CSV_ROWS = 1024
 
+# A block reads a Hermite table of its slice, not one exp per term, when
+# the slice has at least TABLE_MIN_TERMS terms and the block at least
+# TABLE_MIN_ELEMENTS elements.  A table read costs about what 5 or 6
+# terms' exp do (on one core, a 4096 x 30 block of 4 terms took 1.03
+# times as long from a table, one of 8 terms 0.82 times), and a block
+# below 2048 elements keeps the exp loop's bits: the 30 x 30 landmark
+# blocks of a 60-landmark, two-scale registration among them.
+TABLE_MIN_TERMS = 8
+TABLE_MIN_ELEMENTS = 2048
+
+# Accuracy of a tabulated K: within TABLE_RTOL of it, or TABLE_ATOL of
+# sum_t |w[t]| e^{-a[t] u} (the size of its terms, which may cancel), and
+# the same for dK/du with TABLE_ATOL times the largest rate.  The nodes sit
+# at r = k h up to the R where exp(-(min rate) R^2) = TABLE_TAIL, with h
+# chosen so that the quintic's leading error term stays within
+# TABLE_MARGIN of that tolerance.  A slice needing TABLE_MAX_NODES nodes
+# or more (rates more than about 1e5 apart) is not tabulated.
+TABLE_RTOL = 1e-12
+TABLE_ATOL = 1e-13
+TABLE_TAIL = 1e-16
+TABLE_MARGIN = 0.25
+TABLE_MAX_NODES = 1 << 17
+
+# On [0, 1], |t^3 (1 - t)^3| peaks at 1/64 and its derivative at 0.0537;
+# over 6! they bound the quintic Hermite error in value and slope.
+_VALUE_ERROR = 1.0 / (720 * 64)
+_SLOPE_ERROR = 0.0537 / 720
+
+# Table nodes filled at a time: a table is filled only as far as the
+# distances read so far reach, and the (3 x terms x nodes) basis of one
+# fill stays small.
+_FILL_NODES = 512
+
 
 def _scale_runs(scales):
     """Maximal runs of equal scale as (start, stop, scale)."""
     cuts = np.flatnonzero(scales[1:] != scales[:-1]) + 1
     bounds = [0, *cuts.tolist(), scales.size] if scales.size else []
     return [(a, b, scales[a]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _table_grid(w, a):
+    """(h, N): the node spacing in r and the interval count of a table of
+    the mixture (w, a), or None past TABLE_MAX_NODES.
+
+    On an interval of length du in u, the quintic's error is about
+    _VALUE_ERROR |f6| du^6 in K and _SLOPE_ERROR |f6| du^5 in dK/du, where
+    f6 is the mixture's sixth u-derivative and du = 2 h r.  h is the
+    largest spacing that keeps both within TABLE_MARGIN of the tolerance at
+    distances 0.25 / sqrt(max rate) apart up to R."""
+    radius = np.sqrt(np.log(1.0 / TABLE_TAIL) / a.min())
+    count = int(min(4.0 * radius * np.sqrt(a.max()), TABLE_MAX_NODES))
+    r = np.linspace(0.0, radius, count + 1)[1:]
+    expo = np.exp(-np.multiply.outer(r * r, a))
+    value, slope, size, f6 = (expo @ np.array([w, w * a, np.abs(w), w * a**6]).T).T
+    with np.errstate(all="ignore"):
+        tol_value = np.maximum(TABLE_RTOL * np.abs(value), TABLE_ATOL * size)
+        tol_slope = np.maximum(TABLE_RTOL * np.abs(slope), TABLE_ATOL * a.max() * size)
+        f6 = np.abs(f6)
+        steps = np.concatenate([
+            (TABLE_MARGIN * tol_value / (_VALUE_ERROR * f6)) ** (1 / 6) / (2 * r),
+            (TABLE_MARGIN * tol_slope / (_SLOPE_ERROR * f6)) ** 0.2 / (2 * r),
+        ])
+        step = min(steps.min(), radius)  # NaN if any is: 0 / 0 or inf / inf
+        num = np.ceil(radius / step)
+    return (step, int(num)) if num < TABLE_MAX_NODES else None
+
+
+def _hermite_basis(x):
+    """(3,) + x.shape: the coefficients c_3, c_4, c_5 of the quintic in t
+    that matches exp(-x t) with its first two derivatives at t = 0 and
+    t = 1 (c_0, c_1, c_2 are 1, -x, x^2 / 2).  They are combinations of
+    the mismatches at t = 1, formed through expm1 so that a small x does
+    not lose them to cancellation."""
+    em = np.expm1(-x)
+    half_x2 = 0.5 * x * x
+    return np.array([
+        em * (10.0 + 4.0 * x + half_x2) + x * (10.0 - x),
+        half_x2 - 15.0 * x - em * (15.0 + 7.0 * x + 2.0 * half_x2),
+        em * (6.0 + 3.0 * x + half_x2) + 6.0 * x,
+    ])
+
+
+class HermiteTable:
+    """A mixture slice tabulated in u = r^2 as a C^2 piecewise quintic.
+
+    Node k holds u_k = (k h)^2 and the coefficients D_0..D_5 of
+    sum_j D_j (u - u_k)^j on [u_k, u_{k+1}]: 7 floats.  The interval of u
+    is the node floor(sqrt(u) / h), so no search is needed.  K and dK/du
+    (the polynomial's own derivative, finite at r = 0) are within the
+    TABLE_RTOL / TABLE_ATOL tolerance of the exp sum.  Beyond R, where the
+    sum is below TABLE_TAIL sum_t |w[t]|, both are exactly 0.
+
+    The coefficients are summed per term, C_j = sum_t w[t] e^{-a[t] u_k}
+    c_j(a[t] du_k), and scaled by du_k^-j: coefficients fitted to the
+    summed values lose dK/du near r = 0 to the cancellation between the
+    terms.  Nodes are filled on first read, so a table costs what the
+    distances read reach, not all of R."""
+
+    def __init__(self, w, a, step, num):
+        self.w, self.a, self.step = w.copy(), a.copy(), step
+        self.radius = num * step  # R
+        self.inv_step = 1.0 / step
+        self.rows = np.zeros((7, num + 1))  # the last column, beyond R, stays 0
+        self.filled = 0
+        # any u at or above this reads the zero column, infinity included
+        self.cap = (self.radius + 2 * step) ** 2
+
+    def _fill(self, top):
+        """Fill the nodes up to node `top`, a block of _FILL_NODES at a time.
+        The blocks are aligned, so a node's bits never depend on which
+        distances were read first."""
+        step, w, a = self.step, self.w, self.a
+        stop = min(self.rows.shape[1] - 1, (top // _FILL_NODES + 1) * _FILL_NODES)
+        for k0 in range(self.filled, stop, _FILL_NODES):
+            k = np.arange(k0, min(k0 + _FILL_NODES, stop), dtype=float)
+            uk, du = (k * step) ** 2, step * step * (2.0 * k + 1.0)
+            expo = np.exp(-np.multiply.outer(a, uk))
+            high = _hermite_basis(np.multiply.outer(a, du)) * expo
+            rows = self.rows[:, k0 : k0 + k.size]
+            rows[0] = uk
+            rows[1] = w @ expo
+            rows[2] = -((w * a) @ expo)
+            rows[3] = (0.5 * w * a * a) @ expo
+            rows[4:] = (w @ high) / du ** np.arange(3, 6)[:, None]
+        self.filled = max(self.filled, stop)
+
+    def evaluate(self, u, gather, index, offset, deriv):
+        """K over u, written into u.  `gather` is a (7, n) buffer, `offset`
+        a float and `index` an intp buffer of u's size.  Returns dK/du, a
+        view of `gather`, with deriv, else None."""
+        np.minimum(u, self.cap, out=u)
+        np.sqrt(u, out=offset)
+        offset *= self.inv_step
+        np.copyto(index, offset, casting="unsafe")
+        if self.filled < self.rows.shape[1] - 1:
+            top = index.max(initial=0)
+            if top >= self.filled:
+                self._fill(top)
+        g = np.take(self.rows, index, axis=1, out=gather, mode="clip")
+        s = np.subtract(u, g[0], out=offset)
+        p = np.multiply(g[6], s, out=u)
+        p += g[5]
+        dp = np.multiply(g[6], s, out=g[0]) if deriv else None  # g[0] is spent
+        if deriv:
+            dp += p
+        for coeff in g[4:1:-1]:  # Horner for p and for p' together
+            p *= s
+            p += coeff
+            if deriv:
+                dp *= s
+                dp += p
+        p *= s
+        p += g[1]
+        return dp
+
+
+def hermite_table(kernel, w, a):
+    """The Hermite table of the mixture (w, a), memoised on the kernel by
+    the mixture's values, so one is built per kernel and slice; None past
+    TABLE_MAX_NODES."""
+    memo = vars(kernel).setdefault("_hermite_tables", {})
+    key = (w.tobytes(), a.tobytes())
+    if key not in memo:
+        grid = _table_grid(w, a)
+        memo[key] = None if grid is None else HermiteTable(w, a, *grid)
+    return memo[key]
 
 
 class KernelBlocks:
@@ -99,8 +260,12 @@ class KernelBlocks:
     The set-up, done once per forward pass or transport and reused by all
     its steps, finds the runs of equal row scale and of equal column scale,
     takes the mixture slice of each block between a row run and a column
-    run, sizes its row chunks, and allocates the two buffers of about
-    CHUNK_ELEMENTS elements that every chunk of every step reuses.
+    run, chooses how the block is evaluated, sizes its row chunks, and
+    allocates the buffers of about CHUNK_ELEMENTS elements that every chunk
+    of every step reuses.  A block whose slice has at least TABLE_MIN_TERMS
+    terms and which holds at least TABLE_MIN_ELEMENTS elements reads the
+    slice's `HermiteTable`, memoised on the kernel (`hermite_table`); every
+    other block sums the exp terms as below.
 
     Calling it at row positions Xi and column positions Xj yields (rows,
     cols, K), or with deriv (rows, cols, K, dK/du) where u is the squared
@@ -109,10 +274,11 @@ class KernelBlocks:
     contiguous pass, and reduces over the terms with one gemv each: K =
     w @ expo, dK/du = -((w * a) @ expo).  The coordinate differences use
     the `expo` buffer before the exponentials overwrite it, and K takes the
-    u buffer after, so a caller must use each block before the next.  This
-    is a lazy kernel reduction in the manner of KeOps (Charlier et al.,
-    JMLR 2021): no rows x cols array of a whole block and no (rows x cols x
-    terms) tensor is ever formed.
+    u buffer after, so a caller must use each block before the next.  A
+    tabulated chunk reads its table at u instead, and K takes the u buffer
+    too.  This is a lazy kernel reduction in the manner of KeOps (Charlier
+    et al., JMLR 2021): no rows x cols array of a whole block and no (rows
+    x cols x terms) tensor is ever formed.
 
     Without column scales the blocks are those of the square Gram of the
     rows: only the blocks whose column run starts at or after their row run
@@ -124,27 +290,35 @@ class KernelBlocks:
         runs_i = _scale_runs(scales_i)
         runs_j = runs_i if self.square else _scale_runs(scales_j)
         self.shape = (scales_i.size, (scales_i if self.square else scales_j).size)
-        blocks, size, u_size = [], 0, 0
+        blocks, size, u_size, t_size = [], 0, 0, 0
         for i0, i1, si in runs_i:
             for j0, j1, sj in runs_j:
                 if self.square and j0 < i0:
                     continue
                 w, a = kernel.slice(si, sj)
                 width = j1 - j0
-                step = min(max(1, CHUNK_ELEMENTS // (a.size * width)), i1 - i0)
+                table = None
+                if a.size >= TABLE_MIN_TERMS and (i1 - i0) * width >= TABLE_MIN_ELEMENTS:
+                    table = hermite_table(kernel, w, a)
+                # a table block gathers 7 floats per element, an exp block one per term
+                floats = a.size if table is None else 7
+                step = min(max(1, CHUNK_ELEMENTS // (floats * width)), i1 - i0)
                 starts = range(i0, i1, step)
-                blocks.append((starts, i1, slice(j0, j1), w, w * a, -a[:, None, None]))
-                size = max(size, step * width * a.size)
+                blocks.append((starts, i1, slice(j0, j1), w, w * a, -a[:, None, None], table))
+                size = max(size, step * width * floats)
                 u_size = max(u_size, step * width)
+                if table is not None:
+                    t_size = max(t_size, step * width)
         self._blocks = blocks
         self._buf = np.empty(size)
         self._ubuf = np.empty(u_size)
+        self._tbuf = np.empty(t_size), np.empty(t_size, dtype=np.intp)
 
     def __call__(self, Xi, Xj=None, deriv=False):
         rows_t = Xi.T[:, :, None]  # each row coordinate as a column
         cols_t = (Xi if Xj is None else Xj).T.copy()  # contiguous column coordinates
         buf, ubuf = self._buf, self._ubuf
-        for starts, i1, cols, w, wa, neg_a in self._blocks:
+        for starts, i1, cols, w, wa, neg_a, table in self._blocks:
             width = cols.stop - cols.start
             first, rest = cols_t[0, cols], cols_t[1:, cols]
             for r0 in starts:
@@ -158,6 +332,12 @@ class KernelBlocks:
                     np.subtract(xi, xj, out=delta)
                     np.multiply(delta, delta, out=delta)
                     u += delta
+                if table is not None:
+                    gather = buf[: 7 * num * width].reshape(7, -1)
+                    offset, index = (b[: num * width] for b in self._tbuf)
+                    dmat = table.evaluate(u.reshape(-1), gather, index, offset, deriv)
+                    yield (rows, cols, u, dmat.reshape(num, width)) if deriv else (rows, cols, u)
+                    continue
                 expo = buf[: neg_a.size * num * width].reshape(neg_a.size, num, width)
                 # u and expo are contiguous, so each term is one rows * cols loop
                 np.multiply(neg_a, u, out=expo)

@@ -313,6 +313,8 @@ class KernelTable:
             version, dim, m, q = struct.unpack("<iiii", fh.read(16))
             if version != _VERSION:
                 raise ValueError(f"unsupported version {version}")
+            if dim != 2:
+                raise ValueError(f"the table is for dimension {dim}; msreg registers in 2")
             if m < 1 or q < 1:
                 raise ValueError("the table needs at least one scale and one basis term")
             # checked before reading, so a header's sizes never size an allocation

@@ -102,8 +102,9 @@ def optimize(objective, init_controls=None, max_iters=1000, tol=1e-8, memory=10)
     Stops on relative objective decrease < tol or gradient sup-norm < tol.
     A failed line search returns the best iterate with a warning flag; a
     starting value that is not finite (say, an overflowing match weight)
-    raises FloatingPointError before any sweep, and so does a starting
-    gradient that is not finite after it.
+    raises FloatingPointError before any sweep, and so does a gradient that
+    is not finite, at the start or at an accepted step, or whose squared
+    norm overflows.
     Every forward pass goes through `objective.evaluate`, and each accepted
     point's pass feeds its gradient, so the run takes one forward pass per
     evaluation: the start plus one per line-search trial.
@@ -133,11 +134,16 @@ def optimize(objective, init_controls=None, max_iters=1000, tol=1e-8, memory=10)
         if np.abs(g).max() < tol:
             result.converged = True
             break
-        direction = -_lbfgs_direction(g, s_mem, y_mem)
-        descent = direction.dot(g)
-        if descent >= 0:  # stale curvature pairs; fall back to steepest descent
-            direction = -g
-            descent = -g.dot(g)
+        # a finite gradient can still overflow these products; that is
+        # reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            direction = -_lbfgs_direction(g, s_mem, y_mem)
+            descent = direction.dot(g)
+            if not descent < 0:  # stale curvature pairs or an overflow: steepest descent
+                direction = -g
+                descent = -g.dot(g)
+        if not np.isfinite(descent):
+            raise FloatingPointError("the line search slope g . d is not finite")
         step = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS):
@@ -160,6 +166,8 @@ def optimize(objective, init_controls=None, max_iters=1000, tol=1e-8, memory=10)
             break
         g_new = objective.gradient(x_new.reshape(shape), trajectory=traj_new).ravel()
         result.gradient_passes += 1
+        if not np.all(np.isfinite(g_new)):
+            raise FloatingPointError("gradient is not finite")
         s_vec = x_new - x
         y_vec = g_new - g
         if s_vec.dot(y_vec) > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):

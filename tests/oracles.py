@@ -208,6 +208,28 @@ def mixture_value(kernel, lam, mu, r):
     return np.exp(-np.multiply.outer(u, a)).dot(w)
 
 
+def tabulation_tolerance(kernel, scales_i, Xi, scales_j, Xj):
+    """The elementwise tolerance of a tabulated kernel, (tol_K, tol_dK):
+    1e-12 of the exp sum's K and dK/du, or 1e-13 of the size of its terms,
+    sum_t |w[t]| e^{-a[t] u} (times the largest rate for dK/du), whichever
+    is larger.  Summed directly, a few rows at a time."""
+    u = squared_distances(Xi, Xj)
+    tol_k, tol_d = np.empty_like(u), np.empty_like(u)
+    for p0 in range(0, u.shape[0], 64):
+        rows = slice(p0, p0 + 64)
+        for lam in np.unique(scales_i[rows]):
+            for mu in np.unique(scales_j):
+                w, a = kernel.slice(lam, mu)
+                block = np.ix_(np.flatnonzero(scales_i[rows] == lam) + p0,
+                               np.flatnonzero(scales_j == mu))
+                expo = np.exp(-np.multiply.outer(u[block], a))
+                size = expo @ np.abs(w)
+                tol_k[block] = np.maximum(1e-12 * np.abs(expo @ w), 1e-13 * size)
+                tol_d[block] = np.maximum(1e-12 * np.abs(expo @ (w * a)),
+                                          1e-13 * a.max() * size)
+    return tol_k, tol_d
+
+
 def squared_distances(Xi, Xj):
     """u[p, q] = |Xi[p] - Xj[q]|^2, summed one coordinate at a time."""
     u = np.zeros((Xi.shape[0], Xj.shape[0]))

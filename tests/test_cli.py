@@ -602,6 +602,12 @@ class TestArgumentHandling:
                          id="table_huge_header"),
             pytest.param(["register", "--kernel-table", "{tmp}/tiny_width.bin"],
                          id="table_tiny_width"),
+            pytest.param(["register", "--kernel-table", "{tmp}/dim_zero.bin"],
+                         id="table_dim_zero"),
+            pytest.param(["register", "--kernel-table", "{tmp}/dim_negative.bin"],
+                         id="table_dim_negative"),
+            pytest.param(["register", "--kernel-table", "{tmp}/dim_huge.bin"],
+                         id="table_dim_huge"),
             pytest.param(["register", "--kernel-table", "{tmp}/table.bin"],
                          id="table_lacks_shape_scale"),
             pytest.param(["export-fields", "--kernel-table", "{tmp}/table.bin",
@@ -658,6 +664,11 @@ class TestArgumentHandling:
             header = struct.pack("<4siiii", b"MSKT", 1, 2, 2, len(taus))
             values = np.concatenate([[0.1, 2.0], taus, beta.ravel()]).astype("<f8")
             (tmp_path / f"{name}.bin").write_bytes(header + values.tobytes())
+        # valid tables of both shape scales, but for another dimension
+        for name, dim in (("dim_zero", 0), ("dim_negative", -1), ("dim_huge", 2**31 - 1)):
+            header = struct.pack("<4siiii", b"MSKT", 1, dim, 2, 2)
+            values = np.concatenate([[0.1, 2.0], [0.5, 1.0], np.ones(8)]).astype("<f8")
+            (tmp_path / f"{name}.bin").write_bytes(header + values.tobytes())
         # a header that claims 2^30 scales, 8 GiB of them, in a 300-byte file
         header = struct.pack("<4siiii", b"MSKT", 1, 2, 2**30, 1)
         (tmp_path / "huge_header.bin").write_bytes(header.ljust(300, b"\x00"))
@@ -676,6 +687,8 @@ class TestArgumentHandling:
             if args[-1].endswith(f"/{name}.json"):
                 (key,) = changes
                 assert f"{key} holds a value that is not finite" in err
+        if "/dim_" in args[-1]:
+            assert "dimension" in err
 
 
 class TestFitKernel:
@@ -796,6 +809,22 @@ class TestRegister:
         assert "numerical failure" in capsys.readouterr().err
         if not swept:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_gradient_whose_square_overflows_mid_run_is_a_numerical_error(self, tmp_path,
+                                                                            capsys):
+        # a valid table with one huge coefficient: the start and its gradient
+        # are finite, but g . g overflows, which no Armijo trial can pass
+        beta = np.array([[[1e300, 0.5], [0.3, 0.1]], [[0.3, 0.1], [1.0, 0.5]]])
+        table = KernelTable(np.array([0.1, 2.0]), beta, HankelBasis(np.array([0.3, 1.0])))
+        table.save_binary(tmp_path / "table.bin")
+        path = write_config(tmp_path, SMALL_CONFIG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--config", str(path), "--set", "optimizer.max_iters=3", "register",
+                         "--kernel-table", str(tmp_path / "table.bin")])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_register_with_prefit_kernel_table(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CONFIG)

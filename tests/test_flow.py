@@ -23,7 +23,13 @@ from msreg.flow import (
 )
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.scale_kernels import DiracPiecewiseKernel
-from oracles import mixture_value, whole_matrix_kernel, whole_matrix_velocity, write_field_csv
+from oracles import (
+    mixture_value,
+    tabulation_tolerance,
+    whole_matrix_kernel,
+    whole_matrix_velocity,
+    write_field_csv,
+)
 
 LADDER = ScaleLadder.uniform(0.1, 2.0, 20)
 KERNEL = DiracPiecewiseKernel(DiracMeasure(0.5), LADDER)
@@ -177,7 +183,9 @@ class TestKernelMatrix:
 
 class TestAgainstWholeMatrixOracle:
     """Bit for bit the block loop over a precomputed whole distance matrix
-    (`tests/oracles.py`), which the per-chunk distances replaced."""
+    (`tests/oracles.py`), which the per-chunk distances replaced, in every
+    block evaluated by exp; within the tabulation's elementwise tolerance
+    in the blocks read from a table."""
 
     # (row run lengths, column run lengths, dimension); the runs alternate
     # between the two ladder ends
@@ -199,6 +207,28 @@ class TestAgainstWholeMatrixOracle:
         xj = rng.normal(scale=0.5, size=(scales_j.size, dim))
         return scales_i, xi, scales_j, xj, rng.normal(size=(scales_j.size, dim))
 
+    @staticmethod
+    def tabulated(kernel, runs_i, scales_i, runs_j, scales_j, square):
+        """Mask of the elements in blocks that read a table: a slice of at
+        least TABLE_MIN_TERMS terms and a block of at least
+        TABLE_MIN_ELEMENTS elements (in the square Gram, the blocks on and
+        above the diagonal and their mirrors)."""
+        if square:
+            runs_j, scales_j = runs_i, scales_i
+        bounds_i, bounds_j = np.cumsum((0,) + runs_i), np.cumsum((0,) + runs_j)
+        mask = np.zeros((scales_i.size, scales_j.size), dtype=bool)
+        for b, (i0, i1) in enumerate(zip(bounds_i[:-1], bounds_i[1:])):
+            for c, (j0, j1) in enumerate(zip(bounds_j[:-1], bounds_j[1:])):
+                if i1 == i0 or j1 == j0 or (square and c < b):
+                    continue
+                terms = kernel.slice(scales_i[i0], scales_j[j0])[1].size
+                size = (i1 - i0) * (j1 - j0)
+                if terms >= flow.TABLE_MIN_TERMS and size >= flow.TABLE_MIN_ELEMENTS:
+                    mask[i0:i1, j0:j1] = True
+                    if square:
+                        mask[j0:j1, i0:i1] = True
+        return mask
+
     @pytest.mark.parametrize("case", list(CASES))
     def test_kernel_matrix_and_velocity_are_bitwise_the_oracle(self, mixture, case):
         kernel, ends = mixture
@@ -209,20 +239,33 @@ class TestAgainstWholeMatrixOracle:
             step = flow.CHUNK_ELEMENTS // (kernel.slice(si[0], sj[0])[1].size * runs_j[0])
             assert runs_i[0] > step and runs_i[0] % step
         chunk = flow.CHUNK_ELEMENTS
+        tol_rect = tabulation_tolerance(kernel, si, xi, sj, xj)
+        tol_square = tabulation_tolerance(kernel, si, xi, si, xi)
         for deriv in (False, True):
             rect = kernel_matrix(kernel, si, xi, sj, xj, deriv=deriv)
             ref = whole_matrix_kernel(kernel, si, xi, sj, xj, chunk, deriv=deriv)
             square = kernel_matrix(kernel, si, xi, deriv=deriv)
             ref_square = whole_matrix_kernel(kernel, si, xi, si, xi, chunk, deriv=deriv,
                                              square=True)
-            for got, want in ((rect, ref), (square, ref_square)):
+            for got, want, tols, is_square in ((rect, ref, tol_rect, False),
+                                               (square, ref_square, tol_square, True)):
                 got, want = (got, want) if deriv else ((got,), (want,))
                 assert len(got) == len(want)
-                for mat, ref_mat in zip(got, want):
+                table = self.tabulated(kernel, runs_i, si, runs_j, sj, is_square)
+                for mat, ref_mat, tol in zip(got, want, tols):
                     assert mat.shape == ref_mat.shape
-                    assert np.array_equal(mat, ref_mat)
+                    assert np.array_equal(mat[~table], ref_mat[~table])
+                    assert np.all(np.abs(mat - ref_mat)[table] <= tol[table])
         vel = KernelBlocks(kernel, si, sj).velocity(xi, xj, controls)
-        assert np.array_equal(vel, whole_matrix_velocity(kernel, si, xi, sj, xj, controls, chunk))
+        ref_vel = whole_matrix_velocity(kernel, si, xi, sj, xj, controls, chunk)
+        table = self.tabulated(kernel, runs_i, si, runs_j, sj, False)
+        if table.any():
+            # the tabulated elements' tolerance, and rounding in the sums
+            bound = (tol_rect[0] * table).dot(np.abs(controls))
+            bound += 1e-14 * np.abs(ref[0]).dot(np.abs(controls))
+            assert np.all(np.abs(vel - ref_vel) <= bound)
+        else:
+            assert np.array_equal(vel, ref_vel)
 
     def test_large_grid_velocity_stays_in_chunk_sized_memory(self, small_kernel):
         # 65536 grid points x 60 landmarks: one distance matrix alone would
@@ -242,6 +285,149 @@ class TestAgainstWholeMatrixOracle:
             tracemalloc.stop()
         assert vel.shape == grid.shape and np.all(np.isfinite(vel))
         assert peak < 4 * 2**20
+
+
+class Mixture:
+    """A kernel whose every slice is the same mixture (w, a)."""
+
+    def __init__(self, w, a):
+        self.mixture = np.asarray(w, float), np.asarray(a, float)
+
+    def slice(self, lam, mu):
+        return self.mixture
+
+
+class TestHermiteTable:
+    """Blocks of many terms and many elements read a quintic Hermite table
+    of their slice; every other block sums its exp terms."""
+
+    @staticmethod
+    def column(kernel, lam, mu, r):
+        """K and dK/du at distances r, as one tall block of a rectangular
+        kernel matrix (rows at (r, 0), one column at the origin)."""
+        points = np.stack([r, np.zeros_like(r)], axis=1)
+        kmat, dmat = kernel_matrix(kernel, np.full(r.size, lam), points, np.array([mu]),
+                                   np.zeros((1, 2)), deriv=True)
+        return kmat[:, 0], dmat[:, 0]
+
+    @pytest.mark.parametrize(
+        "which, lam, mu",
+        [("experiment", 0.1, 0.1), ("experiment", 1.5, 1.5), ("experiment", 0.1, 2.0),
+         ("experiment", 2.0, 2.0), ("dirac", 2.0, 2.0), ("dirac", 1.2, 1.2)],
+    )
+    def test_meets_the_elementwise_tolerance_and_is_zero_beyond_r(self, experiment_kernel,
+                                                                   which, lam, mu):
+        kernel = experiment_kernel if which == "experiment" else DiracPiecewiseKernel(
+            DiracMeasure(0.5), LADDER)
+        w, a = kernel.slice(lam, mu)
+        assert w.size >= flow.TABLE_MIN_TERMS
+        table = flow.hermite_table(kernel, w, a)
+        h, radius = table.step, table.radius
+        nodes = np.arange(round(radius / h)) * h
+        r = np.concatenate([
+            [0.0], np.linspace(0.0, 1.0, 4001),
+            nodes, nodes + 0.25 * h, nodes + 0.5 * h, nodes + 0.75 * h,
+            radius * (1.0 - np.geomspace(1e-6, 1e-14, 5)),
+        ])
+        kvals, dvals = self.column(kernel, lam, mu, r)
+        expo = np.exp(-np.multiply.outer(r * r, a))
+        size = expo @ np.abs(w)
+        ref = mixture_value(kernel, lam, mu, r)
+        dref = -(expo @ (w * a))
+        assert np.all(np.abs(kvals - ref) <= np.maximum(1e-12 * np.abs(ref), 1e-13 * size))
+        tol = np.maximum(1e-12 * np.abs(dref), 1e-13 * a.max() * size)
+        assert np.all(np.abs(dvals - dref) <= tol)
+        # beyond R the table reads exactly 0, where the sum is below 1e-16 of its weights
+        far = radius * np.array([1.0 + 1e-9, 1.5, 10.0, 1e100] * 600)
+        kvals, dvals = self.column(kernel, lam, mu, far)
+        assert not kvals.any() and not dvals.any()
+        assert np.abs(mixture_value(kernel, lam, mu, far[:1])) < 1e-16 * np.abs(w).sum()
+
+    @pytest.mark.parametrize(
+        "terms, rows, cols, square, tabulated",
+        [
+            (8, 32, 64, False, True),  # 2048 elements
+            (8, 23, 89, False, False),  # 2047 elements
+            (7, 64, 64, False, False),
+            (7, 600, 600, True, False),
+            (20, 2048, 1, False, True),
+            (20, 30, 30, True, False),  # a 60-landmark Gram of two scales
+            (20, 45, 45, True, False),  # 2025 elements
+            (20, 46, 46, True, True),  # 2116 elements
+        ],
+    )
+    def test_the_rule_reads_the_term_count_and_the_block_size(self, terms, rows, cols,
+                                                              square, tabulated):
+        kernel = Mixture(np.linspace(1.0, 0.2, terms), np.geomspace(0.1, 50.0, terms))
+        rng = np.random.default_rng(terms + rows)
+        xi, xj = rng.normal(size=(rows, 2)), rng.normal(size=(cols, 2))
+        si, sj = np.full(rows, 0.5), np.full(cols, 0.5)
+        if square:
+            got = kernel_matrix(kernel, si, xi, deriv=True)
+            want = whole_matrix_kernel(kernel, si, xi, si, xi, flow.CHUNK_ELEMENTS, deriv=True)
+        else:
+            got = kernel_matrix(kernel, si, xi, sj, xj, deriv=True)
+            want = whole_matrix_kernel(kernel, si, xi, sj, xj, flow.CHUNK_ELEMENTS, deriv=True)
+        # the exp loop gives the oracle's bits; a table, almost never
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)) is not tabulated
+
+    def test_grid_transport_and_forward_pass_match_the_exp_loop(self, experiment_kernel,
+                                                                 monkeypatch):
+        # 64 landmarks at each of two scales: 64 x 64 Gram blocks and
+        # 4096 x 64 grid blocks, all read from tables
+        rng = np.random.default_rng(19)
+        scales = np.repeat([0.1, 2.0], 64)
+        points = rng.normal(scale=0.6, size=(128, 2))
+        sys0 = LandmarkSystem(scales, points, points)
+        controls = 0.3 * rng.normal(size=(4, 128, 2))
+        grid = make_grid((-1.5, 1.5, -1.5, 1.5), 64)[0]
+        lam = 1.0
+        vel = KernelBlocks(experiment_kernel, np.full(4096, lam), scales).velocity(
+            grid, points, controls[0])
+        ref = whole_matrix_velocity(experiment_kernel, np.full(4096, lam), grid, scales,
+                                    points, controls[0], flow.CHUNK_ELEMENTS)
+        assert np.abs(vel - ref).max() <= 1e-12 * np.abs(ref).max()
+        traj = integrate_forward(experiment_kernel, sys0, controls)
+        moved = transport_grid(experiment_kernel, traj, sys0, lam, grid).displacement
+        # the same run with every block on the exp loop
+        monkeypatch.setattr(flow, "TABLE_MIN_TERMS", 10**9)
+        exp_traj = integrate_forward(experiment_kernel, sys0, controls)
+        exp_moved = transport_grid(experiment_kernel, exp_traj, sys0, lam, grid).displacement
+        moves = exp_traj.positions - exp_traj.positions[0]
+        assert np.abs(traj.positions - exp_traj.positions).max() <= 1e-12 * np.abs(moves).max()
+        assert traj.energy == pytest.approx(exp_traj.energy, rel=1e-12)
+        assert np.abs(moved - exp_moved).max() <= 1e-12 * np.abs(exp_moved).max()
+        assert not np.array_equal(moved, exp_moved)  # the tables were read
+
+    def test_fill_order_leaves_no_trace(self, experiment_kernel):
+        w, a = experiment_kernel.slice(0.1, 0.1)
+        r = np.linspace(0.0, 30.0, 3000)
+        # one kernel reads near distances first, the other everything at once
+        tables = [Mixture(w, a), Mixture(w, a)]
+        self.column(tables[0], 0.1, 0.1, np.linspace(0.0, 0.5, 2048))
+        first, second = (self.column(kernel, 0.1, 0.1, r) for kernel in tables)
+        assert all(np.array_equal(f, s) for f, s in zip(first, second))
+        table = flow.hermite_table(tables[0], w, a)
+        assert table.filled == table.rows.shape[1] - 1
+
+    def test_a_table_is_7_floats_per_node_and_filled_only_as_far_as_read(self,
+                                                                         experiment_kernel):
+        w, a = experiment_kernel.slice(0.1, 0.1)
+        kernel = Mixture(w, a)
+        tracemalloc.start()
+        try:
+            self.column(kernel, 0.1, 0.1, np.linspace(0.0, 1.0, 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = flow.hermite_table(kernel, w, a)
+        num = table.rows.shape[1] - 1
+        assert table.rows.shape == (7, num + 1) and table.rows.nbytes == 56 * (num + 1)
+        # the table, and scratch that does not grow with it: chunk buffers and one fill
+        assert peak <= table.rows.nbytes + 2 * 2**20
+        # r <= 1 reads about 1 / R of the nodes; the rest wait unfilled
+        assert table.filled < num // 8
+        assert not table.rows[:, table.filled:].any()
 
 
 class TestVelocity:
