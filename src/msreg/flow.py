@@ -265,7 +265,8 @@ class KernelBlocks:
     of every step reuses.  A block whose slice has at least TABLE_MIN_TERMS
     terms and which holds at least TABLE_MIN_ELEMENTS elements reads the
     slice's `HermiteTable`, memoised on the kernel (`hermite_table`); every
-    other block sums the exp terms as below.
+    other block sums the exp terms as below.  No |K| exceeds `bound`, the
+    largest sum_t |w[t]| of a block's slice, since every rate is positive.
 
     Calling it at row positions Xi and column positions Xj yields (rows,
     cols, K), or with deriv (rows, cols, K, dK/du) where u is the squared
@@ -290,12 +291,13 @@ class KernelBlocks:
         runs_i = _scale_runs(scales_i)
         runs_j = runs_i if self.square else _scale_runs(scales_j)
         self.shape = (scales_i.size, (scales_i if self.square else scales_j).size)
-        blocks, size, u_size, t_size = [], 0, 0, 0
+        blocks, size, u_size, t_size, self.bound = [], 0, 0, 0, 0.0
         for i0, i1, si in runs_i:
             for j0, j1, sj in runs_j:
                 if self.square and j0 < i0:
                     continue
                 w, a = kernel.slice(si, sj)
+                self.bound = max(self.bound, float(np.abs(w).sum()))
                 width = j1 - j0
                 table = None
                 if a.size >= TABLE_MIN_TERMS and (i1 - i0) * width >= TABLE_MIN_ELEMENTS:
@@ -430,7 +432,11 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
     keep_blocks, and while the store fits MAX_BLOCK_BYTES, the step also
     evaluates dK/du and keeps both matrices on the trajectory for the
     adjoint; the store changes memory only, never a value.
-    Accumulates the control energy 0.5 * sum_i dt * a^T K(x(t_i)) a.
+    Accumulates the control energy 0.5 * sum_i dt * a^T K(x(t_i)) a; a step
+    whose a^T K a is below -(TABLE_RTOL + 4 P eps) W (sum |a|)^2, W the Gram's
+    `bound`, raises FloatingPointError.  That slack covers each element's
+    error (at most TABLE_RTOL W, tabulated or an exp sum of under ~4000
+    terms) and the rounding of the sums over P landmarks.
     """
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 3 or controls.shape[1:] != system.points.shape:
@@ -449,18 +455,24 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
         blocks = np.empty(block_shape)
     energy = 0.0
     gram = KernelBlocks(kernel, system.point_scales)
-    for i in range(num_steps):
-        pos = positions[i]
-        if blocks is None:
-            kmat = gram.matrix(pos)
-        else:
-            kmat, dmat = blocks[i]
-            kmat[...], dmat[...] = gram.matrix(pos, deriv=True)
-        vel = kmat @ controls[i]
-        energy += 0.5 * dt * np.einsum("pd,pd->", controls[i], vel)
-        positions[i + 1] = positions[i] + dt * vel
-        if not np.all(np.isfinite(positions[i + 1])):
-            raise IntegrationError(i)
+    # u overflows to inf far apart, where K is 0; an overflowed step raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = (TABLE_RTOL + 4 * system.num_points * np.finfo(float).eps) * gram.bound
+        floors = -slack * np.abs(controls).sum(axis=(1, 2)) ** 2  # per step
+        for i in range(num_steps):
+            if blocks is None:
+                kmat = gram.matrix(positions[i])
+            else:
+                kmat, dmat = blocks[i]
+                kmat[...], dmat[...] = gram.matrix(positions[i], deriv=True)
+            vel = kmat @ controls[i]
+            aka = np.einsum("pd,pd->", controls[i], vel)
+            if aka < floors[i]:
+                raise FloatingPointError(f"negative kernel energy {aka:.3e} at time step {i}")
+            energy += 0.5 * dt * aka
+            positions[i + 1] = positions[i] + dt * vel
+            if not np.all(np.isfinite(positions[i + 1])):
+                raise IntegrationError(i)
     return FlowTrajectory(positions, controls.copy(), energy, blocks)
 
 
@@ -525,11 +537,13 @@ def _transport(kernel, trajectory, system, lam, points, reverse=False):
     dt = trajectory.dt
     blocks = KernelBlocks(kernel, np.full(pts.shape[0], float(lam)), system.point_scales)
     steps = range(trajectory.num_steps)
-    for i in (reversed(steps) if reverse else steps):
-        vel = blocks.velocity(pts, trajectory.positions[i], trajectory.controls[i])
-        pts += (-dt if reverse else dt) * vel
-        if not np.all(np.isfinite(pts)):
-            raise IntegrationError(i)
+    # u overflows to inf far apart, where K is 0; an overflowed step raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in (reversed(steps) if reverse else steps):
+            vel = blocks.velocity(pts, trajectory.positions[i], trajectory.controls[i])
+            pts += (-dt if reverse else dt) * vel
+            if not np.all(np.isfinite(pts)):
+                raise IntegrationError(i)
     return pts
 
 
@@ -557,17 +571,13 @@ def residual_maps(grid_points, deformations):
     log-Jacobians give each residual log det D psi_k - log det D psi_{k-1}
     at the same grid index (the chain rule), NaN where either scale
     folds."""
-    fields = []
-    source, prev_log_jac = np.asarray(grid_points, dtype=float), 0.0
-    for deformation in deformations:
-        field = DeformationField(
-            deformation.scale, source, deformation.mapped, deformation.grid_shape
-        )
-        if deformation.log_jac is not None:
-            field.log_jac = deformation.log_jac - prev_log_jac
-        fields.append(field)
-        source, prev_log_jac = deformation.mapped, deformation.log_jac
-    return fields
+    grid = np.asarray(grid_points, dtype=float)
+    chain = [DeformationField(0.0, grid, grid, log_jac=0.0), *deformations]  # psi_0 first
+    return [
+        DeformationField(psi.scale, phi.mapped, psi.mapped, psi.grid_shape,
+                         None if psi.log_jac is None else psi.log_jac - phi.log_jac)
+        for phi, psi in zip(chain, chain[1:])
+    ]
 
 
 def make_grid(bbox, num):
@@ -585,12 +595,13 @@ def make_grid(bbox, num):
 def bounding_box(points, margin=0.1):
     """Axis-aligned box around the points, padded by a fractional margin of
     each axis's extent; an axis of zero extent is padded by that fraction
-    of the largest extent instead."""
+    of the largest extent instead.  An extent that overflows leaves the box
+    not finite."""
     points = np.asarray(points, dtype=float)
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    extent = hi - lo
-    pad = margin * np.where(extent > 0, extent, extent.max())
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = hi - lo
+        pad = margin * np.where(extent > 0, extent, extent.max())
     return (lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 
@@ -600,9 +611,14 @@ def log_jacobian(field, spacing):
     Central differences in the interior, one-sided at the boundary.  Cells
     with nonpositive determinant (folding) are flagged and get NaN.
     Returns the field with log_jac, folded and min_jacobian (the smallest
-    determinant, nonpositive where cells fold) filled in.
+    determinant, nonpositive where cells fold) filled in.  A determinant
+    that is not finite (differences that overflow, or a spacing that
+    underflows to 0) raises FloatingPointError.
     """
-    det = jacobian_determinant(field, spacing)
+    with np.errstate(all="ignore"):
+        det = jacobian_determinant(field, spacing)
+    if not np.all(np.isfinite(det)):
+        raise FloatingPointError(f"Jacobian determinant not finite at scale {field.scale:g}")
     folded = det <= 0
     field.log_jac = np.where(folded, np.nan, np.log(np.where(folded, 1.0, det)))
     field.folded = folded
@@ -611,15 +627,11 @@ def log_jacobian(field, spacing):
 
 
 def jacobian_determinant(field, spacing):
-    """Raw determinant grid (no log), for folding diagnostics."""
+    """Raw determinant grid (no log), for folding diagnostics: the planar
+    2 x 2 determinant of D psi in closed form."""
     if field.grid_shape is None:
         raise ValueError("the Jacobian needs a structured grid")
-    nx, ny = field.grid_shape
-    d = field.mapped.shape[1]
-    mapped = field.mapped.reshape(nx, ny, d)
-    jac = np.empty((nx, ny, d, d))
-    for comp in range(d):
-        gx, gy = np.gradient(mapped[:, :, comp], spacing[0], spacing[1], edge_order=2)
-        jac[:, :, comp, 0] = gx
-        jac[:, :, comp, 1] = gy
-    return np.linalg.det(jac)
+    mapped = field.mapped.reshape(*field.grid_shape, 2)
+    xx, xy = np.gradient(mapped[:, :, 0], *spacing, edge_order=2)
+    yx, yy = np.gradient(mapped[:, :, 1], *spacing, edge_order=2)
+    return xx * yy - xy * yx

@@ -1013,6 +1013,86 @@ class TestExportFields:
         assert self.one_landmark_run(tmp_path, target, margin) == EXIT_CONFIG
         assert "zero width or height" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "far, code, message",
+        [
+            pytest.param(1e308, EXIT_NUMERICAL, "Jacobian determinant not finite at scale 0.1",
+                         id="determinant_overflows"),
+            pytest.param(1.7e308, EXIT_CONFIG, "zero width or height, or one that is not finite",
+                         id="box_overflows"),
+            pytest.param(1e200, EXIT_OK, "", id="kernel_distances_overflow"),
+        ],
+    )
+    def test_huge_controls_end_in_a_documented_code_with_no_warning(self, tmp_path, capsys,
+                                                                      far, code, message):
+        # finite points so far apart that u, the grid box or the grid's
+        # differences overflow; a box of +-1.7e308 is wider than any float
+        path = write_config(tmp_path, dict(DIRAC_CONFIG, time_steps=4,
+                                           grid={"size": 8, "margin": 0.1}))
+        near = -far if far > 1e308 else 0.0
+        controls = {
+            "point_scales": [0.1, 2.0],
+            "points": [[near, 0.0], [far, 0.0]],
+            "targets": [[near, 0.5], [far, 0.5]],
+            "weight": 1.0,
+            "controls": [[[0.1, 0.0], [0.0, 0.1]]] * 4,
+        }
+        (tmp_path / "controls.json").write_text(json.dumps(controls))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(path), "export-fields", "--controls",
+                         str(tmp_path / "controls.json")]) == code
+        out, err = capsys.readouterr()
+        assert message in err
+        if code == EXIT_OK:
+            summary = json.loads((Path(out.strip()) / "fields_summary.json").read_text())
+            assert all(0.0 < m < np.inf for m in summary["min_jacobian"].values())
+
+    def test_negative_kernel_energy_is_a_numerical_error(self, tmp_path, capsys):
+        # an indefinite one-term table, beta = [[1, 3], [3, 1]]: two landmarks
+        # at one point with opposite controls have a^T K a = 1 - 6 + 1 = -4
+        table = KernelTable(np.array([0.1, 2.0]), np.array([[[1.0], [3.0]], [[3.0], [1.0]]]),
+                            HankelBasis(np.array([0.5])))
+        table.save_binary(tmp_path / "table.bin")
+        controls = {
+            "point_scales": [0.1, 2.0],
+            "points": [[0.0, 0.0], [0.0, 0.0]],
+            "targets": [[0.1, 0.0], [0.0, 0.1]],
+            "weight": 1.0,
+            "controls": [[[1.0, 0.0], [-1.0, 0.0]]],
+        }
+        (tmp_path / "controls.json").write_text(json.dumps(controls))
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "export-fields", "--kernel-table",
+                     str(tmp_path / "table.bin"), "--controls",
+                     str(tmp_path / "controls.json")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: negative kernel energy -4.000e+00 at time step 0\n"
+
+    def test_export_memory_is_flat_in_the_number_of_scales(self, tmp_path, capsys):
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "register"]) == EXIT_OK
+        controls = run_dir_of(capsys) / "controls.json"
+        size = 64
+        peaks = {}
+        for scales in ([0.1, 2.0], "all"):  # 2 and 6 scales
+            config = dict(DIRAC_CONFIG, grid={"size": size, "margin": 0.1},
+                          export_scales=scales)
+            path = write_config(tmp_path, config, name=f"config-{len(str(scales))}.json")
+            tracemalloc.start()
+            try:
+                code = main(["--config", str(path), "export-fields", "--svg", "--controls",
+                             str(controls)])
+                peaks[str(scales)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        # a scale's fields: psi (2 floats a cell) and two log-Jacobians (its
+        # deformation's and its residual's); four more scales may not keep
+        # two scales' worth of them
+        fields = 8 * 4 * size**2
+        assert peaks["all"] - peaks["[0.1, 2.0]"] < 2 * fields
+
     # 0.15 is no ladder node: the closed-form Dirac kernel exports any scale
     @pytest.mark.parametrize(
         "export_scales", [[0.48], [0.1, 2.0], [0.1, 0.48, 2.0], [0.15, 2.0]]
@@ -1047,11 +1127,10 @@ class TestExportFields:
 
         monkeypatch.setattr(flow, "_transport", counting_transport)
         assert main(["--config", str(path), "export-fields", "--svg"]) == EXIT_OK
-        grid_transports = transported.count(grid_cells)
+        # one transport per scale moves the grid and every landmark after it
+        grid_transports = transported.count(grid_cells + system.num_points)
         assert grid_transports == len(export_scales)
-        # every landmark of every base scale moves in one transport per scale
-        assert transported.count(system.num_points) == len(export_scales)
-        assert len(transported) == 2 * len(export_scales)
+        assert len(transported) == len(export_scales)
         summary = json.loads((root / "fields_summary.json").read_text())
         assert summary["grid_transports"] == grid_transports
 

@@ -650,6 +650,20 @@ class TestJacobian:
         dets = jacobian_determinant(field, spacing)
         assert field.min_jacobian == dets.min() < 0
 
+    def test_closed_form_is_the_lu_determinant_on_a_transported_grid(self):
+        sys0, traj = TestTransport.make_case()
+        pts, shape, spacing = make_grid(bounding_box(sys0.points, 0.3), 33)
+        field = transport_grid(KERNEL, traj, sys0, 0.5, pts, shape)
+        mapped = field.mapped.reshape(*shape, 2)
+        jac = np.empty(shape + (2, 2))
+        for comp in range(2):
+            jac[:, :, comp] = np.stack(
+                np.gradient(mapped[:, :, comp], *spacing, edge_order=2), axis=-1
+            )
+        lu = np.linalg.det(jac)
+        assert np.abs(lu - 1.0).max() > 0.1  # the grid is deformed
+        np.testing.assert_allclose(jacobian_determinant(field, spacing), lu, rtol=1e-15, atol=0)
+
     def test_requires_structured_grid(self):
         field = DeformationField(1.0, np.zeros((3, 2)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
