@@ -153,9 +153,9 @@ def cmd_register(config, root, kernel_table_path=None):
     )
     hist_path = root / "history.csv"
     with open(hist_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["iter", "value", "energy", "match", "step"])
-        writer.writeheader()
-        writer.writerows(result.history_rows())
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "value", "energy", "match", "step"])
+        writer.writerows((i, *row) for i, row in enumerate(result.history))
     files.append(hist_path)
     controls_path = root / "controls.json"
     with open(controls_path, "w") as fh:
@@ -262,15 +262,23 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
             "the landmarks and targets all coincide, lie on one line with grid.margin 0, "
             "or lie too far apart"
         )
+    size = config["grid"]["size"]
+    grid_pts, grid_shape, spacing = make_grid(bbox, size)
+    # the Jacobian divides by node steps, and a box a few ulps wide rounds steps to 0
+    xs, ys = grid_pts[::size, 0], grid_pts[:size, 1]
+    if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
+        raise ConfigError(
+            f"the export grid box {box} is too narrow for grid.size {size}: its grid nodes "
+            "do not strictly increase along both axes"
+        )
     # the transports need the positions only
     trajectory = integrate_forward(kernel, system, controls, keep_blocks=False)
-    grid_pts, grid_shape, spacing = make_grid(bbox, config["grid"]["size"])
     summary = {
         # 0, as each residual starts where the last ended; perfbench and the README read it
         "reconstruction_sup_error": 0.0,
         "folded_cells": {},
         "min_jacobian": {},
-        "grid": {"size": config["grid"]["size"], "bbox": list(bbox)},
+        "grid": {"size": size, "bbox": list(bbox)},
         "grid_transports": len(export_scales),
     }
     # One pass per scale.  Its one transport moves the landmarks after the

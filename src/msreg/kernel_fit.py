@@ -2,12 +2,12 @@
 
 The spectral solver produces kappa_hat(s_k, s_l, .) on a frequency grid;
 here each of those profiles is approximated by a nonnegative-certified
-combination of Gaussian Hankel pairs.  Diagonal profiles are fitted first
-under a nonnegative-spectrum constraint; off-diagonal profiles are then
-fitted under the two-sided bound |spectrum| <= sqrt(diag_k * diag_l),
-which makes every 2x2 spectral sub-matrix positive semidefinite.  Both
-steps are Chebyshev (minimax) problems solved as linear programs in
-epigraph form, on persistent HiGHS models warm-started from pair to pair.
+combination of Gaussian Hankel pairs.  `fit_kernel_table` makes one
+`_solve_minimax` call per scale pair: a Chebyshev (minimax) LP in epigraph
+form on one HiGHS model, warm-started from pair to pair.  The diagonal
+pairs come first, with the spectrum bounded to [0, inf); each off-diagonal
+pair then gets |spectrum| <= sqrt(diag_k * diag_l), which makes every 2x2
+spectral sub-matrix positive semidefinite.
 """
 
 import csv
@@ -197,23 +197,6 @@ _REL_MARGIN = 1e-6
 _ABS_MARGIN = 1e-7
 
 
-def fit_diagonal(target, design, model=None):
-    """Minimax fit of a diagonal spectral profile with the nonnegative
-    spectrum constraint design . beta >= 0, where `design` holds the basis
-    spectra (`HankelBasis.spectral`) at the profile's frequencies.  `model`
-    is a `_MinimaxModel` of `design` to warm-start; a fresh one by default.
-
-    The LP enforces the constraint to solver tolerance only; callers that
-    need exact nonnegativity repair the row with `repair_nonnegative`.
-    """
-    target = np.asarray(target, dtype=float)
-    if target.shape != (design.shape[0],):
-        raise ValueError("target length must match the frequency grid")
-    if model is None:
-        model = _MinimaxModel(design)
-    return _solve_minimax(model, target, np.zeros(target.size), np.full(target.size, np.inf))
-
-
 def repair_nonnegative(row, design):
     """Lift a fitted spectrum to be nonnegative at every sampled frequency.
 
@@ -230,25 +213,6 @@ def repair_nonnegative(row, design):
         spectrum = design.dot(row)
         scale *= 2.0
     return row
-
-
-def fit_offdiagonal(target, cj, design, model=None):
-    """Minimax fit of an off-diagonal profile under |spectrum| <= c_j,
-    where c_j is the geometric mean of the two fitted diagonal spectra and
-    `design` holds the basis spectra at the profile's frequencies.  `model`
-    is a `_MinimaxModel` of `design` to warm-start; a fresh one by default.
-    """
-    target = np.asarray(target, dtype=float)
-    cj = np.asarray(cj, dtype=float)
-    if np.any(cj < 0):
-        raise ValueError("pairwise bounds must be nonnegative")
-    # keep a tiny positive floor: zero bounds turn the rows into equalities,
-    # which the LP solver's presolve can misreport as infeasible
-    floor = 1e-14 * cj.max() if cj.size and cj.max() > 0 else 0.0
-    cj = np.maximum(cj * (1.0 - _REL_MARGIN) - _ABS_MARGIN * cj.max(), floor)
-    if model is None:
-        model = _MinimaxModel(design)
-    return _solve_minimax(model, target, -cj, cj)
 
 
 def repair_pairwise(row, diag_k, diag_l, design, tol=1e-13):
@@ -287,13 +251,11 @@ class KernelTable:
         self._rates = 1.0 / (2.0 * self.basis.taus**2)
         self._slices = {}
 
-    def index_of(self, lam):
-        return node_index(self.scales, lam)
-
     def slice(self, lam, mu):
         key = (lam, mu)
         if key not in self._slices:
-            self._slices[key] = self.beta[self.index_of(lam), self.index_of(mu)], self._rates
+            k, l = node_index(self.scales, lam), node_index(self.scales, mu)
+            self._slices[key] = self.beta[k, l], self._rates
         return self._slices[key]
 
     def save_binary(self, path):
@@ -359,13 +321,10 @@ class KernelTable:
 
 
 def fit_kernel_table(spectral_table, num_basis=20):
-    """Fit every scale pair of a spectral table.
-
-    Diagonals first (nonnegative spectra), then off-diagonals constrained by
-    the geometric means of the fitted diagonals.  Returns a KernelTable with
-    a per-pair residual report and the LP work it took.  All pairs are
-    solved on one warm-started `_MinimaxModel`, in a fixed order: the
-    diagonals, then the off-diagonals (k, l > k) row by row.
+    """Fit every scale pair of a spectral table, in a fixed order: the
+    diagonals, then the off-diagonals (k, l > k) row by row, each by one
+    `_solve_minimax` call on one warm-started `_MinimaxModel`.  Returns a
+    KernelTable with a per-pair residual report and the LP work it took.
     """
     scales = spectral_table.ladder.nodes
     values = spectral_table.values
@@ -378,7 +337,8 @@ def fit_kernel_table(spectral_table, num_basis=20):
     margins = np.zeros((m, m))
     for k in range(m):
         target = values[k, k]
-        row, _ = fit_diagonal(target, design, model)
+        # spectrum >= 0, to the LP's tolerance; repair_nonnegative makes it exact
+        row, _ = _solve_minimax(model, target, np.zeros(target.size), np.full(target.size, np.inf))
         beta[k, k] = repair_nonnegative(row, design)
         spectrum = design.dot(beta[k, k])
         residuals[k, k] = np.abs(spectrum - target).max()
@@ -387,13 +347,17 @@ def fit_kernel_table(spectral_table, num_basis=20):
     for k in range(m):
         for l in range(k + 1, m):
             target = 0.5 * (values[k, l] + values[l, k])
-            cj = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
-            row, _ = fit_offdiagonal(target, cj, design, model)
+            c = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
+            # |spectrum| <= c, shrunk by the margins; the tiny positive floor
+            # keeps zero bounds from turning the rows into equalities, which
+            # the cold retry's presolve can misreport as infeasible
+            bound = np.maximum(c * (1.0 - _REL_MARGIN) - _ABS_MARGIN * c.max(), 1e-14 * c.max())
+            row, _ = _solve_minimax(model, target, -bound, bound)
             row = repair_pairwise(row, diag_spec[:, k], diag_spec[:, l], design)
             spectrum = design.dot(row)
             beta[k, l] = beta[l, k] = row
             residuals[k, l] = residuals[l, k] = np.abs(spectrum - target).max()
-            margins[k, l] = margins[l, k] = (cj - np.abs(spectrum)).min()
+            margins[k, l] = margins[l, k] = (c - np.abs(spectrum)).min()
     peaks = np.abs(values).max(axis=2)
     # sum |beta| / |sum beta|: how many digits a kernel value at r = 0 loses
     cancellation = np.abs(beta).sum(axis=2) / np.maximum(np.abs(beta.sum(axis=2)), 1e-300)

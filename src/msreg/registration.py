@@ -80,7 +80,7 @@ class OptimizeResult:
     value: float
     energy: float
     match: float
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)  # (value, energy, match, step), the start first
     converged: bool = False
     line_search_failed: bool = False
     trajectory: object = None  # forward pass of `controls`
@@ -88,12 +88,6 @@ class OptimizeResult:
     gradient_passes: int = 0
     line_search_halvings: int = 0
     gradient_sup_norm: float = np.inf  # at the returned controls
-
-    def history_rows(self):
-        return [
-            {"iter": i, "value": v, "energy": e, "match": m, "step": s}
-            for i, (v, e, m, s) in enumerate(self.history)
-        ]
 
 
 def optimize(objective, init_controls=None, max_iters=1000, tol=1e-8, memory=10):

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process via main()."""
 
+import csv
 import inspect
 import json
 import struct
@@ -778,6 +779,17 @@ class TestRegister:
         controls = json.loads((root / "controls.json").read_text())
         assert np.asarray(controls["controls"]).shape == (6, 16, 2)
 
+    def test_history_rows_format(self, tmp_path, capsys):
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "register"]) == EXIT_OK
+        root = run_dir_of(capsys)
+        with open(root / "history.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iter", "value", "energy", "match", "step"]
+        assert rows[1][0] == "0" and rows[1][4] == "0.0"
+        assert [row[0] for row in rows[1:]] == [str(i) for i in range(len(rows) - 1)]
+        assert all(len(row) == 5 for row in rows)
+
     def test_register_reduces_mismatch(self, tmp_path, capsys):
         path = write_config(tmp_path, DIRAC_CONFIG)
         main(["--config", str(path), "register"])
@@ -977,12 +989,12 @@ class TestExportFields:
 
 
     @staticmethod
-    def one_landmark_run(tmp_path, target, margin=0.1):
+    def one_landmark_run(tmp_path, target, margin=0.1, point=(0.0, 0.0)):
         config = dict(DIRAC_CONFIG, grid={"size": 10, "margin": margin})
         path = write_config(tmp_path, config)
         controls = {
             "point_scales": [0.1],
-            "points": [[0.0, 0.0]],
+            "points": [list(point)],
             "targets": [target],
             "weight": 1.0,
             "controls": [[[0.05, 0.0]]],
@@ -1003,15 +1015,25 @@ class TestExportFields:
             assert all(np.isfinite(float(row.split(",")[4])) for row in rows), name
 
     @pytest.mark.parametrize(
-        "target, margin",
+        "point, target, margin, message",
         [
-            pytest.param([0.0, 0.0], 0.1, id="points_coincide"),
-            pytest.param([0.1, 0.0], 0.0, id="one_line_no_margin"),
+            pytest.param((0.0, 0.0), [0.0, 0.0], 0.1, "zero width or height",
+                         id="points_coincide"),
+            pytest.param((0.0, 0.0), [0.1, 0.0], 0.0, "zero width or height",
+                         id="one_line_no_margin"),
+            # positive widths whose grid steps round to 0: a subnormal box,
+            # and a box one ulp wide at 1e10
+            pytest.param((0.0, 0.0), [5e-324, 5e-324], 0.1, "do not strictly increase",
+                         id="subnormal_box"),
+            pytest.param((1e10, 1e10), [1e10 + 2e-6, 1e10 + 2e-6], 0.1,
+                         "do not strictly increase", id="box_of_one_ulp"),
         ],
     )
-    def test_grid_box_of_zero_height_is_a_config_error(self, tmp_path, capsys, target, margin):
-        assert self.one_landmark_run(tmp_path, target, margin) == EXIT_CONFIG
-        assert "zero width or height" in capsys.readouterr().err
+    def test_grid_box_of_zero_height_is_a_config_error(self, tmp_path, capsys, point, target,
+                                                        margin, message):
+        assert self.one_landmark_run(tmp_path, target, margin, point) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "the export grid box [" in err and message in err
 
     @pytest.mark.parametrize(
         "far, code, message",

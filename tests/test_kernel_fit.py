@@ -10,10 +10,10 @@ from msreg import kernel_fit
 from msreg.kernel_fit import (
     HankelBasis,
     KernelTable,
+    _MinimaxModel,
+    _solve_minimax,
     certify_pairwise_positivity,
-    fit_diagonal,
     fit_kernel_table,
-    fit_offdiagonal,
     repair_nonnegative,
     repair_pairwise,
 )
@@ -57,6 +57,12 @@ class TestHankelBasis:
         assert np.all(basis.spectral(np.linspace(0, 3, 7)) > 0)
 
 
+def fit_nonnegative(target, design):
+    """The diagonal pairs' LP: spectrum >= 0."""
+    nj = design.shape[0]
+    return _solve_minimax(_MinimaxModel(design), target, np.zeros(nj), np.full(nj, np.inf))
+
+
 class TestFitDiagonal:
     XIS = np.linspace(0.0, 3.0, 40)
 
@@ -64,7 +70,7 @@ class TestFitDiagonal:
         basis = HankelBasis(np.array([0.3, 0.8, 1.5]))
         design = basis.spectral(self.XIS)
         target = design.dot(np.array([0.5, 0.0, 1.2]))
-        row, resid = fit_diagonal(target, design)
+        row, resid = fit_nonnegative(target, design)
         assert resid <= 1e-9 * target.max()
         fitted = design.dot(row)
         assert np.abs(fitted - target).max() <= 1e-8 * target.max()
@@ -75,14 +81,9 @@ class TestFitDiagonal:
         # equal to the target peak
         basis = HankelBasis(np.array([0.7]))
         target = -basis.spectral(self.XIS)[:, 0]
-        row, resid = fit_diagonal(target, basis.spectral(self.XIS))
+        row, resid = fit_nonnegative(target, basis.spectral(self.XIS))
         assert resid == pytest.approx(np.abs(target).max(), rel=1e-9)
         assert np.abs(row[0]) <= 1e-9
-
-    def test_rejects_length_mismatch(self):
-        basis = HankelBasis(np.array([0.7]))
-        with pytest.raises(ValueError):
-            fit_diagonal(np.zeros(5), basis.spectral(self.XIS))
 
     def test_lp_optimum_matches_vertex_enumeration(self):
         basis = HankelBasis(np.array([0.4, 1.3]))
@@ -90,7 +91,7 @@ class TestFitDiagonal:
         design = basis.spectral(xis)
         rng = np.random.default_rng(0)
         target = design.dot(rng.uniform(0.2, 1.0, 2)) + rng.normal(0, 0.05, 5)
-        row, resid = fit_diagonal(target, design)
+        row, resid = fit_nonnegative(target, design)
         ones = np.ones((5, 1))
         a_ub = np.vstack(
             [
@@ -112,7 +113,8 @@ class TestFitOffdiagonal:
         basis = HankelBasis(np.array([0.3, 0.8]))
         design = basis.spectral(self.XIS)
         target = design.dot(np.array([0.4, 0.1]))
-        row, resid = fit_offdiagonal(target, np.zeros(self.XIS.size), design)
+        zero = np.zeros(self.XIS.size)
+        row, resid = _solve_minimax(_MinimaxModel(design), target, zero, zero)
         assert np.abs(design.dot(row)).max() <= 1e-9
         assert resid == pytest.approx(target.max(), rel=1e-6)
 
@@ -121,15 +123,9 @@ class TestFitOffdiagonal:
         coef = np.array([0.5, 0.2, 0.9])
         design = basis.spectral(self.XIS)
         target = design.dot(coef)
-        row, resid = fit_offdiagonal(target, 10.0 * target + 1.0, design)
+        bound = 10.0 * target + 1.0
+        row, resid = _solve_minimax(_MinimaxModel(design), target, -bound, bound)
         assert resid <= 1e-7 * target.max()
-
-    def test_rejects_negative_bounds(self):
-        basis = HankelBasis(np.array([0.5]))
-        with pytest.raises(ValueError):
-            fit_offdiagonal(
-                np.zeros(3), np.array([1.0, -0.1, 1.0]), basis.spectral(np.arange(3.0))
-            )
 
 
 class TestRepairs:
@@ -199,6 +195,34 @@ class TestFitKernelTable:
                 dl = design @ beta[l, l]
                 off = design @ beta[k, l]
                 assert (dk * dl - off**2).min() >= -1e-12
+
+    def test_each_pair_is_one_lp_with_its_bounds(self, small_spectral, monkeypatch):
+        # diagonals: spectrum >= 0; off-diagonals, row by row: |spectrum| <= b,
+        # b = max(c (1 - rel) - abs max c, 1e-14 max c), c = sqrt(S_kk S_ll)
+        calls = []
+        solve = kernel_fit._solve_minimax
+
+        def recorded(model, target, lower, upper):
+            calls.append((lower, upper))
+            return solve(model, target, lower, upper)
+
+        monkeypatch.setattr(kernel_fit, "_solve_minimax", recorded)
+        table = fit_kernel_table(small_spectral, num_basis=16)
+        m = table.scales.size
+        assert len(calls) == m * (m + 1) // 2
+        for lower, upper in calls[:m]:
+            assert np.all(lower == 0.0) and np.all(upper == np.inf)
+        design = table.basis.spectral(small_spectral.grid.xis)
+        diag = design.dot(table.beta[np.arange(m), np.arange(m)].T)
+        pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
+        floored = 0
+        for (k, l), (lower, upper) in zip(pairs, calls[m:]):
+            c = np.sqrt(np.maximum(diag[:, k] * diag[:, l], 0.0))
+            shrunk = c * (1.0 - kernel_fit._REL_MARGIN) - kernel_fit._ABS_MARGIN * c.max()
+            assert np.array_equal(upper, np.maximum(shrunk, 1e-14 * c.max()))
+            assert np.array_equal(lower, -upper)
+            floored += np.sum(shrunk < 1e-14 * c.max())
+        assert floored > 0  # the floor is reached, not only the shrunk bound
 
     def test_matches_inverse_hankel_evaluation(self, small_kernel, small_spectral):
         ev = SpectralKernelEvaluator(small_spectral)
@@ -293,8 +317,10 @@ class TestWarmStart:
         # default optimality tolerance of 1e-7, not inside 1e-9
         assert_warm_never_above_cold(experiment_spectral, 20, 210, 10, 1e-7, monkeypatch)
 
-    def test_epigraph_bound_is_the_true_residual(self, monkeypatch):
+    @pytest.mark.parametrize("highs", [_Highs, _NeverOptimal], ids=["warm", "cold_retry"])
+    def test_epigraph_bound_is_the_true_residual(self, monkeypatch, highs):
         # a near-interpolating table: 16 basis widths for 40 frequencies
+        monkeypatch.setattr(kernel_fit, "_Highs", highs)
         ladder = ScaleLadder(np.linspace(0.1, 1.0, 4))
         spectral = compute_spectral_table(ladder, 0.5, SpectralGrid.default(0.1, num=40))
         calls = []
@@ -306,7 +332,8 @@ class TestWarmStart:
             return result
 
         monkeypatch.setattr(kernel_fit, "_solve_minimax", recorded)
-        fit_kernel_table(spectral, num_basis=16)
+        report = fit_kernel_table(spectral, num_basis=16).report
+        assert report["cold_retries"] == (len(calls) if highs is _NeverOptimal else 0)
         for design, target, (beta, t) in calls:
             residual = np.abs(design.dot(beta) - target).max()
             assert residual - t <= 1e-6 * np.abs(target).max()
@@ -333,14 +360,13 @@ class TestWarmStart:
         xis = np.linspace(0.0, 3.0, 40)
         design = basis.spectral(xis)
         target = design.dot(np.array([0.5, -0.2, 0.9])) + 0.01 * np.sin(5 * xis)
-        row, resid = fit_diagonal(target, design)
+        row, resid = fit_nonnegative(target, design)
         ref_row, ref_resid = cold_minimax(design, target, np.zeros(40), np.full(40, np.inf))
         assert np.array_equal(row, ref_row) and resid == ref_resid
         cj = 0.5 * np.abs(target) + 0.01
-        model = kernel_fit._MinimaxModel(design)
-        row, resid = fit_offdiagonal(target, cj, design, model)
-        shrunk = cj * (1.0 - kernel_fit._REL_MARGIN) - kernel_fit._ABS_MARGIN * cj.max()
-        ref_row, ref_resid = cold_minimax(design, target, -shrunk, shrunk)
+        model = _MinimaxModel(design)
+        row, resid = _solve_minimax(model, target, -cj, cj)
+        ref_row, ref_resid = cold_minimax(design, target, -cj, cj)
         assert np.array_equal(row, ref_row) and resid == ref_resid
         assert (model.solves, model.cold_retries) == (1, 1)
         report = fit_kernel_table(small_spectral, num_basis=16).report
@@ -355,9 +381,9 @@ class TestWarmStart:
 
 class TestKernelTable:
     def test_index_lookup(self, small_kernel):
-        assert small_kernel.index_of(0.45) == 2
+        assert np.array_equal(small_kernel.slice(0.45, 0.1)[0], small_kernel.beta[2, 0])
         with pytest.raises(KeyError):
-            small_kernel.index_of(0.5)
+            small_kernel.slice(0.5, 0.1)
 
     def test_zero_distance_is_coefficient_sum(self, small_kernel):
         lam = small_kernel.scales[1]

@@ -197,7 +197,7 @@ class TestOptimize:
         sys0 = random_system(rng)
         obj = Objective(KERNEL, sys0, num_steps=8)
         result = optimize(obj, max_iters=30)
-        values = [row["value"] for row in result.history_rows()]
+        values = [value for value, *_ in result.history]
         assert all(b <= a + 1e-12 for a, b in zip(values[:-1], values[1:]))
         assert result.value < values[0]
 
@@ -249,15 +249,6 @@ class TestOptimize:
         bad = np.full((3, 4, 2), np.nan)
         with pytest.raises((ValueError, RuntimeError)):
             optimize(obj, init_controls=bad, max_iters=5)
-
-    def test_history_rows_format(self):
-        rng = np.random.default_rng(12)
-        sys0 = random_system(rng, num=2)
-        result = optimize(Objective(KERNEL, sys0, num_steps=4), max_iters=5)
-        rows = result.history_rows()
-        assert rows[0]["iter"] == 0 and rows[0]["step"] == 0.0
-        for row in rows:
-            assert set(row) == {"iter", "value", "energy", "match", "step"}
 
     def test_one_forward_pass_per_line_search_evaluation(self, monkeypatch):
         calls = {"forward": 0, "evaluate": 0, "gradient": 0}

@@ -1,4 +1,5 @@
-"""Surface lint: every top-level function and class of the package is used.
+"""Surface lint: every top-level function and class of the package is used,
+and so is every method (dunders exempt) and annotated field of its classes.
 
 A definition counts as used when its name appears as a `Name`, an
 `Attribute` or an import alias in a package module (its own included, but
@@ -37,13 +38,34 @@ def test_every_definition_is_used():
         tree = trees.get(path) or ast.parse(path.read_text(), str(path))
         used |= _used_names(tree)
     unused = [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{lineno} {label}"
         for path, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used
+        for lineno, label, name in _definitions(tree)
+        if name not in used
     ]
-    assert not unused, "unused top-level definitions: " + ", ".join(unused)
+    assert not unused, "unused definitions: " + ", ".join(unused)
+
+
+def _definitions(tree):
+    """(line, label, name) of each top-level function and class, and of
+    each method other than a dunder and each annotated field of those
+    classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.lineno, node.name, node.name
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, functions):
+                name = member.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                name = member.target.id
+            else:
+                continue
+            yield member.lineno, f"{node.name}.{name}", name
 
 
 def test_no_environment_reads():
