@@ -264,13 +264,14 @@ def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, 
         )
     size = config["grid"]["size"]
     grid_pts, grid_shape, spacing = make_grid(bbox, size)
-    # the Jacobian divides by node steps, and a box a few ulps wide rounds steps to 0
-    xs, ys = grid_pts[::size, 0], grid_pts[:size, 1]
-    if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0)):
-        raise ConfigError(
-            f"the export grid box {box} is too narrow for grid.size {size}: its grid nodes "
-            "do not strictly increase along both axes"
-        )
+    # the Jacobian divides by each axis's first node step, and a box a few
+    # ulps wide rounds the steps to 0 or to uneven multiples of an ulp
+    steps = np.diff(grid_pts[::size, 0]), np.diff(grid_pts[:size, 1])
+    narrow = f"the export grid box {box} is too narrow for grid.size {size}: its grid nodes"
+    if not all(np.all(step > 0) for step in steps):
+        raise ConfigError(f"{narrow} do not strictly increase along both axes")
+    if not all(np.all(np.abs(step - step[0]) <= 1e-6 * step[0]) for step in steps):
+        raise ConfigError(f"{narrow} are not evenly spaced, to 1e-6, along both axes")
     # the transports need the positions only
     trajectory = integrate_forward(kernel, system, controls, keep_blocks=False)
     summary = {

@@ -51,10 +51,6 @@ class LandmarkSystem:
         return self.points.shape[0]
 
     @property
-    def dim(self):
-        return self.points.shape[1]
-
-    @property
     def base_scales(self):
         return np.unique(self.point_scales)
 
@@ -583,7 +579,8 @@ def residual_maps(grid_points, deformations):
 def make_grid(bbox, num):
     """Uniform num x num grid over bbox = (xmin, xmax, ymin, ymax).
 
-    Returns (points, shape, spacing)."""
+    Returns (points, shape, spacing), spacing being each axis's first node
+    step; on a box a few ulps wide the steps round to 0 or unevenly."""
     xmin, xmax, ymin, ymax = bbox
     xs = np.linspace(xmin, xmax, num)
     ys = np.linspace(ymin, ymax, num)
@@ -608,8 +605,9 @@ def bounding_box(points, margin=0.1):
 def log_jacobian(field, spacing):
     """Log-determinant of the spatial Jacobian of a transported grid.
 
-    Central differences in the interior, one-sided at the boundary.  Cells
-    with nonpositive determinant (folding) are flagged and get NaN.
+    Central differences in the interior, one-sided at the boundary, over
+    one `spacing` step per axis, so the grid's nodes must be evenly spaced.
+    Cells with nonpositive determinant (folding) are flagged and get NaN.
     Returns the field with log_jac, folded and min_jacobian (the smallest
     determinant, nonpositive where cells fold) filled in.  A determinant
     that is not finite (differences that overflow, or a spacing that

@@ -35,7 +35,6 @@ class HankelBasis:
     Fourier (Hankel) pair."""
 
     taus: np.ndarray
-    dim: int = 2
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -46,10 +45,10 @@ class HankelBasis:
             raise ValueError("basis widths must be positive and finite")
 
     @classmethod
-    def log_spaced(cls, s1, s2, num=20, dim=2):
+    def log_spaced(cls, s1, s2, num=20):
         """Widths log-spaced on [s1/sqrt(2), sqrt(2)*s2], bracketing every
         per-scale Gaussian in the ladder."""
-        return cls(np.geomspace(s1 / np.sqrt(2.0), np.sqrt(2.0) * s2, num), dim)
+        return cls(np.geomspace(s1 / np.sqrt(2.0), np.sqrt(2.0) * s2, num))
 
     @property
     def size(self):
@@ -58,7 +57,7 @@ class HankelBasis:
     def spectral(self, xi):
         """Matrix h_hat_q(xi_j), shape (len(xi), Q); strictly positive."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return kappa_hat_gaussian(self.taus, xi[:, None], self.dim)
+        return kappa_hat_gaussian(self.taus, xi[:, None])
 
 
 class _MinimaxModel:
@@ -262,7 +261,7 @@ class KernelTable:
         m, q = self.scales.size, self.basis.size
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<iiii", _VERSION, self.basis.dim, m, q))
+            fh.write(struct.pack("<iiii", _VERSION, 2, m, q))  # 2: the dimension
             self.scales.astype("<f8").tofile(fh)
             self.basis.taus.astype("<f8").tofile(fh)
             np.ascontiguousarray(self.beta, dtype="<f8").tofile(fh)
@@ -294,7 +293,7 @@ class KernelTable:
         if not np.array_equal(beta, beta.transpose(1, 0, 2)):
             raise ValueError("coefficients are not symmetric in the scale pair")
         with np.errstate(divide="ignore", over="ignore"):
-            table = cls(scales, beta, HankelBasis(taus, dim))
+            table = cls(scales, beta, HankelBasis(taus))
         if not np.all(np.isfinite(table._rates)):
             raise ValueError("a basis width is so small that its rate 1 / (2 tau^2) overflows")
         return table
@@ -328,7 +327,7 @@ def fit_kernel_table(spectral_table, num_basis=20):
     """
     scales = spectral_table.ladder.nodes
     values = spectral_table.values
-    basis = HankelBasis.log_spaced(scales[0], scales[-1], num_basis, spectral_table.dim)
+    basis = HankelBasis.log_spaced(scales[0], scales[-1], num_basis)
     m = scales.size
     design = basis.spectral(spectral_table.grid.xis)
     model = _MinimaxModel(design)

@@ -1,4 +1,4 @@
-"""Fourier-domain kernel solver for the Lebesgue scale measure.
+"""Fourier-domain kernel solver for the Lebesgue scale measure, on the plane.
 
 With rho = sigma^2 * Lebesgue and piecewise-constant Gaussian scale kernels,
 the spectral kernel kappa_hat(lam, lam0, xi) satisfies, for each frequency,
@@ -19,18 +19,18 @@ _MAGIC = b"MSKS"
 _VERSION = 1
 
 
-def kappa_hat_gaussian(scale, xi, dim):
-    """Fourier transform of exp(-|z|^2 / (2 scale^2)) at radial frequency xi."""
+def kappa_hat_gaussian(scale, xi):
+    """Fourier transform of exp(-|z|^2 / (2 scale^2)) on R^2 at radial frequency xi."""
     scale = np.asarray(scale, dtype=float)
-    return (2.0 * np.pi * scale**2) ** (dim / 2.0) * np.exp(
+    return 2.0 * np.pi * scale**2 * np.exp(
         -2.0 * np.pi**2 * scale**2 * np.asarray(xi, dtype=float) ** 2
     )
 
 
-def psi_gaussian(scale_prev, scale_cur, xi, dim):
+def psi_gaussian(scale_prev, scale_cur, xi):
     """Stable ratio chi_{k-1} / chi_k of the reciprocal Gaussian spectra
     chi = 1 / kappa_hat, which themselves overflow at large scale * xi."""
-    return (scale_cur / scale_prev) ** dim * np.exp(
+    return (scale_cur / scale_prev) ** 2 * np.exp(
         -2.0 * np.pi**2 * (scale_cur**2 - scale_prev**2) * np.asarray(xi, float) ** 2
     )
 
@@ -48,7 +48,6 @@ class SpectralGrid:
     """Radial frequency samples xi_1..xi_J, shared by solver and fitter."""
 
     xis: np.ndarray
-    dim: int = 2
 
     def __post_init__(self):
         xis = np.asarray(self.xis, dtype=float)
@@ -57,13 +56,13 @@ class SpectralGrid:
             raise ValueError("frequencies must be nonnegative and increasing")
 
     @classmethod
-    def default(cls, s1, num=256, dim=2):
+    def default(cls, s1, num=256):
         """Uniform grid on [0, 4 / (pi * s1)], wide enough for the finest
         Gaussian spectrum to decay below 1e-12 of its peak."""
-        return cls(np.linspace(0.0, 4.0 / (np.pi * s1), num), dim)
+        return cls(np.linspace(0.0, 4.0 / (np.pi * s1), num))
 
 
-def _assemble_coefficients(ladder, sigma, xis, dim):
+def _assemble_coefficients(ladder, sigma, xis):
     """Tridiagonal coefficients (lower, diag, upper) at every frequency.
 
     `lower` has shape (n,) since it does not depend on the frequency;
@@ -75,7 +74,7 @@ def _assemble_coefficients(ladder, sigma, xis, dim):
     # chi_k lives on interval k (scale nodes[k]); psi[k] = chi_k / chi_{k+1},
     # and psi[n-1] = 1 because the last node reuses the last interval's chi
     psi = np.ones((n, xis.size))
-    psi[:-1] = psi_gaussian(nodes[:-2, None], nodes[1:-1, None], xis, dim)
+    psi[:-1] = psi_gaussian(nodes[:-2, None], nodes[1:-1, None], xis)
     coth = _coth(sigma * rho)[:, None]
     isnh = _inv_sinh(sigma * rho)
     diag = np.empty((n + 1, xis.size))
@@ -128,26 +127,14 @@ class SpectralTable:
     grid: SpectralGrid
     values: np.ndarray  # shape (n+1, n+1, J)
 
-    @property
-    def dim(self):
-        return self.grid.dim
-
     def save_binary(self, path):
-        nodes = self.ladder.nodes
+        nodes, xis = self.ladder.nodes, self.grid.xis
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<iiiid",
-                    _VERSION,
-                    self.dim,
-                    nodes.size - 1,
-                    self.grid.xis.size,
-                    self.sigma,
-                )
-            )
+            # (version, dimension, intervals, frequencies, sigma); the solver is planar
+            fh.write(struct.pack("<iiiid", _VERSION, 2, nodes.size - 1, xis.size, self.sigma))
             nodes.astype("<f8").tofile(fh)
-            self.grid.xis.astype("<f8").tofile(fh)
+            xis.astype("<f8").tofile(fh)
             np.ascontiguousarray(self.values, dtype="<f8").tofile(fh)
 
 
@@ -164,9 +151,9 @@ def compute_spectral_table(ladder, sigma, grid):
     nodes = ladder.nodes
     n1 = nodes.size
     values = np.empty((n1, n1, grid.xis.size))
-    _thomas(*_assemble_coefficients(ladder, sigma, grid.xis, grid.dim), values)
+    _thomas(*_assemble_coefficients(ladder, sigma, grid.xis), values)
     # per-node recovery spectra: interval scale r_k for k < n, r_n for the
     # last node (right-closure of the last interval)
     rec_scales = np.concatenate((nodes[:-1], [nodes[-2]]))
-    values *= kappa_hat_gaussian(rec_scales[:, None], grid.xis, grid.dim)[:, None, :]
+    values *= kappa_hat_gaussian(rec_scales[:, None], grid.xis)[:, None, :]
     return SpectralTable(ladder, sigma, grid, values)

@@ -41,15 +41,13 @@ def adaptive_simpson(f, a, b, tol=1e-12, max_depth=50):
     return recurse(a, b, whole, tol, max_depth)
 
 
-def dense_spectral_matrix(nodes, sigma, xi, dim=2):
+def dense_spectral_matrix(nodes, sigma, xi):
     """Symmetric dense matrix of the per-frequency nodal system, assembled
     directly in the physical variables h_k (no g-substitution)."""
     nodes = np.asarray(nodes, dtype=float)
     rho = np.diff(nodes)
     n = rho.size
-    chi = (2.0 * np.pi * nodes[:-1] ** 2) ** (-dim / 2.0) * np.exp(
-        2.0 * np.pi**2 * nodes[:-1] ** 2 * xi**2
-    )
+    chi = chi_gaussian(nodes[:-1], xi)
     coth = np.cosh(sigma * rho) / np.sinh(sigma * rho)
     isnh = 1.0 / np.sinh(sigma * rho)
     mat = np.zeros((n + 1, n + 1))
@@ -64,14 +62,14 @@ def dense_spectral_matrix(nodes, sigma, xi, dim=2):
     return mat
 
 
-def dense_spectral_solve(nodes, sigma, xi, dim=2):
+def dense_spectral_solve(nodes, sigma, xi):
     """All nodal spectra at one frequency via a dense LU solve."""
-    mat = dense_spectral_matrix(nodes, sigma, xi, dim)
+    mat = dense_spectral_matrix(nodes, sigma, xi)
     rhs = -np.eye(mat.shape[0])
     return np.linalg.solve(mat, rhs)
 
 
-def per_frequency_spectral_table(nodes, sigma, xis, dim=2):
+def per_frequency_spectral_table(nodes, sigma, xis):
     """Spectral values (node, source node, frequency), one frequency at a
     time: the g-substituted tridiagonal system of each frequency assembled
     alone and solved by a scalar Thomas sweep against the unit sources -I.
@@ -90,7 +88,7 @@ def per_frequency_spectral_table(nodes, sigma, xis, dim=2):
     for j, xi in enumerate(xis):
         xi = np.asarray(xi, dtype=float)
         prev, cur = nodes[:-2], nodes[1:-1]
-        psi = (cur / prev) ** dim * np.exp(-2.0 * np.pi**2 * (cur**2 - prev**2) * xi**2)
+        psi = (cur / prev) ** 2 * np.exp(-2.0 * np.pi**2 * (cur**2 - prev**2) * xi**2)
         psi = np.append(psi, 1.0)
         lower, upper = sigma * isnh, sigma * psi * isnh
         diag = np.empty(n1)
@@ -111,9 +109,7 @@ def per_frequency_spectral_table(nodes, sigma, xis, dim=2):
         g[-1] = dp[-1]
         for k in range(n1 - 2, -1, -1):
             g[k] = dp[k] - cp[k] * g[k + 1]
-        khat = (2.0 * np.pi * rec**2) ** (dim / 2.0) * np.exp(
-            -2.0 * np.pi**2 * rec**2 * xi**2
-        )
+        khat = 2.0 * np.pi * rec**2 * np.exp(-2.0 * np.pi**2 * rec**2 * xi**2)
         values[:, :, j] = g * khat[:, None]
     return values
 
@@ -165,28 +161,27 @@ def brute_piecewise_integral(nodes, lam1, lam2, r):
     return total
 
 
-def chi_gaussian(scale, xi, dim):
-    """Reciprocal spectrum 1 / kappa_hat of the Gaussian at width `scale`.
+def chi_gaussian(scale, xi):
+    """Reciprocal spectrum 1 / kappa_hat of the planar Gaussian at width
+    `scale`.
 
     Overflows for large scale * xi; the solver never evaluates it there and
     works with the ratios `psi_gaussian` instead.
     """
     scale = np.asarray(scale, dtype=float)
-    return (2.0 * np.pi * scale**2) ** (-dim / 2.0) * np.exp(
-        2.0 * np.pi**2 * scale**2 * np.asarray(xi, dtype=float) ** 2
+    return np.exp(2.0 * np.pi**2 * scale**2 * np.asarray(xi, dtype=float) ** 2) / (
+        2.0 * np.pi * scale**2
     )
 
 
 class SpectralKernelEvaluator:
     """Real-space kernel backed by a spectral table via inverse Hankel
-    quadrature (d = 2 only): kappa(r) = 2 pi * int khat(xi) J0(2 pi r xi) xi dxi.
+    quadrature on the plane: kappa(r) = 2 pi * int khat(xi) J0(2 pi r xi) xi dxi.
 
     Slow compared to the fitted basis; for validation on small inputs.
     """
 
     def __init__(self, table):
-        if table.dim != 2:
-            raise ValueError("inverse Hankel evaluation implemented for d=2 only")
         self.table = table
 
     def __call__(self, lam, mu, r):

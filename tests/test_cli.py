@@ -3,6 +3,7 @@
 import csv
 import inspect
 import json
+import random
 import struct
 import tracemalloc
 import warnings
@@ -10,10 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
-
 from msreg import flow, shapes, spectral
 from msreg.cli import (
     EXIT_CONFIG,
@@ -81,6 +78,46 @@ def write_config(tmp_path, data, name="config.json"):
 
 def run_dir_of(capsys):
     return Path(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+# Code point ranges that drawn text takes its characters from, each range
+# equally likely: printable ASCII (twice), control characters, Latin-1, the
+# rest of the Basic Multilingual Plane on either side of the surrogates, and
+# the astral planes.
+TEXT_RANGES = [(0x20, 0x7E), (0x20, 0x7E), (0x00, 0x1F), (0xA0, 0xFF), (0x100, 0xD7FF),
+               (0xE000, 0xFFFD), (0x10000, 0x10FFFF)]
+
+FLOAT_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+
+
+def draw_text(rng, max_size):
+    """A string of up to `max_size` characters from TEXT_RANGES."""
+    return "".join(chr(rng.randint(*rng.choice(TEXT_RANGES)))
+                   for _ in range(rng.randint(0, max_size)))
+
+
+def draw_float(rng, lo=None, hi=None):
+    """A float in [lo, hi]: an endpoint, a zero or a uniform draw.  With no
+    bounds, an edge value (NaN and the infinities among them), a draw from
+    [-10, 10] or any 64-bit pattern."""
+    roll = rng.random()
+    if lo is not None:
+        if roll < 0.2:
+            return rng.choice([v for v in (lo, hi, 0.0, -0.0) if lo <= v <= hi])
+        return rng.uniform(lo, hi)
+    if roll < 0.3:
+        return rng.choice(FLOAT_EDGES)
+    if roll < 0.65:
+        return rng.uniform(-10.0, 10.0)
+    return struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+
+
+def draw_int(rng):
+    """An integer of up to 8, 16, 32, 64 or 128 bits, of either sign."""
+    bound = 2 ** rng.choice([8, 16, 32, 64, 128])
+    return rng.randint(-bound, bound)
 
 
 class TestArgumentHandling:
@@ -354,21 +391,22 @@ class TestArgumentHandling:
         return known + ["ladder.nodes", "measure.s0"]
 
     @staticmethod
-    def fuzz(tmp_path, tmp_path_factory, capsys, assignments, verbs, exits, max_examples,
-             documents=None, config=DIRAC_CONFIG):
+    def fuzz(tmp_path, tmp_path_factory, capsys, draw, verbs, exits, num_examples,
+             documents=False, config=DIRAC_CONFIG):
         """Every verb, run in turn on the config (the Dirac one by default)
-        with one or two drawn --set overrides, ends in one of `exits`.  With
-        `documents`, an example is a drawn document instead, written to the
-        file that "{document}" in a verb names: bytes as they are, anything
-        else as JSON."""
+        for each of `num_examples` examples, ends in one of `exits`.  The
+        examples come from `draw(rng)` on one seeded `random.Random`, so
+        they are the same on every run.  An example is a list of --set
+        overrides or, with `documents`, a document written to the file that
+        "{document}" in a verb names: bytes as they are, anything else as
+        JSON."""
         path = write_config(tmp_path, config)
         document = tmp_path_factory.mktemp("documents") / "document"
-
-        @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
-        @given(st.lists(assignments, min_size=1, max_size=2) if documents is None else documents)
-        def run(example):
+        rng = random.Random(0)
+        for _ in range(num_examples):
+            example = draw(rng)
             args = ["--config", str(path)]
-            if documents is None:
+            if not documents:
                 for item in example:
                     args += ["--set", item]
             elif isinstance(example, bytes):
@@ -377,15 +415,8 @@ class TestArgumentHandling:
                 document.write_text(json.dumps(example))
             for verb in verbs:
                 verb = [arg.format(document=document) for arg in verb]
-                assert main(args + verb) in exits, verb
+                assert main(args + verb) in exits, (verb, example)
             capsys.readouterr()
-
-        # hypothesis caches constants and unicode tables even with no database
-        set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
-        try:
-            run()
-        finally:
-            set_hypothesis_home_dir(None)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
     def test_fuzzed_overrides_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
@@ -398,19 +429,37 @@ class TestArgumentHandling:
         edges = [0, -1, 1, 2, 999, 1000, 1001, 2**31, 2**63, 2**64, 10**30, 10**400,
                 -10**400, 1e300, -1e300, 5e-324]
         words = ["", "all", "dirac", "fitted", "lbfgs", ".", "..", "a/b", "../x"]
-        numbers = st.integers(-3, 30) | st.integers() | st.floats() | st.sampled_from(edges)
-        documents = st.recursive(
-            st.none() | st.booleans() | numbers | st.text(max_size=8) | st.sampled_from(words),
-            lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-            max_leaves=6,
-        )
-        # known paths and numbers twice, so that runs often get past validation
-        values = (numbers | numbers | documents).map(json.dumps) | st.text(max_size=8)
-        paths = st.sampled_from(known) | st.sampled_from(known + misspelt + through)
-        assignments = st.builds("{}={}".format, paths, values)
-        self.fuzz(tmp_path, tmp_path_factory, capsys, assignments, [["fit-kernel"]],
-                  (EXIT_OK, EXIT_CONFIG), max_examples=400)
+
+        def number(rng):
+            return rng.choice([lambda: rng.randint(-3, 30), lambda: draw_int(rng),
+                               lambda: draw_float(rng), lambda: rng.choice(edges)])()
+
+        def document(rng, leaves):
+            # a JSON value of at most `leaves` leaves, nested in lists and dicts
+            roll = rng.random()
+            if leaves > 1 and roll < 0.2:
+                return [document(rng, leaves // 3) for _ in range(rng.randint(0, 3))]
+            if leaves > 1 and roll < 0.4:
+                return {draw_text(rng, 6): document(rng, leaves // 3)
+                        for _ in range(rng.randint(0, 3))}
+            return rng.choice([lambda: None, lambda: rng.random() < 0.5, lambda: number(rng),
+                               lambda: draw_text(rng, 8), lambda: rng.choice(words)])()
+
+        def assignment(rng):
+            path = rng.choice(known if rng.random() < 0.5 else known + misspelt + through)
+            # numbers twice as often as documents, so that runs often get past validation
+            roll = rng.random()
+            if roll < 0.2:
+                value = draw_text(rng, 8)
+            elif roll < 0.73:
+                value = json.dumps(number(rng))
+            else:
+                value = json.dumps(document(rng, 6))
+            return f"{path}={value}"
+
+        self.fuzz(tmp_path, tmp_path_factory, capsys,
+                  lambda rng: [assignment(rng) for _ in range(rng.randint(1, 2))],
+                  [["fit-kernel"]], (EXIT_OK, EXIT_CONFIG), num_examples=400)
 
     def test_fuzzed_register_and_export_end_in_a_documented_code(self, tmp_path,
                                                                    tmp_path_factory, capsys):
@@ -420,20 +469,26 @@ class TestArgumentHandling:
         # frequencies) small enough that an example takes milliseconds
         sizes = {"time_steps", "grid.size", "optimizer.max_iters", "ladder.num_nodes",
                  "kernel.num_basis", "kernel.num_frequencies"}
-        numbers = st.integers(-3, 30) | st.floats() | st.floats(0.0, 3.0)
-        values = numbers | st.lists(numbers, min_size=1, max_size=3) | st.sampled_from(
-            ["all", "dirac", "lebesgue", "fitted", "dirac_closed_form"]
-        )
-        small = st.integers(-1, 12)
+        known = self.known_paths()
+        words = ["all", "dirac", "lebesgue", "fitted", "dirac_closed_form"]
 
-        def assignment(path):
-            drawn = small if path in sizes else values
-            return drawn.map(lambda value: f"{path}={json.dumps(value)}")
+        def number(rng):
+            return rng.choice([lambda: rng.randint(-3, 30), lambda: draw_float(rng),
+                               lambda: draw_float(rng, 0.0, 3.0)])()
 
-        assignments = st.sampled_from(self.known_paths()).flatmap(assignment)
-        self.fuzz(tmp_path, tmp_path_factory, capsys, assignments,
+        def assignment(rng):
+            path = rng.choice(known)
+            if path in sizes:
+                value = rng.randint(-1, 12)
+            else:
+                value = rng.choice([lambda: number(rng), lambda: rng.choice(words),
+                                    lambda: [number(rng) for _ in range(rng.randint(1, 3))]])()
+            return f"{path}={json.dumps(value)}"
+
+        self.fuzz(tmp_path, tmp_path_factory, capsys,
+                  lambda rng: [assignment(rng) for _ in range(rng.randint(1, 2))],
                   [["register"], ["export-fields", "--svg"]],
-                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=150)
+                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), num_examples=150)
 
     def test_fuzzed_shape_specs_end_in_ok_or_config_error(self, tmp_path, tmp_path_factory,
                                                             capsys):
@@ -443,62 +498,74 @@ class TestArgumentHandling:
             for kind in ("circle", "ellipse", "bumpy_ellipse", "flower", "schematic_human")
         }
         params["spiral"] = ["num", "center", "radius"]
-        numbers = st.integers(-3, 40) | st.floats(-3.0, 3.0) | st.sampled_from(
-            [np.nan, np.inf, -np.inf, 1e308, -1e308, True, False]
-        )
-        # fixed strings: `st.text` would rebuild hypothesis's unicode tables
-        words = st.sampled_from(["", "a", "1", "1.5", "NaN", "circle"])
-        values = numbers | st.lists(numbers, max_size=3) | words
-        pairs = st.lists(numbers, max_size=3) | numbers | words
+        edges = [np.nan, np.inf, -np.inf, 1e308, -1e308, True, False]
+        words = ["", "a", "1", "1.5", "NaN", "circle"]
 
-        def spec(kind):
-            drawn = {name: pairs if name in ("center", "semi_axes") else values
-                     for name in params[kind]}
-            return st.fixed_dictionaries({"type": st.just(kind)}, optional=drawn)
+        def number(rng):
+            return rng.choice([lambda: rng.randint(-3, 40), lambda: draw_float(rng, -3.0, 3.0),
+                               lambda: rng.choice(edges)])()
 
-        def entry(kind):
-            return st.fixed_dictionaries(
-                {"scale": st.just(0.1), "template": spec(kind), "target": spec(kind)}
-            )
+        def value(rng, pair):
+            # a list, a number or a word; a pair parameter draws lists more often
+            roll = rng.random()
+            if roll < (0.5 if pair else 0.33):
+                return [number(rng) for _ in range(rng.randint(0, 3))]
+            return number(rng) if roll < 0.75 else rng.choice(words)
 
-        assignments = st.sampled_from(sorted(params)).flatmap(entry).map(
-            lambda drawn: f"shapes={json.dumps([drawn])}"
-        )
-        self.fuzz(tmp_path, tmp_path_factory, capsys, assignments, [["fit-kernel"]],
-                  (EXIT_OK, EXIT_CONFIG), max_examples=80)
+        def spec(rng, kind):
+            # each parameter drawn one time in five, so that some specs are valid
+            drawn = {"type": kind}
+            for name in params[kind]:
+                if rng.random() < 0.2:
+                    drawn[name] = value(rng, name in ("center", "semi_axes"))
+            return drawn
+
+        def assignment(rng):
+            kind = rng.choice(sorted(params))
+            entry = {"scale": 0.1, "template": spec(rng, kind), "target": spec(rng, kind)}
+            return f"shapes={json.dumps([entry])}"
+
+        self.fuzz(tmp_path, tmp_path_factory, capsys,
+                  lambda rng: [assignment(rng) for _ in range(rng.randint(1, 2))],
+                  [["fit-kernel"]], (EXIT_OK, EXIT_CONFIG), num_examples=80)
 
     def test_fuzzed_controls_files_end_in_a_documented_code(self, tmp_path,
                                                               tmp_path_factory, capsys):
-        finite = st.floats(-2.0, 2.0)
-        edges = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1.0, 0.0, True])
-        words = st.sampled_from(["", "a", "0.1", "NaN"])
-        junk = st.none() | words | edges | st.lists(finite, max_size=2)
+        edges = [np.nan, np.inf, -np.inf, 1e308, -1.0, 0.0, True]
+        words = ["", "a", "0.1", "NaN"]
 
-        def array(shape, numbers):
-            drawn = numbers
-            for size in reversed(shape):
-                drawn = st.lists(drawn, min_size=size, max_size=size)
-            return drawn
+        def array(shape, number):
+            if not shape:
+                return number()
+            return [array(shape[1:], number) for _ in range(shape[0])]
 
-        def document(sizes):
-            steps, num = sizes
-            return st.fixed_dictionaries({
-                "point_scales": array((num,), st.sampled_from([0.1, 2.0, 0.5])),
-                "points": array((num, 2), finite),
-                "targets": array((num, 2), finite),
-                "controls": array((steps, num, 2), finite),
-                "weight": finite,
-            })
+        def junk(rng):
+            return rng.choice([lambda: None, lambda: rng.choice(words), lambda: rng.choice(edges),
+                               lambda: [draw_float(rng, -2.0, 2.0)
+                                        for _ in range(rng.randint(0, 2))]])()
 
-        def spoil(drawn):
+        def document(rng):
             # a well-formed document with at most one key dropped, replaced
             # by junk, nested one level deeper, cut short, or with its first
             # number replaced by an edge value
-            doc, key, how, edge, other = drawn
+            steps, num = rng.randint(1, 2), rng.randint(1, 3)
+
+            def finite():
+                return draw_float(rng, -2.0, 2.0)
+
+            doc = {
+                "point_scales": array((num,), lambda: rng.choice([0.1, 2.0, 0.5])),
+                "points": array((num, 2), finite),
+                "targets": array((num, 2), finite),
+                "controls": array((steps, num, 2), finite),
+                "weight": finite(),
+            }
+            key = rng.choice(["controls", "points", "targets", "point_scales", "weight"])
+            how = rng.choice(["keep", "edge", "junk", "nest", "cut", "drop"])
             if how == "drop":
                 del doc[key]
             elif how == "junk":
-                doc[key] = other
+                doc[key] = junk(rng)
             elif how == "nest":
                 doc[key] = [doc[key]]
             elif how == "cut" and isinstance(doc[key], list):
@@ -507,19 +574,12 @@ class TestArgumentHandling:
                 node, index = doc, key
                 while isinstance(node[index], list) and node[index]:
                     node, index = node[index], 0
-                node[index] = edge
+                node[index] = rng.choice(edges)
             return doc
 
-        documents = st.tuples(
-            st.tuples(st.integers(1, 2), st.integers(1, 3)).flatmap(document),
-            st.sampled_from(["controls", "points", "targets", "point_scales", "weight"]),
-            st.sampled_from(["keep", "edge", "junk", "nest", "cut", "drop"]),
-            edges,
-            junk,
-        ).map(spoil)
-        self.fuzz(tmp_path, tmp_path_factory, capsys, None,
+        self.fuzz(tmp_path, tmp_path_factory, capsys, document,
                   [["export-fields", "--controls", "{document}"]],
-                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=70, documents=documents)
+                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), num_examples=70, documents=True)
 
     def test_fuzzed_kernel_tables_end_in_a_documented_code(self, tmp_path, tmp_path_factory,
                                                             capsys):
@@ -531,10 +591,23 @@ class TestArgumentHandling:
         valid = table_path.read_bytes()
         values = np.frombuffer(valid, dtype="<f8", offset=20)  # scales, taus, beta
 
-        def mutate(mutations):
+        def mutation(rng):
+            kind = rng.choice(["header", "length", "value", "asymmetric", "scale"])
+            if kind == "header":
+                return kind, rng.randint(0, 3), rng.choice([0, -1, 2**31 - 1])
+            if kind == "length":
+                return kind, 0, rng.choice([-9, -8, -1, 1, 8, 16])
+            if kind == "value":
+                return kind, rng.randrange(values.size), rng.choice(
+                    ["negate", 1e300, 5e-324, np.nan, np.inf, -np.inf])
+            if kind == "asymmetric":
+                return kind, rng.randint(0, 1), 0
+            return kind, rng.randint(0, 1), rng.choice([0.15, 0.5, 3.0])
+
+        def document(rng):
             header = list(struct.unpack_from("<iiii", valid, 4))
             data, length = values.copy(), len(valid)
-            for kind, index, value in mutations:
+            for kind, index, value in (mutation(rng) for _ in range(rng.randint(1, 2))):
                 if kind == "header":
                     header[index] = value
                 elif kind == "length":
@@ -551,24 +624,11 @@ class TestArgumentHandling:
             blob = valid[:4] + struct.pack("<iiii", *header) + data.astype("<f8").tobytes()
             return blob[:length].ljust(length, b"\x00")
 
-        # fixed values: `st.text` would rebuild hypothesis's unicode tables
-        mutation = st.one_of(
-            st.tuples(st.just("header"), st.integers(0, 3), st.sampled_from([0, -1, 2**31 - 1])),
-            st.tuples(st.just("length"), st.just(0), st.sampled_from([-9, -8, -1, 1, 8, 16])),
-            st.tuples(
-                st.just("value"),
-                st.integers(0, values.size - 1),
-                st.sampled_from(["negate", 1e300, 5e-324, np.nan, np.inf, -np.inf]),
-            ),
-            st.tuples(st.just("asymmetric"), st.integers(0, 1), st.just(0)),
-            st.tuples(st.just("scale"), st.integers(0, 1), st.sampled_from([0.15, 0.5, 3.0])),
-        )
-        documents = st.lists(mutation, min_size=1, max_size=2).map(mutate)
-        self.fuzz(tmp_path, tmp_path_factory, capsys, None,
+        self.fuzz(tmp_path, tmp_path_factory, capsys, document,
                   [["--set", "optimizer.max_iters=3", "register", "--kernel-table",
                     "{document}"]],
-                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), max_examples=80,
-                  documents=documents, config=SMALL_CONFIG)
+                  (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), num_examples=80,
+                  documents=True, config=SMALL_CONFIG)
 
     @pytest.mark.parametrize(
         "verb",
@@ -745,8 +805,8 @@ class TestFitKernel:
     def test_solver_failure_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
         assemble = spectral._assemble_coefficients
 
-        def singular_above_zero(ladder, sigma, xis, dim):
-            lower, diag, upper = assemble(ladder, sigma, xis, dim)
+        def singular_above_zero(ladder, sigma, xis):
+            lower, diag, upper = assemble(ladder, sigma, xis)
             diag[:, xis > 0.0] = 0.0
             return lower, diag, upper
 
@@ -1027,6 +1087,9 @@ class TestExportFields:
                          id="subnormal_box"),
             pytest.param((1e10, 1e10), [1e10 + 2e-6, 1e10 + 2e-6], 0.1,
                          "do not strictly increase", id="box_of_one_ulp"),
+            # nodes that strictly increase by steps of 1 or 2 ulps
+            pytest.param((1e10, 1e10), [1e10 + 2e-5, 1e10 + 2e-5], 0.1,
+                         "not evenly spaced", id="box_of_uneven_ulps"),
         ],
     )
     def test_grid_box_of_zero_height_is_a_config_error(self, tmp_path, capsys, point, target,

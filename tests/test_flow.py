@@ -54,7 +54,7 @@ class TestLandmarkSystem:
         b = np.array([[0.5, 0.5]])
         sys0 = LandmarkSystem.from_groups([(0.1, a, a + 1), (2.0, b, b)], weight=2.0)
         assert sys0.num_points == 3
-        assert sys0.dim == 2
+        assert sys0.points.shape == sys0.targets.shape == (3, 2)
         assert list(sys0.point_scales) == [0.1, 0.1, 2.0]
         assert list(sys0.base_scales) == [0.1, 2.0]
         assert sys0.weight == 2.0

@@ -1,5 +1,7 @@
 """Minimax Gaussian-basis fitting and positivity certification."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -395,6 +397,8 @@ class TestKernelTable:
     def test_binary_round_trip(self, small_kernel, tmp_path):
         path = tmp_path / "kernel.mskt"
         small_kernel.save_binary(path)
+        # the header's dimension field, after the magic and the version
+        assert struct.unpack_from("<i", path.read_bytes(), 8) == (2,)
         loaded = KernelTable.load_binary(path)
         assert np.array_equal(loaded.scales, small_kernel.scales)
         assert np.array_equal(loaded.basis.taus, small_kernel.basis.taus)

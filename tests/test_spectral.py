@@ -41,26 +41,26 @@ class TestSpectra:
                     tol=1e-13,
                 )
             )
-            assert kappa_hat_gaussian(scale, xi, 2) == pytest.approx(ref, rel=1e-9)
+            assert kappa_hat_gaussian(scale, xi) == pytest.approx(ref, rel=1e-9)
 
     def test_chi_is_reciprocal(self):
         for scale, xi in ((0.1, 0.0), (0.5, 2.0), (1.5, 0.7)):
-            prod = chi_gaussian(scale, xi, 2) * kappa_hat_gaussian(scale, xi, 2)
+            prod = chi_gaussian(scale, xi) * kappa_hat_gaussian(scale, xi)
             assert prod == pytest.approx(1.0, rel=1e-13)
 
     def test_chi_zero_frequency_value(self):
-        assert chi_gaussian(1.0, 0.0, 2) == pytest.approx(1.0 / (2.0 * np.pi))
+        assert chi_gaussian(1.0, 0.0) == pytest.approx(1.0 / (2.0 * np.pi))
 
     def test_psi_matches_chi_ratio(self):
         for prev, cur, xi in ((0.1, 0.2, 1.3), (0.5, 1.7, 0.4)):
-            ref = chi_gaussian(prev, xi, 2) / chi_gaussian(cur, xi, 2)
-            assert psi_gaussian(prev, cur, xi, 2) == pytest.approx(ref, rel=1e-12)
+            ref = chi_gaussian(prev, xi) / chi_gaussian(cur, xi)
+            assert psi_gaussian(prev, cur, xi) == pytest.approx(ref, rel=1e-12)
 
     def test_psi_identity_and_range(self):
-        assert psi_gaussian(0.5, 0.5, 1.0, 2) == pytest.approx(1.0)
+        assert psi_gaussian(0.5, 0.5, 1.0) == pytest.approx(1.0)
         # coarser current scale at positive frequency shrinks the ratio of
         # exponentials faster than the polynomial factor grows
-        assert psi_gaussian(0.1, 2.0, 5.0, 2) < 1e-30
+        assert psi_gaussian(0.1, 2.0, 5.0) < 1e-30
 
 
 class TestAgainstDenseOracle:
@@ -93,24 +93,22 @@ class TestAgainstPerFrequencyLoop:
 
     def test_experiment_ladder_is_bitwise_equal(self, experiment_spectral):
         table = experiment_spectral
-        ref = per_frequency_spectral_table(
-            table.ladder.nodes, table.sigma, table.grid.xis, table.dim
-        )
+        ref = per_frequency_spectral_table(table.ladder.nodes, table.sigma, table.grid.xis)
         assert table.values.tobytes() == ref.tobytes()
 
     def test_uneven_explicit_ladder_is_bitwise_equal(self):
         nodes = np.array([0.05, 0.06, 0.2, 0.21, 0.5, 1.3, 1.35, 4.0])
-        grid = SpectralGrid.default(nodes[0], num=97, dim=3)
+        grid = SpectralGrid.default(nodes[0], num=97)
         table = compute_spectral_table(ScaleLadder(nodes), 1.7, grid)
-        ref = per_frequency_spectral_table(nodes, 1.7, grid.xis, dim=3)
+        ref = per_frequency_spectral_table(nodes, 1.7, grid.xis)
         assert table.values.tobytes() == ref.tobytes()
 
     def test_singular_pivot_names_the_first_singular_frequency(self, small_ladder,
                                                               monkeypatch):
         assemble = spectral._assemble_coefficients
 
-        def singular(ladder, sigma, xis, dim):
-            lower, diag, upper = assemble(ladder, sigma, xis, dim)
+        def singular(ladder, sigma, xis):
+            lower, diag, upper = assemble(ladder, sigma, xis)
             diag[0, 7] = 0.0  # the first pivot, at frequency 7
             # the fourth pivot is diag[3] - lower[2] * upper[2] / (third pivot):
             # zero at an earlier frequency
@@ -167,7 +165,7 @@ class TestPersistence:
         loaded = read_spectral_table(path)
         assert (loaded["magic"], loaded["version"]) == (spectral._MAGIC, spectral._VERSION)
         assert loaded["sigma"] == small_spectral.sigma
-        assert loaded["dim"] == small_spectral.dim
+        assert loaded["dim"] == 2
         assert np.array_equal(loaded["nodes"], small_spectral.ladder.nodes)
         assert np.array_equal(loaded["xis"], small_spectral.grid.xis)
         assert np.array_equal(loaded["values"], small_spectral.values)
