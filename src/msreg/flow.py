@@ -77,11 +77,16 @@ CSV_ROWS = 1024
 # the slice has at least TABLE_MIN_TERMS terms and the block at least
 # TABLE_MIN_ELEMENTS elements.  A table read costs about what 5 or 6
 # terms' exp do (on one core, a 4096 x 30 block of 4 terms took 1.03
-# times as long from a table, one of 8 terms 0.82 times), and a block
-# below 2048 elements keeps the exp loop's bits: the 30 x 30 landmark
-# blocks of a 60-landmark, two-scale registration among them.
+# times as long from a table, one of 8 terms 0.82 times), and the small
+# tabulated blocks of a call share their chunks: the three 30 x 30 blocks
+# of a 60-landmark, two-scale Gram with dK/du are one chunk, in about 0.6
+# times the time of their exp loop.  But a table costs about a
+# millisecond to lay out and fill, which small blocks do not earn back in
+# a short run: with tables, runs of 8 landmarks per scale (blocks of 64
+# elements, and 640 against a 64-point grid) and `check`'s 1-element
+# blocks took longer.
 TABLE_MIN_TERMS = 8
-TABLE_MIN_ELEMENTS = 2048
+TABLE_MIN_ELEMENTS = 768
 
 # Accuracy of a tabulated K: within TABLE_RTOL of it, or TABLE_ATOL of
 # sum_t |w[t]| e^{-a[t] u} (the size of its terms, which may cancel), and
@@ -173,20 +178,21 @@ class HermiteTable:
     distances read reach, not all of R."""
 
     def __init__(self, w, a, step, num):
-        self.w, self.a, self.step = w.copy(), a.copy(), step
+        self.w, self.a, self.step, self.num = w.copy(), a.copy(), step, num
         self.radius = num * step  # R
         self.inv_step = 1.0 / step
-        self.rows = np.zeros((7, num + 1))  # the last column, beyond R, stays 0
+        self.rows = np.zeros((7, num + 1))  # column num, beyond R, stays 0
         self.filled = 0
-        # any u at or above this reads the zero column, infinity included
-        self.cap = (self.radius + 2 * step) ** 2
+        # any u at or above this reads column num, infinity included, and
+        # no u reads past it
+        self.cap = ((num + 0.5) * step) ** 2
 
-    def _fill(self, top):
+    def fill(self, top):
         """Fill the nodes up to node `top`, a block of _FILL_NODES at a time.
         The blocks are aligned, so a node's bits never depend on which
         distances were read first."""
         step, w, a = self.step, self.w, self.a
-        stop = min(self.rows.shape[1] - 1, (top // _FILL_NODES + 1) * _FILL_NODES)
+        stop = min(self.num, (top // _FILL_NODES + 1) * _FILL_NODES)
         for k0 in range(self.filled, stop, _FILL_NODES):
             k = np.arange(k0, min(k0 + _FILL_NODES, stop), dtype=float)
             uk, du = (k * step) ** 2, step * step * (2.0 * k + 1.0)
@@ -200,34 +206,26 @@ class HermiteTable:
             rows[4:] = (w @ high) / du ** np.arange(3, 6)[:, None]
         self.filled = max(self.filled, stop)
 
-    def evaluate(self, u, gather, index, offset, deriv):
-        """K over u, written into u.  `gather` is a (7, n) buffer, `offset`
-        a float and `index` an intp buffer of u's size.  Returns dK/du, a
-        view of `gather`, with deriv, else None."""
-        np.minimum(u, self.cap, out=u)
-        np.sqrt(u, out=offset)
-        offset *= self.inv_step
-        np.copyto(index, offset, casting="unsafe")
-        if self.filled < self.rows.shape[1] - 1:
-            top = index.max(initial=0)
-            if top >= self.filled:
-                self._fill(top)
-        g = np.take(self.rows, index, axis=1, out=gather, mode="clip")
-        s = np.subtract(u, g[0], out=offset)
-        p = np.multiply(g[6], s, out=u)
-        p += g[5]
-        dp = np.multiply(g[6], s, out=g[0]) if deriv else None  # g[0] is spent
-        if deriv:
-            dp += p
-        for coeff in g[4:1:-1]:  # Horner for p and for p' together
-            p *= s
-            p += coeff
-            if deriv:
-                dp *= s
-                dp += p
+
+def _quintic(u, s, g, deriv):
+    """K over u, written into u, from the node rows `g` (7, n) gathered at
+    each element's interval; `s` is a float buffer of u's size.  Returns
+    dK/du, written into g[0], with deriv, else None."""
+    np.subtract(u, g[0], out=s)
+    p = np.multiply(g[6], s, out=u)
+    p += g[5]
+    dp = np.multiply(g[6], s, out=g[0]) if deriv else None  # g[0] is spent
+    if deriv:
+        dp += p
+    for coeff in g[4:1:-1]:  # Horner for p and for p' together
         p *= s
-        p += g[1]
-        return dp
+        p += coeff
+        if deriv:
+            dp *= s
+            dp += p
+    p *= s
+    p += g[1]
+    return dp
 
 
 def hermite_table(kernel, w, a):
@@ -240,6 +238,57 @@ def hermite_table(kernel, w, a):
         grid = _table_grid(w, a)
         memo[key] = None if grid is None else HermiteTable(w, a, *grid)
     return memo[key]
+
+
+def _squared_distances(u, scratch, xi, xj):
+    """u[p, q] = |xi[:, p] - xj[:, q]|^2, summed one coordinate at a time;
+    xi holds each row coordinate as a column, and `scratch` is a buffer of
+    u's shape."""
+    np.subtract(xi[0], xj[0], out=u)
+    np.multiply(u, u, out=u)
+    for a, b in zip(xi[1:], xj[1:]):
+        np.subtract(a, b, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        u += scratch
+
+
+class _TableRows:
+    """A rectangle of rows x columns whose tabulated blocks are read
+    together, cut into row chunks of `starts.step` rows.
+
+    A rectangle of one block reads its `table` directly, with the table's
+    cap and inverse node step, in row chunks of at most CHUNK_ELEMENTS / 7
+    elements.  A rectangle of several blocks holds at most that many, so it
+    is one chunk, and reads the call's stack of tables: per element, it
+    holds `ids`, the index of the element's table in `tables`, and that
+    table's cap and inverse node step, and, from each restack, the table's
+    offset in the stack and the node from which the stack lacks nodes.  An
+    element outside the blocks has index -1, which picks an entry appended
+    after the tables': cap 0, so it reads node 0 of the stack, and nothing
+    yields it."""
+
+    def __init__(self, rows, cols, blocks, tables):
+        width = cols.stop - cols.start
+        step = min(max(1, CHUNK_ELEMENTS // (7 * width)), rows.stop - rows.start)
+        self.starts, self.stop, self.cols = range(rows.start, rows.stop, step), rows.stop, cols
+        self.size = step * width
+        if len(blocks) == 1:
+            self.table = blocks[0][2]
+            self.cap, self.inv_step = self.table.cap, self.table.inv_step
+            # (rows, or None for the chunk's own, cols, view of the chunk)
+            self.blocks = [(None, cols, (slice(None), slice(None)))]
+            return
+        self.table, self.blocks = None, []
+        self.ids = np.full((rows.stop - rows.start, width), -1)
+        for block_rows, block_cols, table in blocks:
+            if table not in tables:
+                tables.append(table)
+            at = (slice(block_rows.start - rows.start, block_rows.stop - rows.start),
+                  slice(block_cols.start - cols.start, block_cols.stop - cols.start))
+            self.ids[at] = tables.index(table)
+            self.blocks.append((block_rows, block_cols, at))
+        self.cap = np.array([t.cap for t in tables] + [0.0])[self.ids]
+        self.inv_step = np.array([t.inv_step for t in tables] + [0.0])[self.ids]
 
 
 class KernelBlocks:
@@ -256,26 +305,38 @@ class KernelBlocks:
     The set-up, done once per forward pass or transport and reused by all
     its steps, finds the runs of equal row scale and of equal column scale,
     takes the mixture slice of each block between a row run and a column
-    run, chooses how the block is evaluated, sizes its row chunks, and
+    run, chooses how the block is evaluated, lays out its chunks, and
     allocates the buffers of about CHUNK_ELEMENTS elements that every chunk
     of every step reuses.  A block whose slice has at least TABLE_MIN_TERMS
     terms and which holds at least TABLE_MIN_ELEMENTS elements reads the
     slice's `HermiteTable`, memoised on the kernel (`hermite_table`); every
-    other block sums the exp terms as below.  No |K| exceeds `bound`, the
-    largest sum_t |w[t]| of a block's slice, since every rate is positive.
+    other block sums the exp terms.  No |K| exceeds `bound`, the largest
+    sum_t |w[t]| of a block's slice, since every rate is positive.
 
     Calling it at row positions Xi and column positions Xj yields (rows,
     cols, K), or with deriv (rows, cols, K, dK/du) where u is the squared
-    distance, for each row chunk of each block.  Each chunk computes u one
+    distance, for each row chunk of each block: first the exp blocks, then
+    the tabulated ones.  K (and dK/du) is a view of a buffer that the next
+    chunk overwrites, so a caller must use each block before the next.
+
+    An exp block is cut into row chunks.  Each chunk computes u one
     coordinate at a time, expo[t] = exp(-a[t] * u) term-major as one
     contiguous pass, and reduces over the terms with one gemv each: K =
     w @ expo, dK/du = -((w * a) @ expo).  The coordinate differences use
     the `expo` buffer before the exponentials overwrite it, and K takes the
-    u buffer after, so a caller must use each block before the next.  A
-    tabulated chunk reads its table at u instead, and K takes the u buffer
-    too.  This is a lazy kernel reduction in the manner of KeOps (Charlier
-    et al., JMLR 2021): no rows x cols array of a whole block and no (rows
-    x cols x terms) tensor is ever formed.
+    u buffer after.
+
+    Consecutive tabulated blocks whose bounding rectangle holds at most
+    CHUNK_ELEMENTS / 7 elements (a table read gathers 7 floats per
+    element) are one chunk, read from a stack of their tables: the filled
+    nodes side by side, restacked when a read fills more (`_TableRows`).
+    So the three blocks of a two-scale Gram of up to 96 landmarks are one
+    chunk.  A larger block reads its own table in row chunks of that size.
+    A chunk makes one pass over its rectangle for u, one for each
+    element's interval, one gather of every element's node and one Horner
+    pass for K and dK/du (`_quintic`).  This is a lazy kernel reduction in
+    the manner of KeOps (Charlier et al., JMLR 2021): no rows x cols array
+    of a whole call and no (rows x cols x terms) tensor is ever formed.
 
     Without column scales the blocks are those of the square Gram of the
     rows: only the blocks whose column run starts at or after their row run
@@ -287,55 +348,83 @@ class KernelBlocks:
         runs_i = _scale_runs(scales_i)
         runs_j = runs_i if self.square else _scale_runs(scales_j)
         self.shape = (scales_i.size, (scales_i if self.square else scales_j).size)
-        blocks, size, u_size, t_size, self.bound = [], 0, 0, 0, 0.0
+        blocks, rects, size, u_size, self.bound = [], [], 0, 0, 0.0
         for i0, i1, si in runs_i:
             for j0, j1, sj in runs_j:
                 if self.square and j0 < i0:
                     continue
                 w, a = kernel.slice(si, sj)
                 self.bound = max(self.bound, float(np.abs(w).sum()))
-                width = j1 - j0
                 table = None
-                if a.size >= TABLE_MIN_TERMS and (i1 - i0) * width >= TABLE_MIN_ELEMENTS:
+                if a.size >= TABLE_MIN_TERMS and (i1 - i0) * (j1 - j0) >= TABLE_MIN_ELEMENTS:
                     table = hermite_table(kernel, w, a)
-                # a table block gathers 7 floats per element, an exp block one per term
-                floats = a.size if table is None else 7
-                step = min(max(1, CHUNK_ELEMENTS // (floats * width)), i1 - i0)
-                starts = range(i0, i1, step)
-                blocks.append((starts, i1, slice(j0, j1), w, w * a, -a[:, None, None], table))
-                size = max(size, step * width * floats)
-                u_size = max(u_size, step * width)
+                rows, cols = slice(i0, i1), slice(j0, j1)
                 if table is not None:
-                    t_size = max(t_size, step * width)
-        self._blocks = blocks
-        self._buf = np.empty(size)
-        self._ubuf = np.empty(u_size)
-        self._tbuf = np.empty(t_size), np.empty(t_size, dtype=np.intp)
+                    # consecutive tabulated blocks whose bounding rectangle
+                    # fits one chunk are read together
+                    if rects:
+                        last_rows, last_cols, members = rects[-1]
+                        span = (slice(min(i0, last_rows.start), max(i1, last_rows.stop)),
+                                slice(min(j0, last_cols.start), max(j1, last_cols.stop)))
+                        height, width = (x.stop - x.start for x in span)
+                        if 7 * height * width <= CHUNK_ELEMENTS:
+                            rects[-1] = [*span, members + [(rows, cols, table)]]
+                            continue
+                    rects.append([rows, cols, [(rows, cols, table)]])
+                    continue
+                width = j1 - j0
+                step = min(max(1, CHUNK_ELEMENTS // (a.size * width)), i1 - i0)
+                blocks.append((range(i0, i1, step), i1, cols, w, w * a, -a[:, None, None]))
+                size = max(size, step * width * a.size)
+                u_size = max(u_size, step * width)
+        self._blocks, self._tables = blocks, []  # the tables of the stack
+        self._rects = [_TableRows(*rect, self._tables) for rect in rects]
+        t_size = max((rect.size for rect in self._rects), default=0)
+        self._buf = np.empty(max(size, 7 * t_size))
+        self._ubuf = np.empty(max(u_size, t_size))
+        self._sbuf, self._ibuf = np.empty(t_size), np.empty(t_size, dtype=np.intp)
+        if self._tables:
+            self._restack()
+
+    def _restack(self):
+        """Stack the filled nodes of `_tables`, the tables that rectangles of
+        several blocks read, side by side, column num of a full table
+        included, and point each such rectangle's elements at their table's
+        nodes.  Filled nodes never change, so a stack that lacks a table's
+        later fills still reads its earlier ones."""
+        tables = self._tables
+        parts = [t.rows[:, : t.filled + 1] for t in tables]
+        self._stack = np.concatenate(parts, axis=1)
+        offsets = np.cumsum([0] + [part.shape[1] for part in parts])
+        offsets[-1] = 0  # an element outside the blocks reads node 0
+        # a full table is read up to column num; any other below its fill
+        reach = np.array([t.num + 1 if t.filled == t.num else t.filled for t in tables] + [1])
+        for rect in self._rects:
+            if rect.table is None:
+                rect.offset, rect.reach = offsets[rect.ids], reach[rect.ids]
+
+    def _fill(self, rect, index):
+        """Fill each table of `rect` as far as `index`, the node indices of
+        its elements, reads it, and restack."""
+        tops = np.full(len(self._tables) + 1, -1)
+        np.maximum.at(tops, rect.ids, index)
+        for table, top in zip(self._tables, tops.tolist()):
+            if top >= table.filled:
+                table.fill(top)
+        self._restack()
 
     def __call__(self, Xi, Xj=None, deriv=False):
         rows_t = Xi.T[:, :, None]  # each row coordinate as a column
         cols_t = (Xi if Xj is None else Xj).T.copy()  # contiguous column coordinates
         buf, ubuf = self._buf, self._ubuf
-        for starts, i1, cols, w, wa, neg_a, table in self._blocks:
-            width = cols.stop - cols.start
-            first, rest = cols_t[0, cols], cols_t[1:, cols]
+        for starts, i1, cols, w, wa, neg_a in self._blocks:
+            width, xj = cols.stop - cols.start, cols_t[:, cols]
             for r0 in starts:
                 rows = slice(r0, min(r0 + starts.step, i1))
                 num = rows.stop - r0
                 u = ubuf[: num * width].reshape(num, width)
                 delta = buf[: num * width].reshape(num, width)
-                np.subtract(rows_t[0, rows], first, out=u)
-                np.multiply(u, u, out=u)
-                for xi, xj in zip(rows_t[1:, rows], rest):
-                    np.subtract(xi, xj, out=delta)
-                    np.multiply(delta, delta, out=delta)
-                    u += delta
-                if table is not None:
-                    gather = buf[: 7 * num * width].reshape(7, -1)
-                    offset, index = (b[: num * width] for b in self._tbuf)
-                    dmat = table.evaluate(u.reshape(-1), gather, index, offset, deriv)
-                    yield (rows, cols, u, dmat.reshape(num, width)) if deriv else (rows, cols, u)
-                    continue
+                _squared_distances(u, delta, rows_t[:, rows], xj)
                 expo = buf[: neg_a.size * num * width].reshape(neg_a.size, num, width)
                 # u and expo are contiguous, so each term is one rows * cols loop
                 np.multiply(neg_a, u, out=expo)
@@ -349,12 +438,48 @@ class KernelBlocks:
                     yield rows, cols, u, -np.dot(wa, flat).reshape(num, width)
                 else:
                     yield rows, cols, u
+        for rect in self._rects:
+            cols = rect.cols
+            for r0 in rect.starts:
+                rows = slice(r0, min(r0 + rect.starts.step, rect.stop))
+                shape = (rows.stop - r0, cols.stop - cols.start)
+                n = shape[0] * shape[1]
+                u, s = ubuf[:n].reshape(shape), self._sbuf[:n].reshape(shape)
+                _squared_distances(u, s, rows_t[:, rows], cols_t[:, cols])
+                # u's interval is floor(sqrt(u) / h), a node of its table
+                np.minimum(u, rect.cap, out=u)
+                np.sqrt(u, out=s)
+                s *= rect.inv_step
+                index = self._ibuf[:n].reshape(shape)
+                np.copyto(index, s, casting="unsafe")
+                table = rect.table
+                if table is None:
+                    if (index >= rect.reach).any():
+                        self._fill(rect, index)
+                    index += rect.offset
+                    nodes = self._stack
+                else:
+                    if table.filled < table.num:
+                        top = index.max()
+                        if top >= table.filled:
+                            table.fill(top)
+                    nodes = table.rows
+                g = np.take(nodes, index.reshape(-1), axis=1, mode="clip",
+                            out=buf[: 7 * n].reshape(7, n))
+                dk = _quintic(u.reshape(-1), s.reshape(-1), g, deriv)
+                dk = dk.reshape(shape) if deriv else None
+                for block_rows, block_cols, at in rect.blocks:
+                    block_rows = rows if block_rows is None else block_rows
+                    if deriv:
+                        yield block_rows, block_cols, u[at], dk[at]
+                    else:
+                        yield block_rows, block_cols, u[at]
 
-    def matrix(self, Xi, Xj=None, deriv=False):
-        """K, or with deriv (K, dK/du), scattered from the blocks; the square
-        Gram copies each block above the block diagonal, transposed, below
-        it."""
-        mats = [np.empty(self.shape) for _ in range(1 + deriv)]
+    def matrix(self, Xi, Xj=None, deriv=False, out=None):
+        """K, or with deriv (K, dK/du), scattered from the blocks into new
+        matrices or into `out`, a sequence of as many; the square Gram copies
+        each block above the block diagonal, transposed, below it."""
+        mats = [np.empty(self.shape) for _ in range(1 + deriv)] if out is None else out
         for rows, cols, *blocks in self(Xi, Xj, deriv):
             for mat, block in zip(mats, blocks):
                 mat[rows, cols] = block
@@ -459,8 +584,7 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
             if blocks is None:
                 kmat = gram.matrix(positions[i])
             else:
-                kmat, dmat = blocks[i]
-                kmat[...], dmat[...] = gram.matrix(positions[i], deriv=True)
+                kmat = gram.matrix(positions[i], deriv=True, out=blocks[i])[0]
             vel = kmat @ controls[i]
             aka = np.einsum("pd,pd->", controls[i], vel)
             if aka < floors[i]:

@@ -339,3 +339,53 @@ def difference_form_gradient(kernel, system, trajectory):
         diff = pos[:, None, :] - pos[None, :, :]
         costate = costate + 2.0 * dt * np.einsum("pq,pqd->pd", coeff, diff)
     return grad
+
+
+def sweep_tolerance(kernel, system, trajectory):
+    """A first-order bound, per control component, on how far the reverse
+    sweep's gradient moves when each K and dK/du it reads moves anywhere
+    within `tabulation_tolerance` of the exp sum.
+
+    K enters each step's gradient linearly; dK/du enters the costate's
+    update linearly, and that update is affine in the costate.  So an
+    error in step j's dK/du reaches step i's costate through the product
+    of the updates' Jacobians between them, and its worst case is that
+    product in absolute value times the error's own worst case.  K, dK/du
+    and the costates are `whole_matrix_kernel`'s and the sweep's at the
+    trajectory's positions."""
+    scales = system.point_scales
+    num_steps = trajectory.controls.shape[0]
+    dt = 1.0 / num_steps
+    size = system.points.size
+    bound = np.empty_like(trajectory.controls)
+    costate = 2.0 * system.weight * (trajectory.positions[-1] - system.targets)
+    carried = []  # (Jacobian product since step j, worst costate error from step j)
+    for i in range(num_steps - 1, -1, -1):
+        pos, ctrl = trajectory.positions[i], trajectory.controls[i]
+        kmat, dmat = whole_matrix_kernel(
+            kernel, scales, pos, scales, pos, 1 << 16, deriv=True, square=True
+        )
+        tol_k, tol_d = tabulation_tolerance(kernel, scales, pos, scales, pos)
+        err = sum((np.abs(prod).dot(push) for prod, push in carried), np.zeros(size))
+        err = err.reshape(costate.shape)
+        bound[i] = dt * (tol_k.dot(np.abs(costate + ctrl)) + np.abs(kmat).dot(err))
+        rel = pos - pos.mean(0)
+
+        def change(pair):  # the costate's update, given the pair products
+            coeff = dmat * pair
+            return 2.0 * dt * (rel * coeff.sum(1)[:, None] - coeff.dot(rel))
+
+        cross = costate.dot(ctrl.T)
+        pair = cross + cross.T + ctrl.dot(ctrl.T)
+        loose = tol_d * np.abs(pair)
+        push = 2.0 * dt * (np.abs(rel) * loose.sum(1)[:, None] + loose.dot(np.abs(rel)))
+        jac = np.eye(size)
+        for k, unit in enumerate(np.eye(size)):
+            cross_unit = unit.reshape(costate.shape).dot(ctrl.T)
+            jac[:, k] += change(cross_unit + cross_unit.T).ravel()
+        # an earlier step's error passes through this update; this step's
+        # own error enters after it
+        carried = [(jac.dot(prod), push) for prod, push in carried]
+        carried.append((np.eye(size), push.ravel()))
+        costate = costate + change(pair)
+    return bound

@@ -235,8 +235,13 @@ class TestAgainstWholeMatrixOracle:
         runs_i, runs_j, dim = self.CASES[case]
         si, xi, sj, xj, controls = self.make_case(ends, runs_i, runs_j, dim, len(case))
         if case == "rows_off_the_chunk":
-            # the first block spans several row chunks, the last one partial
-            step = flow.CHUNK_ELEMENTS // (kernel.slice(si[0], sj[0])[1].size * runs_j[0])
+            # the first block spans several row chunks, the last one partial:
+            # on the exp loop, or, larger than a chunk of table reads, from
+            # its own table in row chunks of 7 floats per element
+            terms = kernel.slice(si[0], sj[0])[1].size
+            floats = terms if terms < flow.TABLE_MIN_TERMS else 7
+            assert 7 * runs_i[0] * runs_j[0] > flow.CHUNK_ELEMENTS
+            step = flow.CHUNK_ELEMENTS // (floats * runs_j[0])
             assert runs_i[0] > step and runs_i[0] % step
         chunk = flow.CHUNK_ELEMENTS
         tol_rect = tabulation_tolerance(kernel, si, xi, sj, xj)
@@ -347,13 +352,16 @@ class TestHermiteTable:
         "terms, rows, cols, square, tabulated",
         [
             (8, 32, 64, False, True),  # 2048 elements
-            (8, 23, 89, False, False),  # 2047 elements
+            (8, 23, 89, False, True),  # 2047 elements
             (7, 64, 64, False, False),
             (7, 600, 600, True, False),
             (20, 2048, 1, False, True),
-            (20, 30, 30, True, False),  # a 60-landmark Gram of two scales
-            (20, 45, 45, True, False),  # 2025 elements
+            (20, 30, 30, True, True),  # a 60-landmark Gram of two scales
+            (20, 45, 45, True, True),  # 2025 elements
             (20, 46, 46, True, True),  # 2116 elements
+            (20, 16, 48, False, True),  # 768 elements
+            (20, 767, 1, False, False),
+            (20, 8, 8, True, False),  # a 16-landmark Gram of two scales
         ],
     )
     def test_the_rule_reads_the_term_count_and_the_block_size(self, terms, rows, cols,

@@ -11,7 +11,14 @@ from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.registration import Objective, optimize
 from msreg.scale_kernels import DiracPiecewiseKernel
 
-from oracles import central_difference_gradient, difference_form_gradient, mixture_value
+from oracles import (
+    central_difference_gradient,
+    difference_form_gradient,
+    mixture_value,
+    sweep_tolerance,
+    tabulation_tolerance,
+    whole_matrix_kernel,
+)
 
 LADDER = ScaleLadder.uniform(0.1, 2.0, 20)
 KERNEL = DiracPiecewiseKernel(DiracMeasure(0.5), LADDER)
@@ -172,13 +179,30 @@ class TestGradient:
         assert dropped.energy == kept.energy
 
     @pytest.mark.parametrize("keep_blocks", [True, False], ids=["kept_blocks", "no_blocks"])
-    def test_matches_the_difference_form_oracle(self, experiment_kernel, keep_blocks):
+    def test_matches_the_difference_form_oracle(self, experiment_kernel, keep_blocks,
+                                                monkeypatch):
+        # every block on the exp loop, which the oracle matches to rounding;
+        # the tabulated sweep is bounded against this one below
+        monkeypatch.setattr(flow, "TABLE_MIN_TERMS", 10**9)
         sys0, controls = experiment_case()
         traj = integrate_forward(experiment_kernel, sys0, controls, keep_blocks=keep_blocks)
         assert (traj.blocks is not None) == keep_blocks
         ref = difference_form_gradient(experiment_kernel, sys0, traj)
         grad = Objective(experiment_kernel, sys0, num_steps=16).gradient(controls, trajectory=traj)
         assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_tabulated_sweep_is_within_the_tolerance_of_the_exp_sweep(self, experiment_kernel,
+                                                                      monkeypatch):
+        sys0, controls = experiment_case()
+        traj = integrate_forward(experiment_kernel, sys0, controls, keep_blocks=False)
+        obj = Objective(experiment_kernel, sys0, num_steps=16)
+        tabulated = obj.gradient(controls, trajectory=traj)  # the sweep's Grams read tables
+        monkeypatch.setattr(flow, "TABLE_MIN_TERMS", 10**9)
+        summed = obj.gradient(controls, trajectory=traj)
+        # first order in the elements' tolerance, and rounding
+        bound = sweep_tolerance(experiment_kernel, sys0, traj) + 1e-14 * np.abs(summed).max()
+        assert np.all(np.abs(tabulated - summed) <= bound)
+        assert not np.array_equal(tabulated, summed)
 
     def test_far_translation_changes_the_gradient_by_rounding_only(self, experiment_kernel):
         # the sweep contracts about the centroid (drift 6.0e-12 of the sup);
@@ -189,6 +213,43 @@ class TestGradient:
         grad = Objective(experiment_kernel, sys0, num_steps=16).gradient(controls)
         grad_far = Objective(experiment_kernel, far, num_steps=16).gradient(controls)
         assert np.abs(grad_far - grad).max() <= 2e-11 * np.abs(grad).max()
+
+
+class TestExperimentGram:
+    """The landmark Gram of `experiment_case`: 30 landmarks at each of two
+    scales, whose three blocks read tables of 20-term slices in one chunk."""
+
+    @pytest.fixture
+    def grams(self, experiment_kernel):
+        sys0, controls = experiment_case()
+        traj = integrate_forward(experiment_kernel, sys0, controls, keep_blocks=False)
+        gram = flow.KernelBlocks(experiment_kernel, sys0.point_scales)
+        return [(pos, gram.matrix(pos, deriv=True)) for pos in traj.positions]
+
+    def test_is_bitwise_symmetric(self, grams):
+        for _, (kmat, dmat) in grams:
+            assert np.array_equal(kmat, kmat.T) and np.array_equal(dmat, dmat.T)
+
+    def test_is_bitwise_each_block_read_alone(self, experiment_kernel, grams):
+        scales = experiment_case()[0].point_scales
+        runs = (slice(0, 30), slice(30, 60))
+        for pos, mats in grams:
+            for rows in runs:
+                for cols in runs:
+                    alone = flow.kernel_matrix(experiment_kernel, scales[rows], pos[rows],
+                                               scales[cols], pos[cols], deriv=True)
+                    assert all(np.array_equal(mat[rows, cols], block)
+                               for mat, block in zip(mats, alone))
+
+    def test_is_within_the_tabulation_tolerance_of_the_exp_sum(self, experiment_kernel, grams):
+        scales = experiment_case()[0].point_scales
+        for pos, mats in grams:
+            want = whole_matrix_kernel(experiment_kernel, scales, pos, scales, pos, 1 << 16,
+                                       deriv=True, square=True)
+            tols = tabulation_tolerance(experiment_kernel, scales, pos, scales, pos)
+            for mat, ref, tol in zip(mats, want, tols):
+                assert np.all(np.abs(mat - ref) <= tol)
+                assert not np.array_equal(mat, ref)
 
 
 class TestOptimize:
