@@ -72,12 +72,13 @@ def _write_manifest(root, digest, files):
     return _write_json(root / "manifest.json", manifest)
 
 
-def build_kernel(config):
+def build_kernel(config, scales=None):
     """Kernel evaluator for a config; returns (kernel, spectral table).
 
     Dirac measures take the closed-form path with no fitting and no spectral
     table (None); the Lebesgue measure goes through the spectral solver and
-    the basis fit.
+    the basis fit, of every scale pair, or with `scales` of those pairs that
+    `fit_kernel_table` needs for them.
     """
     ladder = config.ladder()
     measure = config.measure()
@@ -85,7 +86,7 @@ def build_kernel(config):
         return DiracPiecewiseKernel(measure, ladder), None
     grid = SpectralGrid.default(ladder.s1, config["kernel"]["num_frequencies"])
     spectral = compute_spectral_table(ladder, measure.sigma, grid)
-    table = fit_kernel_table(spectral, num_basis=config["kernel"]["num_basis"])
+    table = fit_kernel_table(spectral, num_basis=config["kernel"]["num_basis"], scales=scales)
     return table, spectral
 
 
@@ -121,9 +122,10 @@ def _build_system(config):
     return LandmarkSystem.from_groups(groups, weight=config["weight"])
 
 
-def _load_kernel(config, kernel_table_path):
+def _load_kernel(config, kernel_table_path, scales):
+    """The table at `kernel_table_path`, or a kernel built for `scales`."""
     if not kernel_table_path:
-        return build_kernel(config)[0]
+        return build_kernel(config, scales)[0]
     try:
         return KernelTable.load_binary(kernel_table_path)
     except (OSError, ValueError, struct.error) as err:
@@ -143,8 +145,8 @@ def _check_scales(kernel, scales, source):
 
 def cmd_register(config, root, kernel_table_path=None):
     files = []
-    kernel = _load_kernel(config, kernel_table_path)
     system = _build_system(config)
+    kernel = _load_kernel(config, kernel_table_path, system.point_scales)
     _check_scales(kernel, system.point_scales, "shapes[].scale")
     objective = Objective(kernel, system, num_steps=config["time_steps"])
     opt = config["optimizer"]
@@ -247,11 +249,13 @@ def _write_svg(path, contours, bbox):
 
 def cmd_export_fields(config, root, kernel_table_path=None, controls_path=None, svg=False):
     files = []
-    kernel = _load_kernel(config, kernel_table_path)
     if not (controls_path or (root / "controls.json").exists()):
         raise ConfigError("no controls found; run register first or pass --controls")
     system, controls = _load_controls(controls_path or root / "controls.json")
     export_scales = config.export_scales(config.ladder())
+    kernel = _load_kernel(
+        config, kernel_table_path, np.concatenate([system.point_scales, export_scales])
+    )
     _check_scales(kernel, system.point_scales, "controls point_scales")
     _check_scales(kernel, export_scales, "export_scales")
     bbox = bounding_box(np.vstack([system.points, system.targets]), config["grid"]["margin"])

@@ -7,7 +7,8 @@ combination of Gaussian Hankel pairs.  `fit_kernel_table` makes one
 form on one HiGHS model, warm-started from pair to pair.  The diagonal
 pairs come first, with the spectrum bounded to [0, inf); each off-diagonal
 pair then gets |spectrum| <= sqrt(diag_k * diag_l), which makes every 2x2
-spectral sub-matrix positive semidefinite.
+spectral sub-matrix positive semidefinite.  A fit for a few scales stops
+early in that fixed order, so each pair it fits has the full fit's bits.
 """
 
 import csv
@@ -236,17 +237,21 @@ class KernelTable:
     """Fitted kernel coefficients beta_q(s_k, s_l) over a Gaussian basis.
 
     Each scale pair's slice is the Q-term mixture (beta row, basis rates).
-    Only the fitted ladder scales have a slice, since only their beta rows
-    carry the positivity certificate; any other scale raises a lookup error.
+    Only the fitted pairs of ladder scales have a slice, since only their
+    beta rows carry the positivity certificate; any other scale or pair
+    raises a lookup error.
     """
 
     scales: np.ndarray
     beta: np.ndarray  # shape (m, m, Q), symmetric in the first two axes
     basis: HankelBasis
     report: dict = field(default_factory=dict)
+    fitted: np.ndarray = None  # (m, m) bool, symmetric: the pairs with a fit; None is all
 
     def __post_init__(self):
         self.scales = np.asarray(self.scales, dtype=float)
+        if self.fitted is None:
+            self.fitted = np.ones((self.scales.size,) * 2, dtype=bool)
         self._rates = 1.0 / (2.0 * self.basis.taus**2)
         self._slices = {}
 
@@ -254,10 +259,15 @@ class KernelTable:
         key = (lam, mu)
         if key not in self._slices:
             k, l = node_index(self.scales, lam), node_index(self.scales, mu)
+            if not self.fitted[k, l]:
+                raise KeyError(f"the scale pair ({lam}, {mu}) was not fitted")
             self._slices[key] = self.beta[k, l], self._rates
         return self._slices[key]
 
     def save_binary(self, path):
+        # the file has no room for unfitted pairs, whose zeros would read as a kernel
+        if not self.fitted.all():
+            raise ValueError("only a table of every scale pair is saved")
         m, q = self.scales.size, self.basis.size
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
@@ -319,22 +329,45 @@ class KernelTable:
             json.dump(self.report, fh, indent=2, sort_keys=True)
 
 
-def fit_kernel_table(spectral_table, num_basis=20):
-    """Fit every scale pair of a spectral table, in a fixed order: the
+def _extreme(reduce, values):
+    """reduce(values) as a float, or 0.0 over no values."""
+    return float(reduce(values)) if values.size else 0.0
+
+
+def fit_kernel_table(spectral_table, num_basis=20, scales=None):
+    """Fit the scale pairs of a spectral table in a fixed order: the
     diagonals, then the off-diagonals (k, l > k) row by row, each by one
     `_solve_minimax` call on one warm-started `_MinimaxModel`.  Returns a
     KernelTable with a per-pair residual report and the LP work it took.
+
+    With `scales`, the fit stops after the last pair whose two nodes are
+    both among them, so every pair that a kernel on those scales evaluates
+    is fitted, each bitwise as in the full fit, and the table's `slice`
+    raises KeyError on the pairs left out.  Scales off the ladder are
+    skipped.  The report's figures cover the fitted pairs only, and its
+    `residuals` hold None for the others.
     """
-    scales = spectral_table.ladder.nodes
+    nodes = spectral_table.ladder.nodes
     values = spectral_table.values
-    basis = HankelBasis.log_spaced(scales[0], scales[-1], num_basis)
-    m = scales.size
+    basis = HankelBasis.log_spaced(nodes[0], nodes[-1], num_basis)
+    m = nodes.size
+    order = [(k, k) for k in range(m)] + [(k, l) for k in range(m) for l in range(k + 1, m)]
+    if scales is not None:
+        wanted = set()
+        for scale in np.unique(scales):
+            try:
+                wanted.add(node_index(nodes, scale))
+            except KeyError:
+                pass
+        last = max((i for i, (k, l) in enumerate(order) if {k, l} <= wanted), default=-1)
+        order = order[: last + 1]
     design = basis.spectral(spectral_table.grid.xis)
     model = _MinimaxModel(design)
     beta = np.zeros((m, m, basis.size))
     residuals = np.zeros((m, m))
     margins = np.zeros((m, m))
-    for k in range(m):
+    fitted = np.zeros((m, m), dtype=bool)
+    for k, _ in order[:m]:
         target = values[k, k]
         # spectrum >= 0, to the LP's tolerance; repair_nonnegative makes it exact
         row, _ = _solve_minimax(model, target, np.zeros(target.size), np.full(target.size, np.inf))
@@ -342,40 +375,42 @@ def fit_kernel_table(spectral_table, num_basis=20):
         spectrum = design.dot(beta[k, k])
         residuals[k, k] = np.abs(spectrum - target).max()
         margins[k, k] = spectrum.min()
+        fitted[k, k] = True
     diag_spec = design.dot(beta[np.arange(m), np.arange(m)].T)  # (J, m)
-    for k in range(m):
-        for l in range(k + 1, m):
-            target = 0.5 * (values[k, l] + values[l, k])
-            c = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
-            # |spectrum| <= c, shrunk by the margins; the tiny positive floor
-            # keeps zero bounds from turning the rows into equalities, which
-            # the cold retry's presolve can misreport as infeasible
-            bound = np.maximum(c * (1.0 - _REL_MARGIN) - _ABS_MARGIN * c.max(), 1e-14 * c.max())
-            row, _ = _solve_minimax(model, target, -bound, bound)
-            row = repair_pairwise(row, diag_spec[:, k], diag_spec[:, l], design)
-            spectrum = design.dot(row)
-            beta[k, l] = beta[l, k] = row
-            residuals[k, l] = residuals[l, k] = np.abs(spectrum - target).max()
-            margins[k, l] = margins[l, k] = (c - np.abs(spectrum)).min()
+    for k, l in order[m:]:
+        target = 0.5 * (values[k, l] + values[l, k])
+        c = np.sqrt(np.maximum(diag_spec[:, k] * diag_spec[:, l], 0.0))
+        # |spectrum| <= c, shrunk by the margins; the tiny positive floor
+        # keeps zero bounds from turning the rows into equalities, which
+        # the cold retry's presolve can misreport as infeasible
+        bound = np.maximum(c * (1.0 - _REL_MARGIN) - _ABS_MARGIN * c.max(), 1e-14 * c.max())
+        row, _ = _solve_minimax(model, target, -bound, bound)
+        row = repair_pairwise(row, diag_spec[:, k], diag_spec[:, l], design)
+        spectrum = design.dot(row)
+        beta[k, l] = beta[l, k] = row
+        residuals[k, l] = residuals[l, k] = np.abs(spectrum - target).max()
+        margins[k, l] = margins[l, k] = (c - np.abs(spectrum)).min()
+        fitted[k, l] = fitted[l, k] = True
     peaks = np.abs(values).max(axis=2)
     # sum |beta| / |sum beta|: how many digits a kernel value at r = 0 loses
     cancellation = np.abs(beta).sum(axis=2) / np.maximum(np.abs(beta.sum(axis=2)), 1e-300)
+    offdiagonal = fitted & ~np.eye(m, dtype=bool)
     report = {
         "num_scales": int(m),
         "num_basis": int(basis.size),
-        "max_residual": float(residuals.max()),
-        "max_relative_residual": float((residuals / np.maximum(peaks, 1e-300)).max()),
-        "min_diagonal_margin": float(np.diag(margins).min()),
-        "min_offdiagonal_margin": float(
-            margins[~np.eye(m, dtype=bool)].min() if m > 1 else 0.0
+        "max_residual": _extreme(np.max, residuals[fitted]),
+        "max_relative_residual": _extreme(
+            np.max, (residuals / np.maximum(peaks, 1e-300))[fitted]
         ),
-        "max_cancellation_ratio": float(cancellation.max()),
-        "residuals": residuals.tolist(),
+        "min_diagonal_margin": _extreme(np.min, np.diag(margins)[np.diag(fitted)]),
+        "min_offdiagonal_margin": _extreme(np.min, margins[offdiagonal]),
+        "max_cancellation_ratio": _extreme(np.max, cancellation[fitted]),
+        "residuals": np.where(fitted, residuals, None).tolist(),
         "lp_solves": model.solves,
         "simplex_iterations": model.iterations,
         "cold_retries": model.cold_retries,
     }
-    return KernelTable(scales.copy(), beta, basis, report)
+    return KernelTable(nodes.copy(), beta, basis, report, fitted)
 
 
 def certify_pairwise_positivity(table, sample_points, scale_pairs=None, tol=1e-8):

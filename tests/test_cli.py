@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from msreg import flow, shapes, spectral
+from msreg import cli, flow, kernel_fit, shapes, spectral
 from msreg.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -27,7 +27,7 @@ from msreg.config import (
     ConfigError,
     ExperimentConfig,
 )
-from msreg.kernel_fit import HankelBasis, KernelTable
+from msreg.kernel_fit import HankelBasis, KernelTable, fit_kernel_table
 from msreg.registration import Objective
 from msreg.scale_kernels import DiracPiecewiseKernel
 from oracles import write_field_csv
@@ -911,11 +911,104 @@ class TestRegister:
         assert (root2 / "register_summary.json").exists()
 
 
+    def test_prefit_kernel_table_gives_the_same_bytes(self, tmp_path, capsys):
+        # without --kernel-table the verbs fit only the pairs they read; each
+        # is bitwise the pair of fit-kernel's table
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["--config", str(path), "fit-kernel"]) == EXIT_OK
+        table = str(run_dir_of(capsys) / "kernel_table.bin")
+        names = ["history.csv", "controls.json", "register_summary.json", "fields_summary.json",
+                 "deformation_0.1.csv", "residual_2.csv"]
+        runs = []
+        for extra in ([], ["--kernel-table", table]):
+            for verb in ("register", "export-fields"):
+                assert main(["--config", str(path), verb] + extra) == EXIT_OK
+            root = run_dir_of(capsys)
+            runs.append({name: (root / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+
+    def test_each_verb_fits_the_pairs_it_reads(self, tmp_path, capsys, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            table = fit_kernel_table(*args, **kwargs)
+            solves.append(table.report["lp_solves"])
+            return table
+
+        monkeypatch.setattr(cli, "fit_kernel_table", counted)
+        # a 6-node ladder (0.1, 0.48, ..., 2.0) has 21 pairs.  The shapes'
+        # (0, 5) follows the diagonals and row 0; the export's (1, 5) ends row 1
+        path = write_config(tmp_path, dict(SMALL_CONFIG, export_scales=[0.48, 2.0]))
+        for verb in ("fit-kernel", "register", "export-fields", "check"):
+            assert main(["--config", str(path), verb]) == EXIT_OK
+        assert solves == [21, 6 + 5, 6 + 5 + 4, 21]
+        controls = run_dir_of(capsys) / "controls.json"
+        assert main(["--config", str(path), "--set", "export_scales=[0.86]", "export-fields",
+                     "--controls", str(controls)]) == EXIT_OK
+        # node 2 with nodes 0 and 5: the diagonals, then rows 0 to 2
+        assert solves[-1] == 6 + 5 + 4 + 3
+
+    def test_lp_failure_past_the_pairs_read_fails_only_the_full_fit(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        solve, calls = kernel_fit._solve_minimax, []
+
+        def failing_past_row_0(model, target, lower, upper):
+            calls.append(1)
+            if len(calls) > 6 + 5:  # pair (1, 2) of the 6-node ladder
+                raise RuntimeError("minimax LP failed: stub")
+            return solve(model, target, lower, upper)
+
+        monkeypatch.setattr(kernel_fit, "_solve_minimax", failing_past_row_0)
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["--config", str(path), "fit-kernel"]) == EXIT_NUMERICAL
+        assert "minimax LP failed: stub" in capsys.readouterr().err
+        for verb in ("register", "export-fields"):
+            calls.clear()
+            assert main(["--config", str(path), verb]) == EXIT_OK
+            assert len(calls) == 6 + 5
+
+
 class TestExportFields:
     def test_requires_controls(self, tmp_path, capsys):
         path = write_config(tmp_path, DIRAC_CONFIG)
         assert main(["--config", str(path), "export-fields"]) == EXIT_CONFIG
         assert "controls" in capsys.readouterr().err
+
+    def test_missing_controls_fail_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        fits = []
+        monkeypatch.setattr(cli, "fit_kernel_table", lambda *args, **kwargs: fits.append(1))
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["--config", str(path), "export-fields"]) == EXIT_CONFIG
+        assert "no controls found" in capsys.readouterr().err
+        assert fits == []
+
+    @pytest.mark.parametrize(
+        "point_scales, export_scales, missing",
+        [
+            ([0.1, 0.3], [0.1, 2.0], "the kernel has no scale 0.3 (controls point_scales)"),
+            # the fit reaches the export's node 0.86 only
+            ([0.3, 0.3], [0.86], "the kernel has no scale 0.3 (controls point_scales)"),
+            # the config holds a fitted kernel's export scales to its nodes
+            ([0.1, 2.0], [2.0, 0.3], "export scale 0.3 is not a ladder node"),
+        ],
+        ids=["controls", "export_scales", "no_node"],
+    )
+    def test_off_ladder_scale_of_a_fitted_kernel_is_a_config_error(
+        self, tmp_path, capsys, point_scales, export_scales, missing
+    ):
+        path = write_config(tmp_path, dict(SMALL_CONFIG, export_scales=export_scales))
+        controls = {
+            "point_scales": point_scales,
+            "points": [[0.0, 0.0], [0.5, 0.0]],
+            "targets": [[0.1, 0.0], [0.5, 0.1]],
+            "weight": 1.0,
+            "controls": [[[0.0, 0.0], [0.0, 0.0]]],
+        }
+        (tmp_path / "controls.json").write_text(json.dumps(controls))
+        code = main(["--config", str(path), "export-fields", "--controls",
+                     str(tmp_path / "controls.json")])
+        assert code == EXIT_CONFIG
+        assert missing in capsys.readouterr().err
 
     def test_export_after_register(self, tmp_path, capsys):
         path = write_config(tmp_path, DIRAC_CONFIG)

@@ -381,6 +381,109 @@ class TestWarmStart:
         assert report["simplex_iterations"] == 0
 
 
+class TestPartialFit:
+    """`scales` stops the fit after the last pair of two of their nodes."""
+
+    @staticmethod
+    def prefix_mask(m, wanted):
+        """The pairs of the fit order up to the last pair within `wanted`."""
+        order = [(k, k) for k in range(m)] + [(k, l) for k in range(m) for l in range(k + 1, m)]
+        last = max(i for i, (k, l) in enumerate(order) if k in wanted and l in wanted)
+        mask = np.zeros((m, m), dtype=bool)
+        for k, l in order[: last + 1]:
+            mask[k, l] = mask[l, k] = True
+        return mask
+
+    def test_first_and_last_scales_fit_the_diagonals_and_the_first_row(self, small_spectral,
+                                                                      small_kernel):
+        nodes = small_spectral.ladder.nodes
+        m = nodes.size
+        table = fit_kernel_table(small_spectral, num_basis=16, scales=[nodes[0], nodes[-1]])
+        assert table.report["lp_solves"] == m + (m - 1)
+        expected = np.eye(m, dtype=bool)
+        expected[0] = expected[:, 0] = True
+        assert np.array_equal(table.fitted, expected)
+        assert np.array_equal(table.beta[expected], small_kernel.beta[expected])
+        assert not table.beta[~expected].any()
+
+    @pytest.mark.parametrize(
+        "scales, lp_solves", [([0.1, 2.0], 39), ([2.0, 1.0, 0.1, 1.0], 165), ([0.5], 5)]
+    )
+    def test_experiment_rows_are_the_full_fits_bits(self, experiment_spectral,
+                                                     experiment_kernel, scales, lp_solves):
+        nodes = experiment_spectral.ladder.nodes
+        table = fit_kernel_table(experiment_spectral, scales=scales)
+        assert table.report["lp_solves"] == lp_solves
+        wanted = {int(np.argmin(np.abs(nodes - s))) for s in scales}
+        mask = self.prefix_mask(nodes.size, wanted)
+        assert np.array_equal(table.fitted, mask)
+        assert np.array_equal(table.beta[mask], experiment_kernel.beta[mask])
+        for lam in scales:
+            for mu in scales:
+                assert np.array_equal(table.slice(lam, mu)[0], experiment_kernel.slice(lam, mu)[0])
+
+    def test_slice_of_a_pair_left_out_is_a_key_error(self, small_spectral):
+        nodes = small_spectral.ladder.nodes
+        table = fit_kernel_table(small_spectral, num_basis=16, scales=[nodes[0], nodes[-1]])
+        table.slice(nodes[2], nodes[2])
+        table.slice(nodes[3], nodes[0])
+        with pytest.raises(KeyError, match="not fitted"):
+            table.slice(nodes[1], nodes[3])
+        with pytest.raises(KeyError, match="not fitted"):
+            table.slice(nodes[4], nodes[2])
+
+    def test_off_ladder_scales_are_skipped(self, small_spectral, small_kernel):
+        nodes = small_spectral.ladder.nodes
+        table = fit_kernel_table(small_spectral, num_basis=16, scales=[nodes[1], 0.5, np.nan])
+        assert table.report["lp_solves"] == 2
+        assert np.array_equal(table.beta[:2, :2][np.eye(2, dtype=bool)],
+                              small_kernel.beta[:2, :2][np.eye(2, dtype=bool)])
+        for scales in ([0.5], []):
+            empty = fit_kernel_table(small_spectral, num_basis=16, scales=scales)
+            assert empty.report["lp_solves"] == 0 and not empty.fitted.any()
+            assert empty.report["max_relative_residual"] == 0.0
+            with pytest.raises(KeyError):
+                empty.slice(nodes[0], nodes[0])
+
+    def test_report_covers_the_fitted_pairs_only(self, small_spectral, small_kernel):
+        nodes = small_spectral.ladder.nodes
+        m = nodes.size
+        table = fit_kernel_table(small_spectral, num_basis=16, scales=[nodes[1], nodes[2]])
+        fitted, report = table.fitted, table.report
+        full = np.array(small_kernel.report["residuals"])
+        residuals = report["residuals"]
+        for k in range(m):
+            for l in range(m):
+                assert residuals[k][l] == (full[k, l] if fitted[k, l] else None)
+        assert report["max_residual"] == full[fitted].max() < full.max()
+        peaks = np.abs(small_spectral.values).max(axis=2)
+        assert report["max_relative_residual"] == (full / peaks)[fitted].max()
+        # the margins of the fitted pairs, recomputed from their rows
+        design = table.basis.spectral(small_spectral.grid.xis)
+        spectra = {(k, l): design.dot(table.beta[k, l]) for k in range(m) for l in range(k, m)}
+        diagonal = min(spectra[k, k].min() for k in range(m) if fitted[k, k])
+        offdiagonal = min(
+            (np.sqrt(spectra[k, k] * spectra[l, l]) - np.abs(spectra[k, l])).min()
+            for k in range(m) for l in range(k + 1, m) if fitted[k, l]
+        )
+        # positive, so a zero of a pair left out would show; to rounding,
+        # as the fit forms the diagonal spectra in one product
+        assert diagonal > 1e-13 and offdiagonal > 1e-13
+        assert report["min_diagonal_margin"] == pytest.approx(diagonal, rel=1e-3)
+        assert report["min_offdiagonal_margin"] == pytest.approx(offdiagonal, rel=1e-3)
+        beta = table.beta[fitted]
+        assert report["max_cancellation_ratio"] == (
+            np.abs(beta).sum(axis=1) / np.abs(beta.sum(axis=1))
+        ).max()
+
+    def test_a_partial_table_is_not_saved(self, small_spectral, tmp_path):
+        nodes = small_spectral.ladder.nodes
+        table = fit_kernel_table(small_spectral, num_basis=16, scales=[nodes[0]])
+        with pytest.raises(ValueError, match="every scale pair"):
+            table.save_binary(tmp_path / "partial.bin")
+        assert not (tmp_path / "partial.bin").exists()
+
+
 class TestKernelTable:
     def test_index_lookup(self, small_kernel):
         assert np.array_equal(small_kernel.slice(0.45, 0.1)[0], small_kernel.beta[2, 0])
