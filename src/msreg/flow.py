@@ -9,6 +9,7 @@ inverse map: each is sampled where the previous scale's deformation sent the
 grid, so composing them telescopes exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,9 @@ TABLE_MAX_NODES = 1 << 17
 _VALUE_ERROR = 1.0 / (720 * 64)
 _SLOPE_ERROR = 0.0537 / 720
 
-# Table nodes filled at a time: a table is filled only as far as the
-# distances read so far reach, and the (3 x terms x nodes) basis of one
-# fill stays small.
+# Table nodes filled at a time: each chunk fills its tables through the
+# block that holds the node of its largest distance, and the (3 x terms x
+# nodes) basis of one fill stays small.
 _FILL_NODES = 512
 
 
@@ -174,8 +175,9 @@ class HermiteTable:
     The coefficients are summed per term, C_j = sum_t w[t] e^{-a[t] u_k}
     c_j(a[t] du_k), and scaled by du_k^-j: coefficients fitted to the
     summed values lose dK/du near r = 0 to the cancellation between the
-    terms.  Nodes are filled on first read, so a table costs what the
-    distances read reach, not all of R."""
+    terms.  `KernelBlocks` fills each chunk's tables up to the node of the
+    chunk's largest distance before reading them, so a table is filled as
+    far as the distances read, not out to R."""
 
     def __init__(self, w, a, step, num):
         self.w, self.a, self.step, self.num = w.copy(), a.copy(), step, num
@@ -254,41 +256,40 @@ def _squared_distances(u, scratch, xi, xj):
 
 class _TableRows:
     """A rectangle of rows x columns whose tabulated blocks are read
-    together, cut into row chunks of `starts.step` rows.
+    together, cut into row chunks of `starts.step` rows; `tables` holds the
+    blocks' tables, each once.
 
     A rectangle of one block reads its `table` directly, with the table's
     cap and inverse node step, in row chunks of at most CHUNK_ELEMENTS / 7
     elements.  A rectangle of several blocks holds at most that many, so it
     is one chunk, and reads the call's stack of tables: per element, it
-    holds `ids`, the index of the element's table in `tables`, and that
-    table's cap and inverse node step, and, from each restack, the table's
-    offset in the stack and the node from which the stack lacks nodes.  An
-    element outside the blocks has index -1, which picks an entry appended
-    after the tables': cap 0, so it reads node 0 of the stack, and nothing
-    yields it."""
+    holds `ids`, the index of the element's table in the stacked tables,
+    that table's cap and inverse node step and, from each restack, the
+    table's offset in the stack.  An element outside the blocks reads the
+    first block's table, and nothing yields it."""
 
     def __init__(self, rows, cols, blocks, tables):
         width = cols.stop - cols.start
         step = min(max(1, CHUNK_ELEMENTS // (7 * width)), rows.stop - rows.start)
         self.starts, self.stop, self.cols = range(rows.start, rows.stop, step), rows.stop, cols
         self.size = step * width
+        self.tables = list(dict.fromkeys(table for _, _, table in blocks))
         if len(blocks) == 1:
-            self.table = blocks[0][2]
+            self.table = self.tables[0]
             self.cap, self.inv_step = self.table.cap, self.table.inv_step
             # (rows, or None for the chunk's own, cols, view of the chunk)
             self.blocks = [(None, cols, (slice(None), slice(None)))]
             return
         self.table, self.blocks = None, []
-        self.ids = np.full((rows.stop - rows.start, width), -1)
+        tables += [table for table in self.tables if table not in tables]
+        self.ids = np.full((rows.stop - rows.start, width), tables.index(self.tables[0]))
         for block_rows, block_cols, table in blocks:
-            if table not in tables:
-                tables.append(table)
             at = (slice(block_rows.start - rows.start, block_rows.stop - rows.start),
                   slice(block_cols.start - cols.start, block_cols.stop - cols.start))
             self.ids[at] = tables.index(table)
             self.blocks.append((block_rows, block_cols, at))
-        self.cap = np.array([t.cap for t in tables] + [0.0])[self.ids]
-        self.inv_step = np.array([t.inv_step for t in tables] + [0.0])[self.ids]
+        self.cap = np.array([t.cap for t in tables])[self.ids]
+        self.inv_step = np.array([t.inv_step for t in tables])[self.ids]
 
 
 class KernelBlocks:
@@ -328,15 +329,19 @@ class KernelBlocks:
 
     Consecutive tabulated blocks whose bounding rectangle holds at most
     CHUNK_ELEMENTS / 7 elements (a table read gathers 7 floats per
-    element) are one chunk, read from a stack of their tables: the filled
-    nodes side by side, restacked when a read fills more (`_TableRows`).
+    element) are one chunk, read from a stack of their tables, memoised on
+    the kernel: the filled nodes side by side (`_TableRows`, `_restack`).
     So the three blocks of a two-scale Gram of up to 96 landmarks are one
     chunk.  A larger block reads its own table in row chunks of that size.
-    A chunk makes one pass over its rectangle for u, one for each
-    element's interval, one gather of every element's node and one Horner
-    pass for K and dK/du (`_quintic`).  This is a lazy kernel reduction in
-    the manner of KeOps (Charlier et al., JMLR 2021): no rows x cols array
-    of a whole call and no (rows x cols x terms) tensor is ever formed.
+    Both follow one fill rule: once u is computed, each chunk fills every
+    one of its tables up to the node that its largest u (NaN ignored)
+    reads in that table, and a chunk whose stack lacks filled nodes
+    restacks.  A chunk makes one pass over its rectangle for u, one for
+    each element's interval, one gather of every element's node and one
+    Horner pass for K and dK/du (`_quintic`).  This is a lazy kernel
+    reduction in the manner of KeOps (Charlier et al., JMLR 2021): no rows
+    x cols array of a whole call and no (rows x cols x terms) tensor is
+    ever formed.
 
     Without column scales the blocks are those of the square Gram of the
     rows: only the blocks whose column run starts at or after their row run
@@ -384,34 +389,24 @@ class KernelBlocks:
         self._ubuf = np.empty(max(u_size, t_size))
         self._sbuf, self._ibuf = np.empty(t_size), np.empty(t_size, dtype=np.intp)
         if self._tables:
+            self._stacks = vars(kernel).setdefault("_hermite_stacks", {})
             self._restack()
 
     def _restack(self):
-        """Stack the filled nodes of `_tables`, the tables that rectangles of
-        several blocks read, side by side, column num of a full table
-        included, and point each such rectangle's elements at their table's
-        nodes.  Filled nodes never change, so a stack that lacks a table's
-        later fills still reads its earlier ones."""
-        tables = self._tables
-        parts = [t.rows[:, : t.filled + 1] for t in tables]
-        self._stack = np.concatenate(parts, axis=1)
-        offsets = np.cumsum([0] + [part.shape[1] for part in parts])
-        offsets[-1] = 0  # an element outside the blocks reads node 0
-        # a full table is read up to column num; any other below its fill
-        reach = np.array([t.num + 1 if t.filled == t.num else t.filled for t in tables] + [1])
+        """Point each rectangle of several blocks at its table's nodes in the
+        stack of `_tables`: their filled nodes side by side, column num of a
+        full table included, memoised on the kernel as the tables are and
+        rebuilt once they fill more.  Filled nodes never change, so a stack
+        that lacks a table's later fills still reads its earlier ones."""
+        widths = [t.filled + 1 for t in self._tables]
+        key = tuple(self._tables)
+        if key not in self._stacks or self._stacks[key].shape[1] < sum(widths):
+            self._stacks[key] = np.concatenate(
+                [t.rows[:, :width] for t, width in zip(self._tables, widths)], axis=1)
+        self._stack, offsets = self._stacks[key], np.cumsum([0] + widths)
         for rect in self._rects:
             if rect.table is None:
-                rect.offset, rect.reach = offsets[rect.ids], reach[rect.ids]
-
-    def _fill(self, rect, index):
-        """Fill each table of `rect` as far as `index`, the node indices of
-        its elements, reads it, and restack."""
-        tops = np.full(len(self._tables) + 1, -1)
-        np.maximum.at(tops, rect.ids, index)
-        for table, top in zip(self._tables, tops.tolist()):
-            if top >= table.filled:
-                table.fill(top)
-        self._restack()
+                rect.offset = offsets[rect.ids]
 
     def __call__(self, Xi, Xj=None, deriv=False):
         rows_t = Xi.T[:, :, None]  # each row coordinate as a column
@@ -446,24 +441,26 @@ class KernelBlocks:
                 n = shape[0] * shape[1]
                 u, s = ubuf[:n].reshape(shape), self._sbuf[:n].reshape(shape)
                 _squared_distances(u, s, rows_t[:, rows], cols_t[:, cols])
+                # fill each table to the node of the chunk's largest u: the
+                # same operations below take no element's u past it
+                top = np.fmax.reduce(u, axis=None)  # NaN only if every u is
+                if not math.isnan(top):
+                    for table in rect.tables:
+                        node = int(math.sqrt(min(top, table.cap)) * table.inv_step)
+                        if node >= table.filled:
+                            table.fill(node)
                 # u's interval is floor(sqrt(u) / h), a node of its table
                 np.minimum(u, rect.cap, out=u)
                 np.sqrt(u, out=s)
                 s *= rect.inv_step
                 index = self._ibuf[:n].reshape(shape)
                 np.copyto(index, s, casting="unsafe")
-                table = rect.table
-                if table is None:
-                    if (index >= rect.reach).any():
-                        self._fill(rect, index)
+                if rect.table is None:
+                    # restack fills since the last, this chunk's or another set-up's
+                    if self._stack.shape[1] < sum(t.filled + 1 for t in self._tables):
+                        self._restack()
                     index += rect.offset
-                    nodes = self._stack
-                else:
-                    if table.filled < table.num:
-                        top = index.max()
-                        if top >= table.filled:
-                            table.fill(top)
-                    nodes = table.rows
+                nodes = self._stack if rect.table is None else rect.table.rows
                 g = np.take(nodes, index.reshape(-1), axis=1, mode="clip",
                             out=buf[: 7 * n].reshape(7, n))
                 dk = _quintic(u.reshape(-1), s.reshape(-1), g, deriv)
@@ -674,12 +671,12 @@ def transport_grid(kernel, trajectory, system, lam, grid_points, grid_shape=None
     return DeformationField(float(lam), np.asarray(grid_points, float), mapped, grid_shape)
 
 
-def inverse_map(kernel, trajectory, system, lam, grid_points, grid_shape=None):
+def inverse_map(kernel, trajectory, system, lam, grid_points):
     """Transport grid points backward in time under the negated velocity:
     an approximation of the inverse deformation at scale lam, not the exact
     inverse of the forward Euler map, which is an open ROADMAP item."""
     mapped = _transport(kernel, trajectory, system, lam, grid_points, reverse=True)
-    return DeformationField(float(lam), np.asarray(grid_points, float), mapped, grid_shape)
+    return DeformationField(float(lam), np.asarray(grid_points, float), mapped)
 
 
 def residual_maps(grid_points, deformations):

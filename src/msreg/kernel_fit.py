@@ -196,6 +196,9 @@ def _solve_minimax(model, target, lower, upper):
 _REL_MARGIN = 1e-6
 _ABS_MARGIN = 1e-7
 
+_REPAIR_TOL = 1e-13  # 2x2 determinant excess that `repair_pairwise` ignores
+_CERTIFY_TOL = 1e-8  # eigenvalue ratio down to -_CERTIFY_TOL passes the certificate
+
 
 def repair_nonnegative(row, design):
     """Lift a fitted spectrum to be nonnegative at every sampled frequency.
@@ -215,17 +218,18 @@ def repair_nonnegative(row, design):
     return row
 
 
-def repair_pairwise(row, diag_k, diag_l, design, tol=1e-13):
+def repair_pairwise(row, diag_k, diag_l, design):
     """Scale an off-diagonal row so every 2x2 spectral determinant is clean.
 
     Solver-tolerance violations of |spectrum| <= sqrt(diag_k * diag_l) are
     removed by shrinking the row toward zero; frequencies where both spectra
-    have decayed below `tol` are ignored (their determinants are O(tol)).
+    have decayed below _REPAIR_TOL are ignored (their determinants are
+    O(_REPAIR_TOL)).
     """
     row = np.asarray(row, dtype=float)
     off = design.dot(row)
     excess = off**2 - diag_k * diag_l
-    bad = excess > tol
+    bad = excess > _REPAIR_TOL
     if not np.any(bad):
         return row
     gamma = np.sqrt(np.maximum(diag_k[bad] * diag_l[bad], 0.0) / off[bad] ** 2).min()
@@ -413,9 +417,10 @@ def fit_kernel_table(spectral_table, num_basis=20, scales=None):
     return KernelTable(nodes.copy(), beta, basis, report, fitted)
 
 
-def certify_pairwise_positivity(table, sample_points, scale_pairs=None, tol=1e-8):
+def certify_pairwise_positivity(table, sample_points, scale_pairs=None):
     """Assemble Gram matrices from the fitted kernel on random point samples
-    restricted to pairs of scales, and report the worst eigenvalue ratio.
+    restricted to pairs of scales, and report the worst eigenvalue ratio,
+    which passes down to -_CERTIFY_TOL.
 
     The Gram matrices come from `flow.kernel_matrix`, the evaluator the flow
     energy uses, so the certificate is about the kernel the energy sees.
@@ -439,8 +444,8 @@ def certify_pairwise_positivity(table, sample_points, scale_pairs=None, tol=1e-8
             {"pair": [int(k), int(l)], "min_eig": float(eigs[0]), "max_eig": float(eigs[-1])}
         )
     return {
-        "pass": bool(worst >= -tol),
+        "pass": bool(worst >= -_CERTIFY_TOL),
         "worst_eig_ratio": float(worst),
-        "tolerance": tol,
+        "tolerance": _CERTIFY_TOL,
         "pairs": details,
     }

@@ -90,8 +90,9 @@ class OptimizeResult:
     gradient_sup_norm: float = np.inf  # at the returned controls
 
 
-def optimize(objective, init_controls=None, max_iters=1000, tol=1e-8, memory=10):
-    """Minimize the registration objective over control trajectories.
+def optimize(objective, max_iters=1000, tol=1e-8, memory=10):
+    """Minimize the registration objective over control trajectories,
+    starting from zero controls.
 
     Stops on relative objective decrease < tol or gradient sup-norm < tol.
     A failed line search returns the best iterate with a warning flag; a
@@ -106,11 +107,7 @@ def optimize(objective, init_controls=None, max_iters=1000, tol=1e-8, memory=10)
     trial is dropped before the next trial, so at most one set of blocks is
     alive at a time.
     """
-    system = objective.system
-    if init_controls is None:
-        controls = system.zero_controls(objective.num_steps)
-    else:
-        controls = np.array(init_controls, dtype=float, copy=True)
+    controls = objective.system.zero_controls(objective.num_steps)
     shape = controls.shape
     x = controls.ravel()
     value, energy, match, trajectory = objective.evaluate(controls)

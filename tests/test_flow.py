@@ -302,6 +302,17 @@ class Mixture:
         return self.mixture
 
 
+class Cold:
+    """A kernel with `kernel`'s slices but none of its Hermite tables, which
+    are memoised on the kernel object: every table it reads starts cold."""
+
+    def __init__(self, kernel):
+        self.slice = kernel.slice
+
+
+GRAM_PAIRS = [(0.1, 0.1), (0.1, 2.0), (2.0, 2.0)]  # the blocks of a two-scale Gram
+
+
 class TestHermiteTable:
     """Blocks of many terms and many elements read a quintic Hermite table
     of their slice; every other block sums its exp terms."""
@@ -417,6 +428,89 @@ class TestHermiteTable:
         assert all(np.array_equal(f, s) for f, s in zip(first, second))
         table = flow.hermite_table(tables[0], w, a)
         assert table.filled == table.rows.shape[1] - 1
+
+    @staticmethod
+    def filled_in_full(kernel, pairs):
+        """The tables of `kernel`'s slices at `pairs`, each filled out to R."""
+        tables = [flow.hermite_table(kernel, *kernel.slice(lam, mu)) for lam, mu in pairs]
+        for table in tables:
+            table.fill(table.num)
+        return tables
+
+    def test_a_tall_block_filled_chunk_by_chunk_reads_the_full_tables_bits(
+            self, experiment_kernel, monkeypatch):
+        # 4096 rows against 30 columns near the origin, farther row by row, so
+        # each row chunk of the one block reads farther than the last
+        rng = np.random.default_rng(23)
+        cold, warm = Cold(experiment_kernel), Cold(experiment_kernel)
+        table = flow.hermite_table(cold, *cold.slice(0.1, 2.0))
+        self.filled_in_full(warm, [(0.1, 2.0)])
+        r = np.linspace(0.0, 0.8 * table.radius, 4096)
+        rows = np.stack([r, np.zeros_like(r)], axis=1)
+        cols = rng.normal(scale=0.05, size=(30, 2))
+        fills = []
+        fill = flow.HermiteTable.fill
+        monkeypatch.setattr(flow.HermiteTable, "fill",
+                            lambda table, top: fills.append(top) or fill(table, top))
+        got, want = (kernel_matrix(kernel, np.full(4096, 0.1), rows, np.full(30, 2.0), cols,
+                                   deriv=True) for kernel in (cold, warm))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # several chunks of the one call filled more, and none past 0.8 R
+        assert len(fills) >= 4 and table.filled < table.num
+
+    def test_a_shared_chunk_fills_each_table_to_the_block_of_its_own_node(
+            self, experiment_kernel):
+        # a 60-landmark Gram of two scales: its three 30 x 30 blocks are one chunk
+        rng = np.random.default_rng(29)
+        scales = np.repeat([0.1, 2.0], 30)
+        points = rng.normal(scale=0.6, size=(60, 2))
+        cold, warm = Cold(experiment_kernel), Cold(experiment_kernel)
+        self.filled_in_full(warm, GRAM_PAIRS)
+        got, want = (kernel_matrix(kernel, scales, points, deriv=True) for kernel in (cold, warm))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        x, y = (np.subtract.outer(c, c) for c in points.T)
+        top = (x * x + y * y).max()
+        tables = [flow.hermite_table(cold, *cold.slice(lam, mu)) for lam, mu in GRAM_PAIRS]
+        assert len({table.step for table in tables}) == 3
+        for table in tables:
+            node = int(np.sqrt(min(top, table.cap)) * table.inv_step)
+            assert table.filled <= (node // flow._FILL_NODES + 1) * flow._FILL_NODES
+            assert table.filled < table.num
+
+    def test_a_nan_row_leaves_its_chunk_filling_for_the_finite_distances(self,
+                                                                         experiment_kernel):
+        rng = np.random.default_rng(31)
+        scales = np.repeat([0.1, 2.0], 30)
+        points = rng.normal(scale=0.6, size=(60, 2))
+        points[7] = np.nan
+        keep = np.arange(60) != 7
+        with np.errstate(invalid="ignore"):  # NaN u casts to no node
+            got = kernel_matrix(Cold(experiment_kernel), scales, points, deriv=True)
+        want = kernel_matrix(Cold(experiment_kernel), scales[keep], points[keep], deriv=True)
+        for g, w in zip(got, want):
+            assert np.isnan(g[7]).all() and np.isnan(g[:, 7]).all()
+            assert np.array_equal(g[np.ix_(keep, keep)], w)
+
+    def test_a_stack_reads_nodes_filled_through_another_set_up(self, experiment_kernel):
+        # a Gram set up on cold tables, whose stack then lacks the nodes that
+        # tall blocks of other set-ups fill before its next call
+        rng = np.random.default_rng(37)
+        scales = np.repeat([0.1, 2.0], 30)
+        near, far = rng.normal(scale=0.05, size=(60, 2)), rng.normal(scale=0.6, size=(60, 2))
+        kernel, warm = Cold(experiment_kernel), Cold(experiment_kernel)
+        gram = KernelBlocks(kernel, scales)
+        gram.matrix(near)
+        wide = rng.normal(scale=2.0, size=(1024, 2))
+        for lam, mu in GRAM_PAIRS:
+            kernel_matrix(kernel, np.full(1024, lam), wide, np.full(30, mu), far[:30])
+        tables = [flow.hermite_table(kernel, *kernel.slice(lam, mu)) for lam, mu in GRAM_PAIRS]
+        filled = [table.filled for table in tables]
+        self.filled_in_full(warm, GRAM_PAIRS)
+        got = gram.matrix(far, deriv=True)
+        want = kernel_matrix(warm, scales, far, deriv=True)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert [table.filled for table in tables] == filled  # the Gram filled nothing
+        assert KernelBlocks(kernel, scales)._stack is gram._stack  # one stack per kernel
 
     def test_a_table_is_7_floats_per_node_and_filled_only_as_far_as_read(self,
                                                                          experiment_kernel):
