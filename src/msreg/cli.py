@@ -191,6 +191,8 @@ def cmd_register(config, root, kernel_table_path=None):
         "gradient_passes": result.gradient_passes,
         "gradient_sup_norm": result.gradient_sup_norm,
         "line_search_halvings": result.line_search_halvings,
+        "kernel_exp_terms": objective.gram.exp_terms,
+        "kernel_table_reads": objective.gram.table_reads,
     }
     files.append(_write_json(root / "register_summary.json", summary))
     return files, EXIT_OK

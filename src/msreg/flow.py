@@ -209,25 +209,37 @@ class HermiteTable:
         self.filled = max(self.filled, stop)
 
 
-def _quintic(u, s, g, deriv):
+def _quintic(u, s, g, dk):
     """K over u, written into u, from the node rows `g` (7, n) gathered at
     each element's interval; `s` is a float buffer of u's size.  Returns
-    dK/du, written into g[0], with deriv, else None."""
+    dK/du, written into `dk` (g[0] may be it), or None without dk."""
     np.subtract(u, g[0], out=s)
     p = np.multiply(g[6], s, out=u)
     p += g[5]
-    dp = np.multiply(g[6], s, out=g[0]) if deriv else None  # g[0] is spent
-    if deriv:
-        dp += p
+    if dk is not None:
+        np.multiply(g[6], s, out=dk)  # g[0] is spent
+        dk += p
     for coeff in g[4:1:-1]:  # Horner for p and for p' together
         p *= s
         p += coeff
-        if deriv:
-            dp *= s
-            dp += p
+        if dk is not None:
+            dk *= s
+            dk += p
     p *= s
     p += g[1]
-    return dp
+    return dk
+
+
+def _exp_sum(u, buf, w, wa, neg_a, deriv, out=None):
+    """K over the flat squared distances u, written into u, from the exp
+    terms of (w, a), neg_a = -a as a column, term-major in `buf`; with
+    deriv, returns dK/du, written into `out` or a new array."""
+    expo = buf[: neg_a.size * u.size].reshape(neg_a.size, u.size)
+    np.exp(np.multiply(neg_a, u, out=expo), out=expo)
+    # np.dot gives the bits of `w @ expo`, and a one-term mixture costs it
+    # a scaled copy where matmul is about 3x slower
+    np.dot(w, expo, out=u)
+    return np.negative(np.dot(wa, expo, out=out), out=out) if deriv else None
 
 
 def hermite_table(kernel, w, a):
@@ -254,42 +266,37 @@ def _squared_distances(u, scratch, xi, xj):
         u += scratch
 
 
+def _elements(rows, cols):
+    """(2, n): the row and column index of each element of rows x cols, row
+    by row."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    return np.indices(shape).reshape(2, -1) + [[rows.start], [cols.start]]
+
+
+class _TableReads:
+    """Elements read together from the stack, `tables` each once: per
+    element, the index `ids` of its table in the stacked tables, that
+    table's cap and inverse node step, and its offset in the stack."""
+
+    table = None  # the stack, not a table of its own, is read
+
+    def __init__(self, ids, stacked):
+        self.tables = [stacked[k] for k in np.unique(ids)]
+        self.ids, self.offset = ids, np.empty_like(ids)
+        self.cap = np.array([t.cap for t in stacked])[ids]
+        self.inv_step = np.array([t.inv_step for t in stacked])[ids]
+
+
 class _TableRows:
-    """A rectangle of rows x columns whose tabulated blocks are read
-    together, cut into row chunks of `starts.step` rows; `tables` holds the
-    blocks' tables, each once.
+    """A tabulated block of a rectangular set-up, read from its `table` in
+    row chunks of at most CHUNK_ELEMENTS / 7 elements."""
 
-    A rectangle of one block reads its `table` directly, with the table's
-    cap and inverse node step, in row chunks of at most CHUNK_ELEMENTS / 7
-    elements.  A rectangle of several blocks holds at most that many, so it
-    is one chunk, and reads the call's stack of tables: per element, it
-    holds `ids`, the index of the element's table in the stacked tables,
-    that table's cap and inverse node step and, from each restack, the
-    table's offset in the stack.  An element outside the blocks reads the
-    first block's table, and nothing yields it."""
-
-    def __init__(self, rows, cols, blocks, tables):
+    def __init__(self, rows, cols, table):
         width = cols.stop - cols.start
         step = min(max(1, CHUNK_ELEMENTS // (7 * width)), rows.stop - rows.start)
         self.starts, self.stop, self.cols = range(rows.start, rows.stop, step), rows.stop, cols
         self.size = step * width
-        self.tables = list(dict.fromkeys(table for _, _, table in blocks))
-        if len(blocks) == 1:
-            self.table = self.tables[0]
-            self.cap, self.inv_step = self.table.cap, self.table.inv_step
-            # (rows, or None for the chunk's own, cols, view of the chunk)
-            self.blocks = [(None, cols, (slice(None), slice(None)))]
-            return
-        self.table, self.blocks = None, []
-        tables += [table for table in self.tables if table not in tables]
-        self.ids = np.full((rows.stop - rows.start, width), tables.index(self.tables[0]))
-        for block_rows, block_cols, table in blocks:
-            at = (slice(block_rows.start - rows.start, block_rows.stop - rows.start),
-                  slice(block_cols.start - cols.start, block_cols.stop - cols.start))
-            self.ids[at] = tables.index(table)
-            self.blocks.append((block_rows, block_cols, at))
-        self.cap = np.array([t.cap for t in tables])[self.ids]
-        self.inv_step = np.array([t.inv_step for t in tables])[self.ids]
+        self.table, self.tables, self.cap, self.inv_step = table, [table], table.cap, table.inv_step
 
 
 class KernelBlocks:
@@ -303,49 +310,38 @@ class KernelBlocks:
     with the kernel, so they must not be modified.  This loop is the only
     code that sums a slice.
 
-    The set-up, done once per forward pass or transport and reused by all
-    its steps, finds the runs of equal row scale and of equal column scale,
-    takes the mixture slice of each block between a row run and a column
-    run, chooses how the block is evaluated, lays out its chunks, and
-    allocates the buffers of about CHUNK_ELEMENTS elements that every chunk
-    of every step reuses.  A block whose slice has at least TABLE_MIN_TERMS
-    terms and which holds at least TABLE_MIN_ELEMENTS elements reads the
+    The set-up, done once per `Objective`, forward pass or transport,
+    takes the mixture slice of each block between a run of equal row scale
+    and one of equal column scale, lays out its chunks and allocates the
+    buffers that every call reuses.  A block whose slice has at least
+    TABLE_MIN_TERMS terms and which holds at least TABLE_MIN_ELEMENTS
+    elements (rows x cols, on a square Gram's diagonal too) reads the
     slice's `HermiteTable`, memoised on the kernel (`hermite_table`); every
-    other block sums the exp terms.  No |K| exceeds `bound`, the largest
-    sum_t |w[t]| of a block's slice, since every rate is positive.
+    other block sums its exp terms in row chunks of about CHUNK_ELEMENTS
+    terms x elements (`_exp_sum`).  A chunk of table reads gathers 7 floats
+    per element, from its table or from the stack of the set-up's tables,
+    memoised on the kernel (`_restack`), after it fills each of its tables
+    up to the node that its largest u (NaN ignored) reads (`_read`).  This
+    is a lazy kernel reduction in the manner of KeOps (Charlier et al.,
+    JMLR 2021): no (rows x cols x terms) tensor is ever formed.  No |K|
+    exceeds `bound`, the largest sum_t |w[t]| of a block's slice.
 
-    Calling it at row positions Xi and column positions Xj yields (rows,
-    cols, K), or with deriv (rows, cols, K, dK/du) where u is the squared
-    distance, for each row chunk of each block: first the exp blocks, then
-    the tabulated ones.  K (and dK/du) is a view of a buffer that the next
+    With column scales, calling it at row positions Xi and column positions
+    Xj yields (rows, cols, K), or with deriv (rows, cols, K, dK/du) where u
+    is the squared distance, for each row chunk of each block: first the
+    exp blocks, then the tabulated ones, each from its own table
+    (`_TableRows`).  K (and dK/du) is a view of a buffer that the next
     chunk overwrites, so a caller must use each block before the next.
 
-    An exp block is cut into row chunks.  Each chunk computes u one
-    coordinate at a time, expo[t] = exp(-a[t] * u) term-major as one
-    contiguous pass, and reduces over the terms with one gemv each: K =
-    w @ expo, dK/du = -((w * a) @ expo).  The coordinate differences use
-    the `expo` buffer before the exponentials overwrite it, and K takes the
-    u buffer after.
-
-    Consecutive tabulated blocks whose bounding rectangle holds at most
-    CHUNK_ELEMENTS / 7 elements (a table read gathers 7 floats per
-    element) are one chunk, read from a stack of their tables, memoised on
-    the kernel: the filled nodes side by side (`_TableRows`, `_restack`).
-    So the three blocks of a two-scale Gram of up to 96 landmarks are one
-    chunk.  A larger block reads its own table in row chunks of that size.
-    Both follow one fill rule: once u is computed, each chunk fills every
-    one of its tables up to the node that its largest u (NaN ignored)
-    reads in that table, and a chunk whose stack lacks filled nodes
-    restacks.  A chunk makes one pass over its rectangle for u, one for
-    each element's interval, one gather of every element's node and one
-    Horner pass for K and dK/du (`_quintic`).  This is a lazy kernel
-    reduction in the manner of KeOps (Charlier et al., JMLR 2021): no rows
-    x cols array of a whole call and no (rows x cols x terms) tensor is
-    ever formed.
-
-    Without column scales the blocks are those of the square Gram of the
-    rows: only the blocks whose column run starts at or after their row run
-    are yielded, for a caller that mirrors the symmetric rest.
+    Without column scales it is the symmetric Gram of the rows.  Calling it
+    at Xi returns (K,), or (K, dK/du), on one flat list of elements, from
+    which `matrix` gathers the Gram.  The list holds the exp blocks on and
+    above the block diagonal, whole and in a rectangular call's row chunks
+    (the gemv gives the last elements mod 4 of a call other bits), then the
+    tabulated blocks' i <= j pairs, read from the stack in chunks of
+    CHUNK_ELEMENTS / 7.  `exp_terms` and `table_reads` count, over all
+    calls, the elements times terms summed by exp and the elements read
+    from tables.
     """
 
     def __init__(self, kernel, scales_i, scales_j=None):
@@ -353,7 +349,7 @@ class KernelBlocks:
         runs_i = _scale_runs(scales_i)
         runs_j = runs_i if self.square else _scale_runs(scales_j)
         self.shape = (scales_i.size, (scales_i if self.square else scales_j).size)
-        blocks, rects, size, u_size, self.bound = [], [], 0, 0, 0.0
+        blocks, tabulated, size, u_size, self.bound = [], [], 0, 0, 0.0
         for i0, i1, si in runs_i:
             for j0, j1, sj in runs_j:
                 if self.square and j0 < i0:
@@ -365,50 +361,112 @@ class KernelBlocks:
                     table = hermite_table(kernel, w, a)
                 rows, cols = slice(i0, i1), slice(j0, j1)
                 if table is not None:
-                    # consecutive tabulated blocks whose bounding rectangle
-                    # fits one chunk are read together
-                    if rects:
-                        last_rows, last_cols, members = rects[-1]
-                        span = (slice(min(i0, last_rows.start), max(i1, last_rows.stop)),
-                                slice(min(j0, last_cols.start), max(j1, last_cols.stop)))
-                        height, width = (x.stop - x.start for x in span)
-                        if 7 * height * width <= CHUNK_ELEMENTS:
-                            rects[-1] = [*span, members + [(rows, cols, table)]]
-                            continue
-                    rects.append([rows, cols, [(rows, cols, table)]])
+                    tabulated.append((rows, cols, table))
                     continue
                 width = j1 - j0
                 step = min(max(1, CHUNK_ELEMENTS // (a.size * width)), i1 - i0)
-                blocks.append((range(i0, i1, step), i1, cols, w, w * a, -a[:, None, None]))
+                blocks.append((range(i0, i1, step), i1, cols, w, w * a, -a[:, None]))
                 size = max(size, step * width * a.size)
                 u_size = max(u_size, step * width)
         self._blocks, self._tables = blocks, []  # the tables of the stack
-        self._rects = [_TableRows(*rect, self._tables) for rect in rects]
-        t_size = max((rect.size for rect in self._rects), default=0)
+        if self.square:
+            t_size = self._lay_out_pairs(tabulated)
+        else:
+            self._rects = [_TableRows(*block) for block in tabulated]
+            t_size = max((rect.size for rect in self._rects), default=0)
+            self._ubuf, self._sbuf = np.empty(max(u_size, t_size)), np.empty(t_size)
         self._buf = np.empty(max(size, 7 * t_size))
-        self._ubuf = np.empty(max(u_size, t_size))
-        self._sbuf, self._ibuf = np.empty(t_size), np.empty(t_size, dtype=np.intp)
+        self._ibuf = np.empty(t_size, dtype=np.intp)
         if self._tables:
             self._stacks = vars(kernel).setdefault("_hermite_stacks", {})
             self._restack()
 
+    def _lay_out_pairs(self, tabulated):
+        """The square Gram's list of elements (`_pi`, `_pj`), its chunks of
+        table reads, the index in the list of each Gram element (`_gather`)
+        and the work of a call; returns the size of a chunk of table reads."""
+        self._tables = list(dict.fromkeys(table for _, _, table in tabulated))
+        exp = [_elements(slice(starts.start, i1), cols) for starts, i1, cols, *_ in self._blocks]
+        pairs = [_elements(rows, cols) for rows, cols, _ in tabulated]
+        pairs = [pq[:, pq[0] <= pq[1]] for pq in pairs]  # i <= j
+        self._pi, self._pj = np.concatenate([np.empty((2, 0), dtype=np.intp), *exp, *pairs], 1)
+        count = np.arange(self._pi.size)
+        self._gather = np.empty(self.shape, dtype=np.intp)
+        self._gather[self._pj, self._pi] = count  # below the diagonal, unless
+        self._gather[self._pi, self._pj] = count  # the element is its own
+        ids = np.repeat(np.array([self._tables.index(t) for *_, t in tabulated], dtype=np.intp),
+                        [p.shape[1] for p in pairs])
+        first, step = self._pi.size - ids.size, CHUNK_ELEMENTS // 7
+        self._chunks = [(first + c, _TableReads(ids[c : c + step], self._tables))
+                        for c in range(0, ids.size, step)]
+        self._u, self._s, self._dk = np.empty((3, self._pi.size))
+        self.exp_terms, self.table_reads = 0, 0
+        self._work = (sum(e.shape[1] * b[-1].size for e, b in zip(exp, self._blocks)), ids.size)
+        return min(step, ids.size)
+
     def _restack(self):
-        """Point each rectangle of several blocks at its table's nodes in the
-        stack of `_tables`: their filled nodes side by side, column num of a
-        full table included, memoised on the kernel as the tables are and
-        rebuilt once they fill more.  Filled nodes never change, so a stack
-        that lacks a table's later fills still reads its earlier ones."""
+        """Point each chunk of reads from the stack at its elements' tables'
+        nodes in the stack of `_tables`: their filled nodes side by side,
+        column num of a full table included (one table is its own stack),
+        memoised on the kernel as the tables are and rebuilt once they fill
+        more.  Filled nodes never change, so a stack that lacks a table's
+        later fills still reads its earlier ones."""
         widths = [t.filled + 1 for t in self._tables]
         key = tuple(self._tables)
         if key not in self._stacks or self._stacks[key].shape[1] < sum(widths):
-            self._stacks[key] = np.concatenate(
+            self._stacks[key] = key[0].rows if len(key) == 1 else np.concatenate(
                 [t.rows[:, :width] for t, width in zip(self._tables, widths)], axis=1)
         self._stack, offsets = self._stacks[key], np.cumsum([0] + widths)
-        for rect in self._rects:
-            if rect.table is None:
-                rect.offset = offsets[rect.ids]
+        for _, reads in self._chunks:
+            np.take(offsets, reads.ids, out=reads.offset)
+
+    def _read(self, u, s, reads, deriv, out=None):
+        """K at the flat squared distances u of a chunk of table reads,
+        written into u; with deriv, returns dK/du, written into `out` or a
+        buffer.  s is a float buffer of u's size."""
+        # fill each table to the node of the chunk's largest u: the same
+        # operations below take no element's u past it
+        top = np.fmax.reduce(u)  # NaN only if every u is
+        if not math.isnan(top):
+            for table in reads.tables:
+                node = int(math.sqrt(min(top, table.cap)) * table.inv_step)
+                if node >= table.filled:
+                    table.fill(node)
+        # u's interval is floor(sqrt(u) / h), a node of its table
+        np.minimum(u, reads.cap, out=u)
+        np.sqrt(u, out=s)
+        s *= reads.inv_step
+        index = self._ibuf[: u.size]
+        np.copyto(index, s, casting="unsafe")
+        if reads.table is None:
+            # restack fills since the last, this chunk's or another set-up's
+            if self._stack.shape[1] < sum(t.filled + 1 for t in self._tables):
+                self._restack()
+            index += reads.offset
+        nodes = self._stack if reads.table is None else reads.table.rows
+        g = np.take(nodes, index, axis=1, mode="clip", out=self._buf[: 7 * u.size].reshape(7, -1))
+        return _quintic(u, s, g, (g[0] if out is None else out) if deriv else None)
 
     def __call__(self, Xi, Xj=None, deriv=False):
+        return self._pairs(Xi, deriv) if self.square else self._chunks_of(Xi, Xj, deriv)
+
+    def _pairs(self, Xi, deriv):
+        self.exp_terms += self._work[0]
+        self.table_reads += self._work[1]
+        u, s, dk = self._u, self._s, self._dk
+        _squared_distances(u, s, *(np.take(Xi, ends, axis=0).T for ends in (self._pi, self._pj)))
+        r0 = 0
+        for starts, i1, cols, w, wa, neg_a in self._blocks:
+            for row in starts:
+                r1 = r0 + (min(row + starts.step, i1) - row) * (cols.stop - cols.start)
+                _exp_sum(u[r0:r1], self._buf, w, wa, neg_a, deriv, dk[r0:r1])
+                r0 = r1
+        for r0, reads in self._chunks:
+            r1 = r0 + reads.ids.size
+            self._read(u[r0:r1], s[r0:r1], reads, deriv, dk[r0:r1])
+        return (u, dk) if deriv else (u,)
+
+    def _chunks_of(self, Xi, Xj, deriv):
         rows_t = Xi.T[:, :, None]  # each row coordinate as a column
         cols_t = (Xi if Xj is None else Xj).T.copy()  # contiguous column coordinates
         buf, ubuf = self._buf, self._ubuf
@@ -416,23 +474,11 @@ class KernelBlocks:
             width, xj = cols.stop - cols.start, cols_t[:, cols]
             for r0 in starts:
                 rows = slice(r0, min(r0 + starts.step, i1))
-                num = rows.stop - r0
-                u = ubuf[: num * width].reshape(num, width)
-                delta = buf[: num * width].reshape(num, width)
-                _squared_distances(u, delta, rows_t[:, rows], xj)
-                expo = buf[: neg_a.size * num * width].reshape(neg_a.size, num, width)
-                # u and expo are contiguous, so each term is one rows * cols loop
-                np.multiply(neg_a, u, out=expo)
-                np.exp(expo, out=expo)
-                flat = expo.reshape(neg_a.size, -1)
-                # K takes the u buffer, whose values the exponentials consumed;
-                # np.dot gives the bits of `w @ flat`, and a one-term mixture
-                # costs it a scaled copy where matmul is about 3x slower
-                np.dot(w, flat, out=u.reshape(-1))
-                if deriv:
-                    yield rows, cols, u, -np.dot(wa, flat).reshape(num, width)
-                else:
-                    yield rows, cols, u
+                shape = (rows.stop - r0, width)
+                u = ubuf[: shape[0] * width].reshape(shape)
+                _squared_distances(u, buf[: u.size].reshape(shape), rows_t[:, rows], xj)
+                dk = _exp_sum(u.reshape(-1), buf, w, wa, neg_a, deriv)
+                yield (rows, cols, u, dk.reshape(shape)) if deriv else (rows, cols, u)
         for rect in self._rects:
             cols = rect.cols
             for r0 in rect.starts:
@@ -441,59 +487,32 @@ class KernelBlocks:
                 n = shape[0] * shape[1]
                 u, s = ubuf[:n].reshape(shape), self._sbuf[:n].reshape(shape)
                 _squared_distances(u, s, rows_t[:, rows], cols_t[:, cols])
-                # fill each table to the node of the chunk's largest u: the
-                # same operations below take no element's u past it
-                top = np.fmax.reduce(u, axis=None)  # NaN only if every u is
-                if not math.isnan(top):
-                    for table in rect.tables:
-                        node = int(math.sqrt(min(top, table.cap)) * table.inv_step)
-                        if node >= table.filled:
-                            table.fill(node)
-                # u's interval is floor(sqrt(u) / h), a node of its table
-                np.minimum(u, rect.cap, out=u)
-                np.sqrt(u, out=s)
-                s *= rect.inv_step
-                index = self._ibuf[:n].reshape(shape)
-                np.copyto(index, s, casting="unsafe")
-                if rect.table is None:
-                    # restack fills since the last, this chunk's or another set-up's
-                    if self._stack.shape[1] < sum(t.filled + 1 for t in self._tables):
-                        self._restack()
-                    index += rect.offset
-                nodes = self._stack if rect.table is None else rect.table.rows
-                g = np.take(nodes, index.reshape(-1), axis=1, mode="clip",
-                            out=buf[: 7 * n].reshape(7, n))
-                dk = _quintic(u.reshape(-1), s.reshape(-1), g, deriv)
-                dk = dk.reshape(shape) if deriv else None
-                for block_rows, block_cols, at in rect.blocks:
-                    block_rows = rows if block_rows is None else block_rows
-                    if deriv:
-                        yield block_rows, block_cols, u[at], dk[at]
-                    else:
-                        yield block_rows, block_cols, u[at]
+                dk = self._read(u.reshape(-1), s.reshape(-1), rect, deriv)
+                yield (rows, cols, u, dk.reshape(shape)) if deriv else (rows, cols, u)
 
     def matrix(self, Xi, Xj=None, deriv=False, out=None):
-        """K, or with deriv (K, dK/du), scattered from the blocks into new
-        matrices or into `out`, a sequence of as many; the square Gram copies
-        each block above the block diagonal, transposed, below it."""
+        """K, or with deriv (K, dK/du), into new matrices or into `out`, a
+        sequence of as many: scattered from the blocks, or in the square
+        Gram gathered from its list of elements."""
         mats = [np.empty(self.shape) for _ in range(1 + deriv)] if out is None else out
-        for rows, cols, *blocks in self(Xi, Xj, deriv):
-            for mat, block in zip(mats, blocks):
-                mat[rows, cols] = block
-                if self.square and cols.start >= rows.stop:  # strictly above the diagonal
-                    mat[cols, rows] = block.T
+        if self.square:
+            for mat, values in zip(mats, self(Xi, None, deriv)):
+                np.take(values, self._gather, out=mat, mode="clip")
+        else:
+            for rows, cols, *blocks in self(Xi, Xj, deriv):
+                for mat, block in zip(mats, blocks):
+                    mat[rows, cols] = block
         return tuple(mats) if deriv else mats[0]
 
     def velocity(self, Xi, Xj, C):
-        """Velocity V[p] = sum_q K[p, q] C[q] without forming K: each block is
-        applied to its columns' vectors as it comes, and in the square Gram
-        each block above the block diagonal also stands, transposed, for
-        its mirror below it."""
+        """Velocity V[p] = sum_q K[p, q] C[q]: a rectangular set-up applies
+        each block to its columns' vectors as it comes, without forming K;
+        the square Gram is formed whole."""
+        if self.square:
+            return self.matrix(Xi) @ C
         vel = np.zeros((Xi.shape[0], C.shape[1]))
         for rows, cols, kmat in self(Xi, Xj):
             vel[rows] += kmat @ C[cols]
-            if self.square and cols.start >= rows.stop:  # strictly above the diagonal
-                vel[cols] += kmat.T @ C[rows]
         return vel
 
 
@@ -502,7 +521,8 @@ def kernel_matrix(kernel, scales_i, Xi, scales_j=None, Xj=None, deriv=False):
 
     With deriv=True, returns (K, dK/du) where u is the squared distance;
     the caller applies the chain rule dK/dx_p = 2 dK/du (x_p - x_q).
-    Without columns it is the square Gram of Xi.  One call sets up its own
+    Without columns it is the square Gram of Xi, each unordered pair of a
+    tabulated block evaluated once.  One call sets up its own
     `KernelBlocks`; a caller evaluating many steps sets one up itself.
     """
     return KernelBlocks(kernel, scales_i, scales_j).matrix(Xi, Xj, deriv)
@@ -542,14 +562,15 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-def integrate_forward(kernel, system, controls, keep_blocks=True):
+def integrate_forward(kernel, system, controls, keep_blocks=True, gram=None, store=None):
     """Explicit Euler integration of the landmark dynamics.
 
-    Each step evaluates the landmark Gram K once, with one `KernelBlocks`
-    set up for the whole pass, and moves the landmarks by K a.  With
-    keep_blocks, and while the store fits MAX_BLOCK_BYTES, the step also
-    evaluates dK/du and keeps both matrices on the trajectory for the
-    adjoint; the store changes memory only, never a value.
+    Each step evaluates the landmark Gram K once, through `gram` (a caller's
+    `KernelBlocks` of the point scales, or one set up for the pass), and
+    moves the landmarks by K a.  With keep_blocks, and while the store fits
+    MAX_BLOCK_BYTES, the step also evaluates dK/du and keeps both matrices
+    on the trajectory for the adjoint, in `store` (an earlier pass's
+    blocks) if it has the store's shape; the store changes memory only.
     Accumulates the control energy 0.5 * sum_i dt * a^T K(x(t_i)) a; a step
     whose a^T K a is below -(TABLE_RTOL + 4 P eps) W (sum |a|)^2, W the Gram's
     `bound`, raises FloatingPointError.  That slack covers each element's
@@ -570,9 +591,9 @@ def integrate_forward(kernel, system, controls, keep_blocks=True):
     if keep_blocks and 8 * np.prod(block_shape) <= MAX_BLOCK_BYTES:
         # one allocation, which the allocator hands back whole once released;
         # 2T small matrices would leave the heap larger at its next peak
-        blocks = np.empty(block_shape)
+        blocks = store if getattr(store, "shape", None) == block_shape else np.empty(block_shape)
     energy = 0.0
-    gram = KernelBlocks(kernel, system.point_scales)
+    gram = KernelBlocks(kernel, system.point_scales) if gram is None else gram
     # u overflows to inf far apart, where K is 0; an overflowed step raises
     with np.errstate(over="ignore", invalid="ignore"):
         slack = (TABLE_RTOL + 4 * system.num_points * np.finfo(float).eps) * gram.bound

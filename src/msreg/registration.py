@@ -12,23 +12,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import integrate_forward, kernel_matrix
+from .flow import KernelBlocks, integrate_forward, kernel_matrix
 
 MAX_HALVINGS = 40  # Armijo backtracking halvings before a line search fails
 
 
 @dataclass
 class Objective:
-    """Registration objective: energy + weight * sum of squared endpoint errors."""
+    """Registration objective: energy + weight * sum of squared endpoint errors.
+
+    `gram`, the landmark Gram's `KernelBlocks`, is set up once and serves
+    every forward pass.  The passes of `evaluate` also share one store of
+    per-step Grams: before a pass writes into it, the trajectory that held
+    it loses its blocks, so that trajectory's gradient evaluates its own."""
 
     kernel: object
     system: object
     num_steps: int = 20
 
+    def __post_init__(self):
+        self.gram = KernelBlocks(self.kernel, self.system.point_scales)
+        self._store = self._holder = None
+
     def evaluate(self, controls):
         """Returns (value, energy, match, trajectory): the forward pass of
         `controls` and its score; deterministic for fixed inputs."""
-        trajectory = integrate_forward(self.kernel, self.system, controls)
+        if self._holder is not None:
+            self._holder.blocks = None  # this pass overwrites them
+        trajectory = integrate_forward(self.kernel, self.system, controls, True, self.gram,
+                                       self._store)
+        self._store, self._holder = trajectory.blocks, trajectory
         mismatch = trajectory.endpoints - self.system.targets
         match = self.system.weight * float(np.einsum("pd,pd->", mismatch, mismatch))
         return trajectory.energy + match, trajectory.energy, match, trajectory
@@ -44,7 +57,7 @@ class Objective:
         trajectory without blocks it evaluates each step's Gram itself.
         """
         if trajectory is None:
-            trajectory = integrate_forward(self.kernel, self.system, controls)
+            trajectory = integrate_forward(self.kernel, self.system, controls, True, self.gram)
         system = self.system
         scales = system.point_scales
         blocks = trajectory.blocks

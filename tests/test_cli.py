@@ -839,6 +839,17 @@ class TestRegister:
         controls = json.loads((root / "controls.json").read_text())
         assert np.asarray(controls["controls"]).shape == (6, 16, 2)
 
+    def test_summary_counts_the_kernel_work_of_the_forward_passes(self, tmp_path, capsys):
+        path = write_config(tmp_path, DIRAC_CONFIG)
+        assert main(["--config", str(path), "register"]) == EXIT_OK
+        summary = json.loads((run_dir_of(capsys) / "register_summary.json").read_text())
+        kernel = build_kernel(ExperimentConfig(DIRAC_CONFIG))[0]
+        terms = [kernel.slice(lam, mu)[1].size for lam, mu in [(0.1, 0.1), (0.1, 2.0), (2.0, 2.0)]]
+        # 6 steps per pass, each of three 8 x 8 blocks summed whole by exp
+        per_pass = 6 * 64 * sum(terms)
+        assert summary["kernel_exp_terms"] == summary["forward_passes"] * per_pass
+        assert summary["kernel_table_reads"] == 0
+
     def test_history_rows_format(self, tmp_path, capsys):
         path = write_config(tmp_path, DIRAC_CONFIG)
         assert main(["--config", str(path), "register"]) == EXIT_OK

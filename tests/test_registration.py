@@ -178,6 +178,20 @@ class TestGradient:
         assert np.array_equal(dropped.positions, kept.positions)
         assert dropped.energy == kept.energy
 
+    def test_a_pass_takes_the_store_from_the_trajectory_that_held_it(self):
+        rng = np.random.default_rng(17)
+        sys0 = random_system(rng)
+        obj = Objective(KERNEL, sys0, num_steps=5)
+        controls_a, controls_b = 0.3 * rng.normal(size=(2, 5, 6, 2))
+        traj_a = obj.evaluate(controls_a)[3]
+        store = traj_a.blocks
+        traj_b = obj.evaluate(controls_b)[3]
+        assert traj_a.blocks is None and traj_b.blocks is store  # one store, reused
+        fresh = obj.gradient(controls_a)
+        assert traj_b.blocks is store  # a gradient's own pass keeps its own blocks
+        # A's sweep evaluates its Grams again, to the bits of A's own pass
+        assert np.array_equal(obj.gradient(controls_a, trajectory=traj_a), fresh)
+
     @pytest.mark.parametrize("keep_blocks", [True, False], ids=["kept_blocks", "no_blocks"])
     def test_matches_the_difference_form_oracle(self, experiment_kernel, keep_blocks,
                                                 monkeypatch):
@@ -250,6 +264,19 @@ class TestExperimentGram:
             for mat, ref, tol in zip(mats, want, tols):
                 assert np.all(np.abs(mat - ref) <= tol)
                 assert not np.array_equal(mat, ref)
+
+
+    def test_evaluates_each_unordered_pair_once(self, experiment_kernel, monkeypatch):
+        sys0 = experiment_case()[0]
+        elements = []
+        quintic = flow._quintic
+        monkeypatch.setattr(flow, "_quintic",
+                            lambda u, *args: elements.append(u.size) or quintic(u, *args))
+        gram = flow.KernelBlocks(experiment_kernel, sys0.point_scales)
+        gram.matrix(sys0.points, deriv=True)
+        # the i <= j pairs of the two 30 x 30 diagonal blocks and the 30 x 30 block between
+        assert sum(elements) == 465 + 900 + 465
+        assert gram.table_reads == sum(elements) and gram.exp_terms == 0
 
 
 class TestOptimize:
@@ -347,3 +374,23 @@ class TestOptimize:
         assert result.line_search_halvings > 0
         assert len(made) == result.forward_passes
         assert result.trajectory.blocks is None
+
+    def test_sets_up_one_square_gram_per_objective(self, monkeypatch):
+        made = []
+        init = flow.KernelBlocks.__init__
+
+        def recording_init(blocks, kernel, scales_i, scales_j=None):
+            made.append(scales_j is None)
+            init(blocks, kernel, scales_i, scales_j)
+
+        monkeypatch.setattr(flow.KernelBlocks, "__init__", recording_init)
+        sys0 = random_system(np.random.default_rng(13))
+        obj = Objective(KERNEL, sys0, num_steps=6)
+        result = optimize(obj, max_iters=25)
+        assert result.forward_passes > 1
+        assert made == [True]
+        # its counts are the work of every forward pass: 6 steps of three
+        # 3 x 3 blocks, each summed whole by exp
+        terms = [KERNEL.slice(lam, mu)[1].size for lam, mu in [(0.1, 0.1), (0.1, 2.0), (2.0, 2.0)]]
+        assert obj.gram.exp_terms == result.forward_passes * 6 * 9 * sum(terms)
+        assert obj.gram.table_reads == 0
