@@ -148,12 +148,19 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"{path} is not UTF-8: {err}") from None
+        return cls.loads(text)
 
     @classmethod
     def loads(cls, text):
-        return cls(json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {text[:40]!r}")
+        return cls(data)
 
     def dumps(self):
         return json.dumps(self.data, indent=2, sort_keys=True)

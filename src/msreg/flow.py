@@ -79,8 +79,8 @@ CSV_ROWS = 1024
 # TABLE_MIN_ELEMENTS elements.  A table read costs about what 5 or 6
 # terms' exp do (on one core, a 4096 x 30 block of 4 terms took 1.03
 # times as long from a table, one of 8 terms 0.82 times), and the small
-# tabulated blocks of a call share their chunks: the three 30 x 30 blocks
-# of a 60-landmark, two-scale Gram with dK/du are one chunk, in about 0.6
+# tabulated blocks of a square Gram share segments: the three 30 x 30 blocks
+# of a 60-landmark, two-scale Gram with dK/du are one segment, in about 0.6
 # times the time of their exp loop.  But a table costs about a
 # millisecond to lay out and fill, which small blocks do not earn back in
 # a short run: with tables, runs of 8 landmarks per scale (blocks of 64
@@ -107,7 +107,7 @@ TABLE_MAX_NODES = 1 << 17
 _VALUE_ERROR = 1.0 / (720 * 64)
 _SLOPE_ERROR = 0.0537 / 720
 
-# Table nodes filled at a time: each chunk fills its tables through the
+# Table nodes filled at a time: each segment fills its tables through the
 # block that holds the node of its largest distance, and the (3 x terms x
 # nodes) basis of one fill stays small.
 _FILL_NODES = 512
@@ -175,8 +175,8 @@ class HermiteTable:
     The coefficients are summed per term, C_j = sum_t w[t] e^{-a[t] u_k}
     c_j(a[t] du_k), and scaled by du_k^-j: coefficients fitted to the
     summed values lose dK/du near r = 0 to the cancellation between the
-    terms.  `KernelBlocks` fills each chunk's tables up to the node of the
-    chunk's largest distance before reading them, so a table is filled as
+    terms.  `KernelBlocks` fills each segment's tables up to the node of
+    its largest distance before reading them, so a table is filled as
     far as the distances read, not out to R."""
 
     def __init__(self, w, a, step, num):
@@ -230,18 +230,6 @@ def _quintic(u, s, g, dk):
     return dk
 
 
-def _exp_sum(u, buf, w, wa, neg_a, deriv, out=None):
-    """K over the flat squared distances u, written into u, from the exp
-    terms of (w, a), neg_a = -a as a column, term-major in `buf`; with
-    deriv, returns dK/du, written into `out` or a new array."""
-    expo = buf[: neg_a.size * u.size].reshape(neg_a.size, u.size)
-    np.exp(np.multiply(neg_a, u, out=expo), out=expo)
-    # np.dot gives the bits of `w @ expo`, and a one-term mixture costs it
-    # a scaled copy where matmul is about 3x slower
-    np.dot(w, expo, out=u)
-    return np.negative(np.dot(wa, expo, out=out), out=out) if deriv else None
-
-
 def hermite_table(kernel, w, a):
     """The Hermite table of the mixture (w, a), memoised on the kernel by
     the mixture's values, so one is built per kernel and slice; None past
@@ -273,30 +261,29 @@ def _elements(rows, cols):
     return np.indices(shape).reshape(2, -1) + [[rows.start], [cols.start]]
 
 
+def _row_chunks(rows, cols, floats):
+    """The block rows x cols cut into chunks of whole rows: as many as keep
+    `floats` floats per element within CHUNK_ELEMENTS, and at least one."""
+    height, width = rows.stop - rows.start, cols.stop - cols.start
+    step = min(max(1, CHUNK_ELEMENTS // (floats * width)), height)
+    return [slice(r0, min(r0 + step, rows.stop)) for r0 in range(rows.start, rows.stop, step)]
+
+
 class _TableReads:
-    """Elements read together from the stack, `tables` each once: per
-    element, the index `ids` of its table in the stacked tables, that
-    table's cap and inverse node step, and its offset in the stack."""
+    """How a segment reads Hermite tables.  From one, `table`: its rows,
+    with its cap and inverse node step.  From several `tables`: their stack
+    (`KernelBlocks._restack`), with per element the cap and inverse node
+    step of its table `tables[ids]` and its offset in the stack."""
 
-    table = None  # the stack, not a table of its own, is read
-
-    def __init__(self, ids, stacked):
-        self.tables = [stacked[k] for k in np.unique(ids)]
-        self.ids, self.offset = ids, np.empty_like(ids)
-        self.cap = np.array([t.cap for t in stacked])[ids]
-        self.inv_step = np.array([t.inv_step for t in stacked])[ids]
-
-
-class _TableRows:
-    """A tabulated block of a rectangular set-up, read from its `table` in
-    row chunks of at most CHUNK_ELEMENTS / 7 elements."""
-
-    def __init__(self, rows, cols, table):
-        width = cols.stop - cols.start
-        step = min(max(1, CHUNK_ELEMENTS // (7 * width)), rows.stop - rows.start)
-        self.starts, self.stop, self.cols = range(rows.start, rows.stop, step), rows.stop, cols
-        self.size = step * width
-        self.table, self.tables, self.cap, self.inv_step = table, [table], table.cap, table.inv_step
+    def __init__(self, tables, ids=None):
+        if len(tables) == 1:
+            self.table, self.tables = tables[0], tables
+            self.cap, self.inv_step = self.table.cap, self.table.inv_step
+        else:  # `tables` keeps the ones read
+            self.table, self.tables = None, [tables[k] for k in np.unique(ids)]
+            self.ids, self.offset = ids, np.empty_like(ids)
+            self.cap = np.array([t.cap for t in tables])[ids]
+            self.inv_step = np.array([t.inv_step for t in tables])[ids]
 
 
 class KernelBlocks:
@@ -312,36 +299,33 @@ class KernelBlocks:
 
     The set-up, done once per `Objective`, forward pass or transport,
     takes the mixture slice of each block between a run of equal row scale
-    and one of equal column scale, lays out its chunks and allocates the
-    buffers that every call reuses.  A block whose slice has at least
-    TABLE_MIN_TERMS terms and which holds at least TABLE_MIN_ELEMENTS
-    elements (rows x cols, on a square Gram's diagonal too) reads the
-    slice's `HermiteTable`, memoised on the kernel (`hermite_table`); every
-    other block sums its exp terms in row chunks of about CHUNK_ELEMENTS
-    terms x elements (`_exp_sum`).  A chunk of table reads gathers 7 floats
-    per element, from its table or from the stack of the set-up's tables,
-    memoised on the kernel (`_restack`), after it fills each of its tables
-    up to the node that its largest u (NaN ignored) reads (`_read`).  This
-    is a lazy kernel reduction in the manner of KeOps (Charlier et al.,
-    JMLR 2021): no (rows x cols x terms) tensor is ever formed.  No |K|
-    exceeds `bound`, the largest sum_t |w[t]| of a block's slice.
+    and one of equal column scale, lays the blocks out as segments and
+    allocates the buffers that every call reuses; a call is one loop over
+    the segments.  A block whose slice has at least TABLE_MIN_TERMS terms
+    and which holds at least TABLE_MIN_ELEMENTS elements (rows x cols, on a
+    square Gram's diagonal too) reads the slice's `HermiteTable`, memoised
+    on the kernel (`hermite_table`), 7 floats per element (`_read`); every
+    other block sums its exp terms (`_exp_sum`).  This is a lazy kernel
+    reduction in the manner of KeOps (Charlier et al., JMLR 2021): no
+    (rows x cols x terms) tensor is ever formed.  No |K| exceeds `bound`,
+    the largest sum_t |w[t]| of a block's slice.
 
-    With column scales, calling it at row positions Xi and column positions
-    Xj yields (rows, cols, K), or with deriv (rows, cols, K, dK/du) where u
-    is the squared distance, for each row chunk of each block: first the
-    exp blocks, then the tabulated ones, each from its own table
-    (`_TableRows`).  K (and dK/du) is a view of a buffer that the next
-    chunk overwrites, so a caller must use each block before the next.
+    With column scales, each segment is a row chunk of a block, of about
+    CHUNK_ELEMENTS floats (`_row_chunks`), the exp blocks' first.  Calling
+    it at row positions Xi and column positions Xj yields (rows, cols, K),
+    or with deriv (rows, cols, K, dK/du) where u is the squared distance,
+    per segment: views of buffers that the next segment overwrites, so a
+    caller must use each before the next.
 
-    Without column scales it is the symmetric Gram of the rows.  Calling it
-    at Xi returns (K,), or (K, dK/du), on one flat list of elements, from
-    which `matrix` gathers the Gram.  The list holds the exp blocks on and
-    above the block diagonal, whole and in a rectangular call's row chunks
-    (the gemv gives the last elements mod 4 of a call other bits), then the
-    tabulated blocks' i <= j pairs, read from the stack in chunks of
-    CHUNK_ELEMENTS / 7.  `exp_terms` and `table_reads` count, over all
-    calls, the elements times terms summed by exp and the elements read
-    from tables.
+    Without column scales it is the symmetric Gram of the rows, and each
+    segment a range of one flat list of elements: the exp blocks on and
+    above the block diagonal, in a rectangular call's row chunks (the gemv
+    gives the last elements mod 4 of a chunk other bits), then the
+    tabulated blocks' i <= j pairs in ranges of CHUNK_ELEMENTS / 7.
+    Calling it at Xi returns (K,), or (K, dK/du), on the list, from which
+    `matrix` gathers the Gram.  `exp_terms` and `table_reads` count, over
+    all calls, the elements times terms summed by exp and the elements
+    read from tables.
     """
 
     def __init__(self, kernel, scales_i, scales_j=None):
@@ -349,89 +333,109 @@ class KernelBlocks:
         runs_i = _scale_runs(scales_i)
         runs_j = runs_i if self.square else _scale_runs(scales_j)
         self.shape = (scales_i.size, (scales_i if self.square else scales_j).size)
-        blocks, tabulated, size, u_size, self.bound = [], [], 0, 0, 0.0
+        exp, tabulated, size, self.bound = [], [], 0, 0.0
         for i0, i1, si in runs_i:
             for j0, j1, sj in runs_j:
                 if self.square and j0 < i0:
                     continue
                 w, a = kernel.slice(si, sj)
                 self.bound = max(self.bound, float(np.abs(w).sum()))
-                table = None
+                rows, cols, table = slice(i0, i1), slice(j0, j1), None
                 if a.size >= TABLE_MIN_TERMS and (i1 - i0) * (j1 - j0) >= TABLE_MIN_ELEMENTS:
                     table = hermite_table(kernel, w, a)
-                rows, cols = slice(i0, i1), slice(j0, j1)
                 if table is not None:
                     tabulated.append((rows, cols, table))
                     continue
-                width = j1 - j0
-                step = min(max(1, CHUNK_ELEMENTS // (a.size * width)), i1 - i0)
-                blocks.append((range(i0, i1, step), i1, cols, w, w * a, -a[:, None]))
-                size = max(size, step * width * a.size)
-                u_size = max(u_size, step * width)
-        self._blocks, self._tables = blocks, []  # the tables of the stack
+                chunks, terms = _row_chunks(rows, cols, a.size), (w, w * a, -a[:, None])
+                exp += [(chunk, cols, terms) for chunk in chunks]
+                size = max(size, (chunks[0].stop - i0) * (j1 - j0) * a.size)
+        self._tables = []  # the tables of the stack, if a square Gram reads several
         if self.square:
-            t_size = self._lay_out_pairs(tabulated)
+            t_size = self._lay_out_pairs(exp, tabulated)
         else:
-            self._rects = [_TableRows(*block) for block in tabulated]
-            t_size = max((rect.size for rect in self._rects), default=0)
-            self._ubuf, self._sbuf = np.empty(max(u_size, t_size)), np.empty(t_size)
+            self._segments = [((r, c), KernelBlocks._exp_sum, terms) for r, c, terms in exp]
+            self._segments += [((chunk, cols), KernelBlocks._read, _TableReads([table]))
+                               for rows, cols, table in tabulated
+                               for chunk in _row_chunks(rows, cols, 7)]
+            sizes = [(r.stop - r.start) * (c.stop - c.start) for (r, c), *_ in self._segments]
+            t_size = max(sizes[len(exp) :], default=0)
+            self._ubuf, self._sbuf = np.empty(max(sizes, default=0)), np.empty(t_size)
         self._buf = np.empty(max(size, 7 * t_size))
         self._ibuf = np.empty(t_size, dtype=np.intp)
         if self._tables:
             self._stacks = vars(kernel).setdefault("_hermite_stacks", {})
             self._restack()
 
-    def _lay_out_pairs(self, tabulated):
-        """The square Gram's list of elements (`_pi`, `_pj`), its chunks of
-        table reads, the index in the list of each Gram element (`_gather`)
-        and the work of a call; returns the size of a chunk of table reads."""
-        self._tables = list(dict.fromkeys(table for _, _, table in tabulated))
-        exp = [_elements(slice(starts.start, i1), cols) for starts, i1, cols, *_ in self._blocks]
+    def _lay_out_pairs(self, exp, tabulated):
+        """The square Gram's list of elements (`_pi`, `_pj`), its segments,
+        the index in the list of each Gram element (`_gather`) and the work
+        of a call; returns the size of the largest segment of table reads."""
+        exp = [(_elements(rows, cols), terms) for rows, cols, terms in exp]
         pairs = [_elements(rows, cols) for rows, cols, _ in tabulated]
         pairs = [pq[:, pq[0] <= pq[1]] for pq in pairs]  # i <= j
-        self._pi, self._pj = np.concatenate([np.empty((2, 0), dtype=np.intp), *exp, *pairs], 1)
+        self._pi, self._pj = np.concatenate(
+            [np.empty((2, 0), dtype=np.intp), *(pq for pq, _ in exp), *pairs], 1)
         count = np.arange(self._pi.size)
         self._gather = np.empty(self.shape, dtype=np.intp)
         self._gather[self._pj, self._pi] = count  # below the diagonal, unless
         self._gather[self._pi, self._pj] = count  # the element is its own
-        ids = np.repeat(np.array([self._tables.index(t) for *_, t in tabulated], dtype=np.intp),
-                        [p.shape[1] for p in pairs])
-        first, step = self._pi.size - ids.size, CHUNK_ELEMENTS // 7
-        self._chunks = [(first + c, _TableReads(ids[c : c + step], self._tables))
-                        for c in range(0, ids.size, step)]
-        self._u, self._s, self._dk = np.empty((3, self._pi.size))
+        tables = list(dict.fromkeys(table for *_, table in tabulated))
+        ids = np.repeat(np.array([tables.index(t) for *_, t in tabulated], dtype=np.intp),
+                        [pq.shape[1] for pq in pairs])
+        ends = np.cumsum([0] + [pq.shape[1] for pq, _ in exp]).tolist()
+        self._segments = [(slice(r0, r1), KernelBlocks._exp_sum, terms)
+                          for r0, r1, (_, terms) in zip(ends, ends[1:], exp)]
+        first, step = ends[-1], CHUNK_ELEMENTS // 7
+        self._segments += [(slice(first + c, first + min(c + step, ids.size)), KernelBlocks._read,
+                            _TableReads(tables, ids[c : c + step]))
+                           for c in range(0, ids.size, step)]
+        self._tables = tables if len(tables) > 1 else []
+        self._u, self._sbuf, self._dk = np.empty((3, self._pi.size))
         self.exp_terms, self.table_reads = 0, 0
-        self._work = (sum(e.shape[1] * b[-1].size for e, b in zip(exp, self._blocks)), ids.size)
+        self._work = (sum(pq.shape[1] * terms[0].size for pq, terms in exp), ids.size)
         return min(step, ids.size)
 
     def _restack(self):
-        """Point each chunk of reads from the stack at its elements' tables'
-        nodes in the stack of `_tables`: their filled nodes side by side,
-        column num of a full table included (one table is its own stack),
-        memoised on the kernel as the tables are and rebuilt once they fill
-        more.  Filled nodes never change, so a stack that lacks a table's
-        later fills still reads its earlier ones."""
+        """Point each segment of reads from the stack at its elements'
+        tables' nodes in the stack of `_tables`: their filled nodes side by
+        side, column num of a full table included, memoised on the kernel as
+        the tables are and rebuilt once they fill more.  Filled nodes never
+        change, so a stack that lacks a table's later fills still reads its
+        earlier ones."""
         widths = [t.filled + 1 for t in self._tables]
         key = tuple(self._tables)
         if key not in self._stacks or self._stacks[key].shape[1] < sum(widths):
-            self._stacks[key] = key[0].rows if len(key) == 1 else np.concatenate(
+            self._stacks[key] = np.concatenate(
                 [t.rows[:, :width] for t, width in zip(self._tables, widths)], axis=1)
         self._stack, offsets = self._stacks[key], np.cumsum([0] + widths)
-        for _, reads in self._chunks:
-            np.take(offsets, reads.ids, out=reads.offset)
+        for _, step, reads in self._segments:
+            if step is KernelBlocks._read:
+                np.take(offsets, reads.ids, out=reads.offset)
 
-    def _read(self, u, s, reads, deriv, out=None):
-        """K at the flat squared distances u of a chunk of table reads,
-        written into u; with deriv, returns dK/du, written into `out` or a
-        buffer.  s is a float buffer of u's size."""
-        # fill each table to the node of the chunk's largest u: the same
-        # operations below take no element's u past it
+    def _exp_sum(self, u, terms, deriv, out=None):
+        """K at a segment's flat squared distances u, written into u, from
+        its exp `terms` (w, w a, and -a as a column), term-major in the float
+        buffer; with deriv, returns dK/du, written into `out` or a new array."""
+        w, wa, neg_a = terms
+        expo = self._buf[: neg_a.size * u.size].reshape(neg_a.size, u.size)
+        np.exp(np.multiply(neg_a, u, out=expo), out=expo)
+        # np.dot gives the bits of `w @ expo`, and a one-term mixture costs it
+        # a scaled copy where matmul is about 3x slower
+        np.dot(w, expo, out=u)
+        return np.negative(np.dot(wa, expo, out=out), out=out) if deriv else None
+
+    def _read(self, u, reads, deriv, out=None):
+        """K at a segment's flat squared distances u, written into u, from
+        its table `reads`, each table filled first up to the node that its
+        largest u (NaN ignored) reads; with deriv, returns dK/du, written
+        into `out` or the float buffer."""
         top = np.fmax.reduce(u)  # NaN only if every u is
-        if not math.isnan(top):
+        if not math.isnan(top):  # the operations below take no u past it
             for table in reads.tables:
                 node = int(math.sqrt(min(top, table.cap)) * table.inv_step)
                 if node >= table.filled:
                     table.fill(node)
+        g, s = self._buf[: 7 * u.size].reshape(7, -1), self._sbuf[: u.size]
         # u's interval is floor(sqrt(u) / h), a node of its table
         np.minimum(u, reads.cap, out=u)
         np.sqrt(u, out=s)
@@ -439,12 +443,12 @@ class KernelBlocks:
         index = self._ibuf[: u.size]
         np.copyto(index, s, casting="unsafe")
         if reads.table is None:
-            # restack fills since the last, this chunk's or another set-up's
+            # restack fills since the last, this segment's or another set-up's
             if self._stack.shape[1] < sum(t.filled + 1 for t in self._tables):
                 self._restack()
             index += reads.offset
         nodes = self._stack if reads.table is None else reads.table.rows
-        g = np.take(nodes, index, axis=1, mode="clip", out=self._buf[: 7 * u.size].reshape(7, -1))
+        np.take(nodes, index, axis=1, mode="clip", out=g)
         return _quintic(u, s, g, (g[0] if out is None else out) if deriv else None)
 
     def __call__(self, Xi, Xj=None, deriv=False):
@@ -453,46 +457,27 @@ class KernelBlocks:
     def _pairs(self, Xi, deriv):
         self.exp_terms += self._work[0]
         self.table_reads += self._work[1]
-        u, s, dk = self._u, self._s, self._dk
-        _squared_distances(u, s, *(np.take(Xi, ends, axis=0).T for ends in (self._pi, self._pj)))
-        r0 = 0
-        for starts, i1, cols, w, wa, neg_a in self._blocks:
-            for row in starts:
-                r1 = r0 + (min(row + starts.step, i1) - row) * (cols.stop - cols.start)
-                _exp_sum(u[r0:r1], self._buf, w, wa, neg_a, deriv, dk[r0:r1])
-                r0 = r1
-        for r0, reads in self._chunks:
-            r1 = r0 + reads.ids.size
-            self._read(u[r0:r1], s[r0:r1], reads, deriv, dk[r0:r1])
+        u, dk = self._u, self._dk
+        xi, xj = (np.take(Xi, ends, axis=0).T for ends in (self._pi, self._pj))
+        _squared_distances(u, self._sbuf, xi, xj)
+        for span, step, arg in self._segments:
+            step(self, u[span], arg, deriv, dk[span])
         return (u, dk) if deriv else (u,)
 
     def _chunks_of(self, Xi, Xj, deriv):
         rows_t = Xi.T[:, :, None]  # each row coordinate as a column
-        cols_t = (Xi if Xj is None else Xj).T.copy()  # contiguous column coordinates
-        buf, ubuf = self._buf, self._ubuf
-        for starts, i1, cols, w, wa, neg_a in self._blocks:
-            width, xj = cols.stop - cols.start, cols_t[:, cols]
-            for r0 in starts:
-                rows = slice(r0, min(r0 + starts.step, i1))
-                shape = (rows.stop - r0, width)
-                u = ubuf[: shape[0] * width].reshape(shape)
-                _squared_distances(u, buf[: u.size].reshape(shape), rows_t[:, rows], xj)
-                dk = _exp_sum(u.reshape(-1), buf, w, wa, neg_a, deriv)
-                yield (rows, cols, u, dk.reshape(shape)) if deriv else (rows, cols, u)
-        for rect in self._rects:
-            cols = rect.cols
-            for r0 in rect.starts:
-                rows = slice(r0, min(r0 + rect.starts.step, rect.stop))
-                shape = (rows.stop - r0, cols.stop - cols.start)
-                n = shape[0] * shape[1]
-                u, s = ubuf[:n].reshape(shape), self._sbuf[:n].reshape(shape)
-                _squared_distances(u, s, rows_t[:, rows], cols_t[:, cols])
-                dk = self._read(u.reshape(-1), s.reshape(-1), rect, deriv)
-                yield (rows, cols, u, dk.reshape(shape)) if deriv else (rows, cols, u)
+        cols_t = Xj.T.copy()  # contiguous column coordinates
+        for (rows, cols), step, arg in self._segments:
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            u = self._ubuf[: shape[0] * shape[1]].reshape(shape)
+            scratch = self._buf[: u.size].reshape(shape)
+            _squared_distances(u, scratch, rows_t[:, rows], cols_t[:, cols])
+            dk = step(self, u.reshape(-1), arg, deriv)
+            yield (rows, cols, u, dk.reshape(shape)) if deriv else (rows, cols, u)
 
     def matrix(self, Xi, Xj=None, deriv=False, out=None):
         """K, or with deriv (K, dK/du), into new matrices or into `out`, a
-        sequence of as many: scattered from the blocks, or in the square
+        sequence of as many: scattered from the segments, or in the square
         Gram gathered from its list of elements."""
         mats = [np.empty(self.shape) for _ in range(1 + deriv)] if out is None else out
         if self.square:
@@ -505,11 +490,9 @@ class KernelBlocks:
         return tuple(mats) if deriv else mats[0]
 
     def velocity(self, Xi, Xj, C):
-        """Velocity V[p] = sum_q K[p, q] C[q]: a rectangular set-up applies
-        each block to its columns' vectors as it comes, without forming K;
-        the square Gram is formed whole."""
-        if self.square:
-            return self.matrix(Xi) @ C
+        """Velocity V[p] = sum_q K[p, q] C[q] of a rectangular set-up: each
+        segment is applied to its columns' vectors as it comes, without
+        forming K."""
         vel = np.zeros((Xi.shape[0], C.shape[1]))
         for rows, cols, kmat in self(Xi, Xj):
             vel[rows] += kmat @ C[cols]

@@ -6,7 +6,7 @@ constructions in this package are piecewise constant on the resulting
 intervals, so the ladder is the shared configuration object they all consume.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

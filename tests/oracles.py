@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import j0
 
 from msreg.ladder import node_index
+from msreg.spectral import SpectralGrid, compute_spectral_table
 
 
 def adaptive_simpson(f, a, b, tol=1e-12, max_depth=50):
@@ -192,6 +193,22 @@ class SpectralKernelEvaluator:
         r = np.asarray(r, dtype=float)
         integrand = khat * xis * j0(2.0 * np.pi * np.multiply.outer(r, xis))
         return 2.0 * np.pi * np.trapezoid(integrand, xis, axis=-1)
+
+
+def hankel_kernel(ladder, sigma, r, panels=64, order=16):
+    """The exact kernel of the Lebesgue measure sigma on the ladder, at the
+    distances r: (nodes, nodes, len(r)), the 2-D Hankel transform
+    K(r) = 2 pi int S(xi) J0(2 pi xi r) xi dxi of the spectral solve S over
+    [0, 4 / (pi s1)], by Gauss-Legendre quadrature of `order` nodes on each
+    of `panels` equal panels.  Not the uniform trapezoid rule: it is only
+    second order here, since xi S(xi) J0(2 pi xi r) is odd in xi."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, 4.0 / (np.pi * ladder.s1), panels + 1)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    xis, weights = (mid + half * x).ravel(), (half * w).ravel()
+    spectra = compute_spectral_table(ladder, sigma, SpectralGrid(xis)).values
+    bessel = j0(2.0 * np.pi * np.multiply.outer(xis, np.asarray(r, dtype=float)))
+    return 2.0 * np.pi * (spectra * (weights * xis)) @ bessel
 
 
 def mixture_value(kernel, lam, mu, r):

@@ -126,10 +126,14 @@ class TestArgumentHandling:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [b"{not json", b"[1]", b"3", b'"s"', b"null", b"NaN",
+                                         b"\xff"])
+    def test_invalid_json(self, tmp_path, capsys, content):
+        # not JSON, JSON but not an object, or not UTF-8
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert main(["--config", str(path), "check"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_invalid_override(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CONFIG)

@@ -145,18 +145,6 @@ class TestKernelMatrix:
                         err = np.abs(sq[rows, cols] - re[rows, cols])
                         assert np.all(err <= 1e-13 * rate * term_sums)
 
-    @pytest.mark.parametrize("runs", [(5, 5), (3, 400, 2), (700,)])
-    def test_square_velocity_is_the_square_gram_times_the_controls(self, mixture, runs):
-        kernel, (lo, hi) = mixture
-        rng = np.random.default_rng(sum(runs))
-        scales = np.array([lo, hi, lo][: len(runs)]).repeat(runs)
-        x = rng.normal(scale=0.5, size=(scales.size, 2))
-        controls = rng.normal(size=(scales.size, 2))
-        vel = KernelBlocks(kernel, scales).velocity(x, None, controls)
-        kmat = kernel_matrix(kernel, scales, x)
-        bound = 1e-13 * np.abs(kmat).dot(np.abs(controls))
-        assert np.all(np.abs(vel - kmat.dot(controls)) <= bound)
-
     def test_rectangular_and_derivative(self):
         rng = np.random.default_rng(2)
         xi = rng.normal(size=(4, 2))
@@ -511,6 +499,22 @@ class TestHermiteTable:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert [table.filled for table in tables] == filled  # the Gram filled nothing
         assert KernelBlocks(kernel, scales)._stack is gram._stack  # one stack per kernel
+
+    def test_a_gram_of_one_table_reads_its_rows_and_stacks_nothing(self):
+        # the Dirac kernel's Gram of two runs of 30: only its 16-term (2.0, 2.0)
+        # block is tabulated
+        rng = np.random.default_rng(41)
+        scales = np.repeat([0.1, 2.0], 30)
+        points = rng.normal(scale=0.6, size=(60, 2))
+        kernel = Cold(KERNEL)
+        gram = KernelBlocks(kernel, scales)
+        got = gram.matrix(points, deriv=True)
+        assert "_hermite_stacks" not in vars(kernel)
+        table = flow.hermite_table(kernel, *kernel.slice(2.0, 2.0))
+        reads = [reads for _, step, reads in gram._segments if step is KernelBlocks._read]
+        assert reads and all(r.table is table for r in reads)
+        want = kernel_matrix(kernel, scales[30:], points[30:], scales[30:], points[30:], deriv=True)
+        assert all(np.array_equal(g[30:, 30:], w) for g, w in zip(got, want))
 
     def test_a_table_is_7_floats_per_node_and_filled_only_as_far_as_read(self,
                                                                          experiment_kernel):

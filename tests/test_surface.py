@@ -68,6 +68,22 @@ def _definitions(tree):
             yield member.lineno, f"{node.name}.{name}", name
 
 
+def test_every_import_is_used():
+    """Every name that a package module (not `__init__.py`, whose imports
+    are its re-exports) imports appears in it as a `Name`."""
+    unused = []
+    for path in sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
 def test_no_environment_reads():
     """No package module reads `os.environ` or calls `os.getenv`: a run is
     set by its config alone."""
