@@ -160,18 +160,16 @@ def cmd_register(config, root, kernel_table_path=None):
         writer.writerows((i, *row) for i, row in enumerate(result.history))
     files.append(hist_path)
     controls_path = root / "controls.json"
+    blob = {
+        "point_scales": system.point_scales.tolist(),
+        "points": system.points.tolist(),
+        "targets": system.targets.tolist(),
+        "weight": system.weight,
+        "controls": result.controls.tolist(),
+    }
     with open(controls_path, "w") as fh:
-        json.dump(
-            {
-                "point_scales": system.point_scales.tolist(),
-                "points": system.points.tolist(),
-                "targets": system.targets.tolist(),
-                "weight": system.weight,
-                "controls": result.controls.tolist(),
-            },
-            fh,
-            sort_keys=True,
-        )
+        # json.dumps encodes in C; json.dump to a file encodes in Python
+        fh.write(json.dumps(blob, sort_keys=True))
     files.append(controls_path)
     trajectory = result.trajectory
     per_scale = {}
@@ -191,6 +189,8 @@ def cmd_register(config, root, kernel_table_path=None):
         "gradient_passes": result.gradient_passes,
         "gradient_sup_norm": result.gradient_sup_norm,
         "line_search_halvings": result.line_search_halvings,
+        "trials_stopped_early": result.trials_stopped_early,
+        "gram_evaluations": objective.gram.evaluations,
         "kernel_exp_terms": objective.gram.exp_terms,
         "kernel_table_reads": objective.gram.table_reads,
     }

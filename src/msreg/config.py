@@ -236,12 +236,20 @@ class ExperimentConfig:
         if not weight > 0:
             raise ConfigError(f"weight must be positive, got {weight!r}")
         num_points = 0
-        for entry in data["shapes"]:
-            if "scale" not in entry or "template" not in entry or "target" not in entry:
-                raise ConfigError("each shape entry needs scale, template, target")
+        for k, entry in enumerate(data["shapes"]):
+            if not (isinstance(entry, dict) and {"scale", "template", "target"} <= entry.keys()):
+                raise ConfigError(
+                    f'shapes[{k}] must be an object with a "scale", "template" and "target", '
+                    f"got {entry!r}"
+                )
             _require_node(ladder, entry["scale"], "shape scale")
-            for spec in (entry["template"], entry["target"]):
-                if isinstance(spec, dict) and "num" in spec:
+            for key in ("template", "target"):
+                spec = entry[key]
+                if not (isinstance(spec, dict) and "type" in spec):
+                    raise ConfigError(
+                        f'shapes[{k}].{key} must be an object with a "type", got {spec!r}'
+                    )
+                if "num" in spec:
                     if not _same_type(spec["num"], 0):
                         raise ConfigError(f"shapes.num must be int, got {spec['num']!r}")
                     _check_range("shapes.num", spec["num"])

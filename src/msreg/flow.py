@@ -323,9 +323,9 @@ class KernelBlocks:
     gives the last elements mod 4 of a chunk other bits), then the
     tabulated blocks' i <= j pairs in ranges of CHUNK_ELEMENTS / 7.
     Calling it at Xi returns (K,), or (K, dK/du), on the list, from which
-    `matrix` gathers the Gram.  `exp_terms` and `table_reads` count, over
-    all calls, the elements times terms summed by exp and the elements
-    read from tables.
+    `matrix` gathers the Gram.  `evaluations` counts its calls, and
+    `exp_terms` and `table_reads` the elements times terms summed by exp
+    and the elements read from tables over those calls.
     """
 
     def __init__(self, kernel, scales_i, scales_j=None):
@@ -391,7 +391,7 @@ class KernelBlocks:
                            for c in range(0, ids.size, step)]
         self._tables = tables if len(tables) > 1 else []
         self._u, self._sbuf, self._dk = np.empty((3, self._pi.size))
-        self.exp_terms, self.table_reads = 0, 0
+        self.evaluations = 0
         self._work = (sum(pq.shape[1] * terms[0].size for pq, terms in exp), ids.size)
         return min(step, ids.size)
 
@@ -454,9 +454,16 @@ class KernelBlocks:
     def __call__(self, Xi, Xj=None, deriv=False):
         return self._pairs(Xi, deriv) if self.square else self._chunks_of(Xi, Xj, deriv)
 
+    @property
+    def exp_terms(self):
+        return self.evaluations * self._work[0]
+
+    @property
+    def table_reads(self):
+        return self.evaluations * self._work[1]
+
     def _pairs(self, Xi, deriv):
-        self.exp_terms += self._work[0]
-        self.table_reads += self._work[1]
+        self.evaluations += 1
         u, dk = self._u, self._dk
         xi, xj = (np.take(Xi, ends, axis=0).T for ends in (self._pi, self._pj))
         _squared_distances(u, self._sbuf, xi, xj)
@@ -545,7 +552,17 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-def integrate_forward(kernel, system, controls, keep_blocks=True, gram=None, store=None):
+class EnergyAboveBound(RuntimeError):
+    """A forward pass stopped at `step`: its energy so far, plus the most
+    negative energy its remaining steps could add, exceeds the caller's bound."""
+
+    def __init__(self, step):
+        super().__init__(f"energy exceeds the bound after time step {step}")
+        self.step = step
+
+
+def integrate_forward(kernel, system, controls, keep_blocks=True, gram=None, store=None,
+                      start=None, bound=np.inf):
     """Explicit Euler integration of the landmark dynamics.
 
     Each step evaluates the landmark Gram K once, through `gram` (a caller's
@@ -554,11 +571,19 @@ def integrate_forward(kernel, system, controls, keep_blocks=True, gram=None, sto
     MAX_BLOCK_BYTES, the step also evaluates dK/du and keeps both matrices
     on the trajectory for the adjoint, in `store` (an earlier pass's
     blocks) if it has the store's shape; the store changes memory only.
+    `start`, if given, is K and dK/du at `system.points` (a kept store's
+    step 0), copied into step 0 of a kept store in place of evaluating it.
     Accumulates the control energy 0.5 * sum_i dt * a^T K(x(t_i)) a; a step
-    whose a^T K a is below -(TABLE_RTOL + 4 P eps) W (sum |a|)^2, W the Gram's
-    `bound`, raises FloatingPointError.  That slack covers each element's
+    whose a^T K a is below -(TABLE_RTOL + 4 P eps) W (sum |a|)^2, W being
+    `gram.bound`, raises FloatingPointError.  That slack covers each element's
     error (at most TABLE_RTOL W, tabulated or an exp sum of under ~4000
     terms) and the rounding of the sums over P landmarks.
+
+    Those per-step floors also bound the energy still to come, so after a
+    step before the last whose energy so far plus the floors of the later
+    steps exceeds `bound`, with a margin for the rounding of those sums, the
+    pass raises EnergyAboveBound: every pass it would complete has energy
+    above `bound`.  A NaN energy never stops it.
     """
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 3 or controls.shape[1:] != system.points.shape:
@@ -581,9 +606,18 @@ def integrate_forward(kernel, system, controls, keep_blocks=True, gram=None, sto
     with np.errstate(over="ignore", invalid="ignore"):
         slack = (TABLE_RTOL + 4 * system.num_points * np.finfo(float).eps) * gram.bound
         floors = -slack * np.abs(controls).sum(axis=(1, 2)) ** 2  # per step
+        # rest[i] sums 0.5 dt floors[j] over the steps j > i.  A step that does
+        # not raise adds at least its term (rounding is monotone), so a pass
+        # run to the end has energy at least energy + rest[i], up to the
+        # rounding of both sums, which `margin` times their magnitudes covers
+        rest = np.cumsum(0.5 * dt * floors[:0:-1])[::-1]
+        margin = 2 * (num_steps + 2) * np.finfo(float).eps
         for i in range(num_steps):
             if blocks is None:
                 kmat = gram.matrix(positions[i])
+            elif i == 0 and start is not None:
+                np.copyto(blocks[0], start)
+                kmat = blocks[0, 0]
             else:
                 kmat = gram.matrix(positions[i], deriv=True, out=blocks[i])[0]
             vel = kmat @ controls[i]
@@ -591,8 +625,11 @@ def integrate_forward(kernel, system, controls, keep_blocks=True, gram=None, sto
             if aka < floors[i]:
                 raise FloatingPointError(f"negative kernel energy {aka:.3e} at time step {i}")
             energy += 0.5 * dt * aka
-            positions[i + 1] = positions[i] + dt * vel
-            if not np.all(np.isfinite(positions[i + 1])):
+            if i < num_steps - 1 and energy + rest[i] - margin * (abs(energy) - rest[i]) > bound:
+                raise EnergyAboveBound(i)
+            x = np.multiply(vel, dt, out=positions[i + 1])
+            x += positions[i]
+            if not np.isfinite(x).all():
                 raise IntegrationError(i)
     return FlowTrajectory(positions, controls.copy(), energy, blocks)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import KernelBlocks, integrate_forward, kernel_matrix
+from .flow import EnergyAboveBound, KernelBlocks, integrate_forward, kernel_matrix
 
 MAX_HALVINGS = 40  # Armijo backtracking halvings before a line search fails
 
@@ -24,7 +24,10 @@ class Objective:
     `gram`, the landmark Gram's `KernelBlocks`, is set up once and serves
     every forward pass.  The passes of `evaluate` also share one store of
     per-step Grams: before a pass writes into it, the trajectory that held
-    it loses its blocks, so that trajectory's gradient evaluates its own."""
+    it loses its blocks, so that trajectory's gradient evaluates its own.
+    Every pass starts at `system.points`, so the first pass that keeps a
+    store keeps a copy of its step 0, K and dK/du there, and later passes
+    copy it in place of evaluating it."""
 
     kernel: object
     system: object
@@ -32,16 +35,25 @@ class Objective:
 
     def __post_init__(self):
         self.gram = KernelBlocks(self.kernel, self.system.point_scales)
-        self._store = self._holder = None
+        self._store = self._holder = self._start = None
 
-    def evaluate(self, controls):
+    def evaluate(self, controls, bound=np.inf):
         """Returns (value, energy, match, trajectory): the forward pass of
-        `controls` and its score; deterministic for fixed inputs."""
+        `controls` and its score; deterministic for fixed inputs.
+
+        With a finite `bound` the pass may stop early, raising
+        `EnergyAboveBound`, once its energy alone shows that the value
+        exceeds `bound`; the match is never negative when the weight is
+        positive, and with any other weight the pass always runs to the end."""
         if self._holder is not None:
             self._holder.blocks = None  # this pass overwrites them
+        if not self.system.weight > 0:
+            bound = np.inf
         trajectory = integrate_forward(self.kernel, self.system, controls, True, self.gram,
-                                       self._store)
+                                       self._store, self._start, bound)
         self._store, self._holder = trajectory.blocks, trajectory
+        if self._start is None and self._store is not None:
+            self._start = self._store[0].copy()
         mismatch = trajectory.endpoints - self.system.targets
         match = self.system.weight * float(np.einsum("pd,pd->", mismatch, mismatch))
         return trajectory.energy + match, trajectory.energy, match, trajectory
@@ -67,11 +79,12 @@ class Objective:
         # costate of the discrete problem: derivative of downstream cost
         # with respect to the step-i positions
         costate = 2.0 * system.weight * (trajectory.endpoints - system.targets)
+        starts = trajectory.positions[:-1]
+        rels = starts - starts.mean(1, keepdims=True)  # each step's, about its centroid
         for i in range(num_steps - 1, -1, -1):
-            pos = trajectory.positions[i]
             ctrl = trajectory.controls[i]
             if blocks is None:
-                kmat, dmat = kernel_matrix(self.kernel, scales, pos, deriv=True)
+                kmat, dmat = kernel_matrix(self.kernel, scales, starts[i], deriv=True)
             else:
                 kmat, dmat = blocks[i]
             grad[i] = dt * kmat.dot(costate + ctrl)
@@ -81,7 +94,7 @@ class Objective:
             # small as the differences, whatever the translation
             cross = costate.dot(ctrl.T)
             coeff = dmat * (cross + cross.T + ctrl.dot(ctrl.T))
-            rel = pos - pos.mean(0)
+            rel = rels[i]
             costate = costate + 2.0 * dt * (rel * coeff.sum(1)[:, None] - coeff.dot(rel))
         trajectory.blocks = None
         return grad
@@ -98,6 +111,7 @@ class OptimizeResult:
     line_search_failed: bool = False
     trajectory: object = None  # forward pass of `controls`
     forward_passes: int = 0
+    trials_stopped_early: int = 0  # forward passes that raised EnergyAboveBound
     gradient_passes: int = 0
     line_search_halvings: int = 0
     gradient_sup_norm: float = np.inf  # at the returned controls
@@ -115,7 +129,9 @@ def optimize(objective, max_iters=1000, tol=1e-8, memory=10):
     norm overflows.
     Every forward pass goes through `objective.evaluate`, and each accepted
     point's pass feeds its gradient, so the run takes one forward pass per
-    evaluation: the start plus one per line-search trial.
+    evaluation: the start plus one per line-search trial.  A trial's pass
+    gets the Armijo bound it must meet, and stops as soon as its energy
+    alone exceeds it; that trial is rejected as it would have been.
     The gradient releases a trajectory's kernel blocks, and a rejected
     trial is dropped before the next trial, so at most one set of blocks is
     alive at a time.
@@ -152,14 +168,18 @@ def optimize(objective, max_iters=1000, tol=1e-8, memory=10):
         accepted = False
         for _ in range(MAX_HALVINGS):
             x_new = x + step * direction
+            bound = value + 1e-4 * step * descent
             result.forward_passes += 1
             try:
                 value_new, energy_new, match_new, traj_new = objective.evaluate(
-                    x_new.reshape(shape)
+                    x_new.reshape(shape), bound
                 )
+            except EnergyAboveBound:
+                result.trials_stopped_early += 1
+                value_new = np.inf
             except RuntimeError:
                 value_new = np.inf
-            if value_new <= value + 1e-4 * step * descent:
+            if value_new <= bound:
                 accepted = True
                 break
             step *= 0.5

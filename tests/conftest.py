@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from msreg import ScaleLadder
+from msreg import ScaleLadder, flow, registration
 from msreg.kernel_fit import fit_kernel_table
 from msreg.spectral import SpectralGrid, compute_spectral_table
 
@@ -45,3 +45,21 @@ def small_spectral(small_ladder):
 @pytest.fixture(scope="session")
 def small_kernel(small_spectral):
     return fit_kernel_table(small_spectral, num_basis=16)
+
+
+@pytest.fixture
+def forward_stops(monkeypatch):
+    """The step after which each forward pass of `registration` stopped
+    early (`flow.EnergyAboveBound`), in the order the passes ran."""
+    stops = []
+    integrate_forward = flow.integrate_forward
+
+    def recording_forward(*args):
+        try:
+            return integrate_forward(*args)
+        except flow.EnergyAboveBound as err:
+            stops.append(err.step)
+            raise
+
+    monkeypatch.setattr(registration, "integrate_forward", recording_forward)
+    return stops

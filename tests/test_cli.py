@@ -28,7 +28,7 @@ from msreg.config import (
     ExperimentConfig,
 )
 from msreg.kernel_fit import HankelBasis, KernelTable, fit_kernel_table
-from msreg.registration import Objective
+from msreg.registration import Objective, optimize
 from msreg.scale_kernels import DiracPiecewiseKernel
 from oracles import write_field_csv
 
@@ -290,6 +290,35 @@ class TestArgumentHandling:
         # no run directory, inside output_dir or anywhere a name could lead
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert not list(tmp_path.parent.glob("x-*"))
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            pytest.param({"scale": 0.1, "template": 3, "target": {"type": "circle"}},
+                         'shapes[0].template must be an object with a "type", got 3',
+                         id="template_number"),
+            pytest.param({"scale": 0.1, "template": {"type": "circle"}, "target": "circle"},
+                         "shapes[0].target must be an object with a \"type\", got 'circle'",
+                         id="target_string"),
+            pytest.param({"scale": 0.1, "template": [1, 2], "target": {"type": "circle"}},
+                         'shapes[0].template must be an object with a "type", got [1, 2]',
+                         id="template_list"),
+            pytest.param({"scale": 0.1, "template": {"num": 8}, "target": {"type": "circle"}},
+                         "shapes[0].template must be an object with a \"type\", got {'num': 8}",
+                         id="template_without_type"),
+            pytest.param(3, 'shapes[0] must be an object with a "scale", "template" and '
+                            '"target", got 3', id="entry_number"),
+            pytest.param({"scale": 0.1, "template": {"type": "circle"}},
+                         'shapes[0] must be an object with a "scale", "template" and "target", '
+                         "got {'scale': 0.1, 'template': {'type': 'circle'}}",
+                         id="entry_without_target"),
+        ],
+    )
+    def test_shape_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys, shape,
+                                                           message):
+        path = write_config(tmp_path, dict(DIRAC_CONFIG, shapes=[shape]))
+        assert main(["--config", str(path), "check"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "ladder",
@@ -843,16 +872,48 @@ class TestRegister:
         controls = json.loads((root / "controls.json").read_text())
         assert np.asarray(controls["controls"]).shape == (6, 16, 2)
 
-    def test_summary_counts_the_kernel_work_of_the_forward_passes(self, tmp_path, capsys):
+    def test_summary_counts_the_kernel_work_of_the_forward_passes(self, tmp_path, capsys,
+                                                                   forward_stops):
         path = write_config(tmp_path, DIRAC_CONFIG)
         assert main(["--config", str(path), "register"]) == EXIT_OK
         summary = json.loads((run_dir_of(capsys) / "register_summary.json").read_text())
+        # step 0 once, then steps 1-5 of each pass run to the end and steps 1
+        # to i of each pass stopped after step i
+        assert summary["trials_stopped_early"] == len(forward_stops) > 0
+        full = summary["forward_passes"] - len(forward_stops)
+        assert summary["gram_evaluations"] == 1 + 5 * full + sum(forward_stops)
         kernel = build_kernel(ExperimentConfig(DIRAC_CONFIG))[0]
         terms = [kernel.slice(lam, mu)[1].size for lam, mu in [(0.1, 0.1), (0.1, 2.0), (2.0, 2.0)]]
-        # 6 steps per pass, each of three 8 x 8 blocks summed whole by exp
-        per_pass = 6 * 64 * sum(terms)
-        assert summary["kernel_exp_terms"] == summary["forward_passes"] * per_pass
+        # each Gram of three 8 x 8 blocks summed whole by exp
+        assert summary["kernel_exp_terms"] == summary["gram_evaluations"] * 64 * sum(terms)
         assert summary["kernel_table_reads"] == 0
+
+    # at weight 1 the Lebesgue run never halves a step
+    @pytest.mark.parametrize("config", [DIRAC_CONFIG, dict(SMALL_CONFIG, weight=100.0)],
+                             ids=["dirac", "lebesgue"])
+    def test_stopping_trials_early_keeps_every_bit(self, config, monkeypatch):
+        config = ExperimentConfig(config)
+        kernel = build_kernel(config)[0]
+        system = cli._build_system(config)
+
+        def run():
+            objective = Objective(kernel, system, num_steps=config["time_steps"])
+            return optimize(objective, max_iters=config["optimizer"]["max_iters"])
+
+        stopped = run()
+        evaluate = Objective.evaluate
+        monkeypatch.setattr(Objective, "evaluate",
+                            lambda obj, controls, bound=np.inf: evaluate(obj, controls))
+        full = run()  # every trial runs to its last step
+        assert stopped.trials_stopped_early > 0 == full.trials_stopped_early
+        assert stopped.history == full.history
+        assert np.array_equal(stopped.controls, full.controls)
+        assert (stopped.value, stopped.energy, stopped.match) == (full.value, full.energy,
+                                                                   full.match)
+        assert np.array_equal(stopped.trajectory.positions, full.trajectory.positions)
+        assert stopped.gradient_sup_norm == full.gradient_sup_norm
+        assert stopped.forward_passes == full.forward_passes
+        assert stopped.line_search_halvings == full.line_search_halvings
 
     def test_history_rows_format(self, tmp_path, capsys):
         path = write_config(tmp_path, DIRAC_CONFIG)

@@ -612,6 +612,42 @@ class TestIntegrateForward:
         with pytest.raises(IntegrationError):
             integrate_forward(KERNEL, sys0, controls)
 
+    def test_stops_only_when_every_completion_exceeds_the_bound(self):
+        # K(u) = e^-u - e^-2u is 0 at u = 0 and rises, so two landmarks 1e-6
+        # apart with opposite controls have a^T K a = -2e-12 |a|^2 at every
+        # step, above the floor of -8e-12 |a|^2: the energy falls by
+        # 2.5e-13 per step, and by at most 1e-12 per step by the floors
+        class RisingKernel:
+            def slice(self, lam, mu):
+                return np.array([1.0, -1.0]), np.array([1.0, 2.0])
+
+        sys0 = LandmarkSystem(np.full(2, 0.5), [[0.0, 0.0], [1e-6, 0.0]], np.zeros((2, 2)))
+        controls = np.tile([[1.0, 0.0], [-1.0, 0.0]], (4, 1, 1))
+        energy = integrate_forward(RisingKernel(), sys0, controls).energy
+        assert energy == pytest.approx(-1e-12, rel=1e-3)
+        stops = {}
+        for factor in (4.0, 2.0, 1.1, 1.0, 0.9, 0.5):
+            try:
+                integrate_forward(RisingKernel(), sys0, controls, bound=factor * energy)
+            except flow.EnergyAboveBound as err:
+                stops[factor] = err.step
+                assert energy > factor * energy  # every completion is above the bound
+        # after step 0, -2.5e-13 - 3e-12 is above 4x; after step 2,
+        # -7.5e-13 - 1e-12 is above 2x; the energy so far alone is above
+        # every bound from 1.1x on
+        assert stops == {4.0: 0, 2.0: 2}
+        for bound in (np.nan, np.inf):
+            assert integrate_forward(RisingKernel(), sys0, controls, bound=bound).energy == energy
+
+    def test_runs_its_last_step_and_a_nan_energy_to_the_end(self):
+        sys0 = two_scale_system(np.random.default_rng(10))
+        controls = np.ones((1, 8, 2))
+        assert integrate_forward(KERNEL, sys0, controls, bound=-np.inf).energy > 0
+        with pytest.raises(IntegrationError):
+            integrate_forward(KERNEL, sys0, np.full((4, 8, 2), np.nan), bound=-np.inf)
+        with pytest.raises(flow.EnergyAboveBound):
+            integrate_forward(KERNEL, sys0, np.ones((2, 8, 2)), bound=-np.inf)
+
 
 class TestTransport:
     @staticmethod

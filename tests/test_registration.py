@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from msreg import flow, registration
-from msreg.flow import LandmarkSystem, integrate_forward
+from msreg.flow import LandmarkSystem, integrate_forward, kernel_matrix
 from msreg.ladder import DiracMeasure, ScaleLadder
 from msreg.registration import Objective, optimize
 from msreg.scale_kernels import DiracPiecewiseKernel
@@ -84,6 +84,32 @@ class TestEvaluate:
         assert energy == ref.energy
         assert match == pytest.approx(0.7 * np.sum((ref.endpoints - sys0.targets) ** 2))
         assert value == energy + match
+
+    def test_stops_early_only_with_a_positive_weight(self):
+        # a negative match could pull a value above the bound back under it
+        rng = np.random.default_rng(4)
+        controls = 0.3 * rng.normal(size=(6, 6, 2))
+        for weight in (0.0, -1.0, np.nan):
+            obj = Objective(KERNEL, random_system(rng, weight=weight), num_steps=6)
+            assert obj.evaluate(controls, bound=-np.inf)[1] > 0
+        obj = Objective(KERNEL, random_system(rng, weight=1e-300), num_steps=6)
+        with pytest.raises(flow.EnergyAboveBound):
+            obj.evaluate(controls, bound=-np.inf)
+
+    def test_copies_step_0_from_its_first_kept_store(self, experiment_kernel, monkeypatch):
+        sys0, controls = experiment_case()
+        want = kernel_matrix(experiment_kernel, sys0.point_scales, sys0.points, deriv=True)
+        obj = Objective(experiment_kernel, sys0, num_steps=16)
+        obj.evaluate(controls)
+        traj = obj.evaluate(0.5 * controls)[3]
+        assert all(np.array_equal(mat, ref) for mat, ref in zip(traj.blocks[0], want))
+        assert obj.gram.evaluations == 16 + 15
+        # without a store every pass evaluates its step 0
+        monkeypatch.setattr(flow, "MAX_BLOCK_BYTES", 0)
+        obj = Objective(experiment_kernel, sys0, num_steps=16)
+        obj.evaluate(controls)
+        obj.evaluate(0.5 * controls)
+        assert obj.gram.evaluations == 16 + 16
 
 
 class TestGradient:
@@ -372,10 +398,12 @@ class TestOptimize:
         sys0 = random_system(np.random.default_rng(13))
         result = optimize(Objective(KERNEL, sys0, num_steps=6), max_iters=25)
         assert result.line_search_halvings > 0
-        assert len(made) == result.forward_passes
+        # a pass stopped early makes no trajectory
+        assert result.trials_stopped_early > 0
+        assert len(made) == result.forward_passes - result.trials_stopped_early
         assert result.trajectory.blocks is None
 
-    def test_sets_up_one_square_gram_per_objective(self, monkeypatch):
+    def test_sets_up_one_square_gram_per_objective(self, monkeypatch, forward_stops):
         made = []
         init = flow.KernelBlocks.__init__
 
@@ -389,8 +417,12 @@ class TestOptimize:
         result = optimize(obj, max_iters=25)
         assert result.forward_passes > 1
         assert made == [True]
-        # its counts are the work of every forward pass: 6 steps of three
-        # 3 x 3 blocks, each summed whole by exp
+        # its Grams: step 0 once, then steps 1-5 of each pass run to the end
+        # and steps 1 to i of each pass stopped after step i
+        assert result.trials_stopped_early == len(forward_stops) > 0
+        full = result.forward_passes - len(forward_stops)
+        assert obj.gram.evaluations == 1 + 5 * full + sum(forward_stops)
+        # each of three 3 x 3 blocks summed whole by exp
         terms = [KERNEL.slice(lam, mu)[1].size for lam, mu in [(0.1, 0.1), (0.1, 2.0), (2.0, 2.0)]]
-        assert obj.gram.exp_terms == result.forward_passes * 6 * 9 * sum(terms)
+        assert obj.gram.exp_terms == obj.gram.evaluations * 9 * sum(terms)
         assert obj.gram.table_reads == 0
